@@ -9,7 +9,7 @@ from collections.abc import Mapping
 from .errors import MalfamError
 from .features.schema import GROUP_ORDER, GROUP_SECTION_SIZE
 from .features.vocab import VocabCaps
-from .forest import ForestParams
+from .forest import ForestParams, params_to_dict
 
 CONFIG_VERSION = 1
 
@@ -70,14 +70,7 @@ def config_to_dict(config: RunConfig) -> dict:
         "selection": dict(config.selection),
         "train_fraction": config.train_fraction,
         "folds": config.folds,
-        "forest": {
-            "n_trees": config.forest.n_trees,
-            "max_depth": config.forest.max_depth,
-            "min_samples_leaf": config.forest.min_samples_leaf,
-            "features_per_split": config.forest.features_per_split,
-            "bootstrap": config.forest.bootstrap,
-            "seed": config.forest.seed,
-        },
+        "forest": params_to_dict(config.forest),
         "seed": config.seed,
         "threads": config.threads,
         "prefer": config.prefer,

@@ -42,13 +42,6 @@ def select_by_importance(
     return order[:k]
 
 
-def selection_to_names(indices, names) -> list[str]:
-    try:
-        return [names[i] for i in indices]
-    except IndexError as exc:
-        raise MalfamError(f"selection index out of range: {exc}") from exc
-
-
 def save_selection(selection: Mapping[str, Sequence[str]], path: str | Path) -> None:
     """Persist per-group kept dimension names, importance order preserved."""
     doc = {

@@ -1,5 +1,12 @@
 """CART decision trees and a random forest, written against numpy only.
 
+A fitted forest is one set of parallel per-node arrays (the layout of
+scikit-learn's ``Tree``): ``feature`` (-1 marks a leaf), ``threshold``,
+absolute child indices ``left``/``right``, and per-class training ``counts``
+for every node.  Nodes are stored in preorder, left child first, and trees are
+concatenated in index order; ``roots[t]`` is the first node of tree t.  Fit,
+predict, importance and ``model.json`` all read and write these arrays.
+
 Determinism contract: every tree draws from its own PCG64 generator seeded by
 mix_seed(seed, "tree", index), so refitting with the same seed reproduces the
 forest node for node regardless of thread count.  Ties in the split search
@@ -9,10 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,7 +27,7 @@ from .errors import ModelError, TrainingError
 from .families import family_name
 from .util import mix_seed
 
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 FEATURE_RULES = ("sqrt", "third")
 
@@ -58,25 +63,31 @@ def _candidate_count(rule: int | str, n_dims: int) -> int:
     return max(1, min(int(rule), n_dims))
 
 
-@dataclass(eq=False)
-class Leaf:
-    counts: np.ndarray  # per-class training counts, int64
+def params_to_dict(params: ForestParams) -> dict:
+    """The one JSON form of ForestParams, shared by model, config and metrics files."""
+    return {
+        "n_trees": params.n_trees,
+        "max_depth": params.max_depth,
+        "min_samples_leaf": params.min_samples_leaf,
+        "features_per_split": params.features_per_split,
+        "bootstrap": params.bootstrap,
+        "seed": params.seed,
+    }
 
 
-@dataclass(eq=False)
-class Split:
-    dim: int
-    threshold: float
-    left: "Leaf | Split | None" = None
-    right: "Leaf | Split | None" = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomForest:
+    """All trees as parallel node arrays; see the module docstring for the layout."""
+
     params: ForestParams
     classes: tuple[int, ...]
     n_features: int
-    trees: tuple
+    feature: np.ndarray    # intp, -1 at leaves
+    threshold: np.ndarray  # float64
+    left: np.ndarray       # intp, absolute; -1 at leaves
+    right: np.ndarray      # intp, absolute; -1 at leaves
+    counts: np.ndarray     # int64, n_nodes x n_classes
+    roots: np.ndarray      # intp, first node of each tree
 
 
 def gini(counts) -> float:
@@ -156,7 +167,9 @@ def best_split(values, labels, dims=None, min_samples_leaf: int = 1):
     )
 
 
-def _fit_tree(X, y_codes, n_classes, params: ForestParams, rng) -> Leaf | Split:
+def _fit_tree(X, y_codes, n_classes, params: ForestParams, rng) -> tuple[list, ...]:
+    """Grow one tree; returns its (feature, threshold, left, right, counts)
+    node lists in preorder, child indices local to the tree."""
     n, d = X.shape
     m = _candidate_count(params.features_per_split, d)
     if params.bootstrap:
@@ -166,38 +179,40 @@ def _fit_tree(X, y_codes, n_classes, params: ForestParams, rng) -> Leaf | Split:
     depth_cap = params.max_depth if params.max_depth is not None else math.inf
     min_leaf = params.min_samples_leaf
 
-    root: Leaf | Split | None = None
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    node_counts: list[np.ndarray] = []
     # preorder with an explicit stack (left child first) so rng draws do not
     # depend on the recursion limit
-    stack: list[tuple[np.ndarray, int, Split | None, int]] = [(rows, 0, None, 0)]
+    stack: list[tuple[np.ndarray, int, int, list[int] | None]] = [(rows, 0, -1, None)]
     while stack:
-        idx, depth, parent, side = stack.pop()
-        sub_y = y_codes[idx]
-        counts = np.bincount(sub_y, minlength=n_classes)
-        node: Leaf | Split
+        idx, depth, parent, links = stack.pop()
+        node = len(feature)
+        if links is not None:
+            links[parent] = node
+        counts = np.bincount(y_codes[idx], minlength=n_classes)
+        node_counts.append(counts)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
         pure = counts.max() == idx.size
         if pure or depth >= depth_cap or idx.size < 2 * min_leaf:
-            node = Leaf(counts.astype(np.int64))
-        else:
-            dims = np.sort(rng.choice(d, size=m, replace=False))
-            found = _best_split(X, idx, y_codes, n_classes, dims, min_leaf)
-            if found is None:
-                node = Leaf(counts.astype(np.int64))
-            else:
-                dim, threshold, _ = found
-                node = Split(dim, threshold)
-                left_mask = X[idx, dim] <= threshold
-                # push right first so the left branch is grown next
-                stack.append((idx[~left_mask], depth + 1, node, 1))
-                stack.append((idx[left_mask], depth + 1, node, 0))
-        if parent is None:
-            root = node
-        elif side == 0:
-            parent.left = node
-        else:
-            parent.right = node
-    assert root is not None
-    return root
+            continue
+        dims = np.sort(rng.choice(d, size=m, replace=False))
+        found = _best_split(X, idx, y_codes, n_classes, dims, min_leaf)
+        if found is None:
+            continue
+        dim, thr, _ = found
+        feature[node] = dim
+        threshold[node] = thr
+        left_mask = X[idx, dim] <= thr
+        # push right first so the left branch is grown next
+        stack.append((idx[~left_mask], depth + 1, node, right))
+        stack.append((idx[left_mask], depth + 1, node, left))
+    return feature, threshold, left, right, node_counts
 
 
 def fit_forest(values, labels, params: ForestParams = ForestParams(), threads: int = 1) -> RandomForest:
@@ -220,43 +235,54 @@ def fit_forest(values, labels, params: ForestParams = ForestParams(), threads: i
 
     if threads > 1 and params.n_trees > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = tuple(pool.map(build, range(params.n_trees)))
+            trees = list(pool.map(build, range(params.n_trees)))
     else:
-        trees = tuple(build(t) for t in range(params.n_trees))
+        trees = [build(t) for t in range(params.n_trees)]
+    feature, threshold, left, right, counts = (np.concatenate(field) for field in zip(*trees))
+    sizes = [len(tree[0]) for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    offset = np.repeat(roots, sizes)  # tree-local child indices become absolute
     return RandomForest(
         params=params,
         classes=tuple(int(c) for c in classes),
         n_features=X.shape[1],
-        trees=trees,
+        feature=feature,
+        threshold=threshold,
+        left=np.where(left >= 0, left + offset, -1),
+        right=np.where(right >= 0, right + offset, -1),
+        counts=counts,
+        roots=roots,
     )
 
 
-def _tree_proba(tree, row, n_classes) -> np.ndarray:
-    node = tree
-    while isinstance(node, Split):
-        node = node.left if row[node.dim] <= node.threshold else node.right
-    counts = node.counts.astype(np.float64)
-    total = counts.sum()
-    if total == 0:
-        return np.full(n_classes, 1.0 / n_classes)
-    return counts / total
-
-
 def predict_proba(forest: RandomForest, values) -> np.ndarray:
-    """Average of per-tree leaf distributions; each row sums to 1."""
+    """Average of per-tree leaf distributions; each row sums to 1.
+
+    All (row, tree) pairs descend one level per step.  A leaf whose counts are
+    all zero contributes the uniform distribution.
+    """
     X = np.asarray(values, dtype=np.float64)
     single = X.ndim == 1
     if single:
         X = X[np.newaxis, :]
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise ValueError(f"expected {forest.n_features} feature columns, got {X.shape}")
-    k = len(forest.classes)
-    out = np.zeros((X.shape[0], k))
-    for i in range(X.shape[0]):
-        acc = np.zeros(k)
-        for tree in forest.trees:
-            acc += _tree_proba(tree, X[i], k)
-        out[i] = acc / len(forest.trees)
+    n_rows, n_trees, k = X.shape[0], forest.roots.size, len(forest.classes)
+    node = np.tile(forest.roots, n_rows)  # row-major over (row, tree)
+    row = np.repeat(np.arange(n_rows), n_trees)
+    pending = np.arange(node.size)
+    while pending.size:
+        cur = node[pending]
+        dim = forest.feature[cur]
+        inner = dim >= 0
+        pending, cur, dim = pending[inner], cur[inner], dim[inner]
+        go_left = X[row[pending], dim] <= forest.threshold[cur]
+        node[pending] = np.where(go_left, forest.left[cur], forest.right[cur])
+    counts = forest.counts[node].astype(np.float64).reshape(n_rows, n_trees, k)
+    total = counts.sum(axis=2, keepdims=True)
+    dist = np.divide(counts, total, out=np.full_like(counts, 1.0 / k), where=total > 0)
+    # cumsum adds trees one at a time in index order, as a running total would
+    out = np.cumsum(dist, axis=1)[:, -1] / n_trees
     return out[0] if single else out
 
 
@@ -269,49 +295,34 @@ def predict(forest: RandomForest, values) -> np.ndarray:
     return classes[picks]
 
 
-def _node_gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    return float(1.0 - counts @ counts / (total * total))
-
-
 def feature_importance(forest: RandomForest) -> np.ndarray:
     """Mean decrease in impurity per dimension, normalized to sum to 1.
 
-    Recomputable from a deserialized forest: per-node counts are rebuilt by
-    summing leaf counts upward.
+    One pass over the internal nodes.  Within a tree, a dimension's weighted
+    impurity drops are summed in reverse preorder (every split after its
+    subtrees) and scaled by the root count; the per-tree shares are then
+    added in tree order.  That order is part of the result: another one moves
+    importances in the last bits and can reorder ties in selection.
     """
-    total = np.zeros(forest.n_features)
-    for tree in forest.trees:
-        tree_imp = np.zeros(forest.n_features)
-        counts_of: dict[int, np.ndarray] = {}
-        stack: list[tuple[object, bool]] = [(tree, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if isinstance(node, Leaf):
-                counts_of[id(node)] = node.counts.astype(np.float64)
-                continue
-            if not expanded:
-                stack.append((node, True))
-                stack.append((node.left, False))
-                stack.append((node.right, False))
-                continue
-            left = counts_of.pop(id(node.left))
-            right = counts_of.pop(id(node.right))
-            merged = left + right
-            counts_of[id(node)] = merged
-            n = merged.sum()
-            n_l = left.sum()
-            n_r = right.sum()
-            if n == 0:
-                continue
-            drop = _node_gini(merged) - (n_l / n) * _node_gini(left) - (n_r / n) * _node_gini(right)
-            tree_imp[node.dim] += n * drop
-        n_root = counts_of[id(tree)].sum()
-        if n_root > 0:
-            total += tree_imp / n_root
-    total /= len(forest.trees)
+    counts = forest.counts.astype(np.float64)
+    n = counts.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        node_gini = np.where(n > 0, 1.0 - (counts * counts).sum(axis=1) / (n * n), 0.0)
+    inner = np.flatnonzero(forest.feature >= 0)[::-1]
+    inner = inner[n[inner] > 0]
+    lo, hi = forest.left[inner], forest.right[inner]
+    n_in = n[inner]
+    drop = node_gini[inner] - (n[lo] / n_in) * node_gini[lo] - (n[hi] / n_in) * node_gini[hi]
+    tree = np.searchsorted(forest.roots, inner, side="right") - 1
+    keys, slot = np.unique(tree * forest.n_features + forest.feature[inner], return_inverse=True)
+    per_key = np.bincount(slot, weights=n_in * drop, minlength=keys.size)
+    n_root = n[forest.roots][keys // forest.n_features]
+    kept = n_root > 0
+    total = np.bincount(
+        keys[kept] % forest.n_features,
+        weights=per_key[kept] / n_root[kept],
+        minlength=forest.n_features,
+    ) / forest.roots.size
     s = total.sum()
     if s > 0:
         total = total / s
@@ -434,98 +445,43 @@ def grid_search(
 # persistence
 # ---------------------------------------------------------------------------
 
-@contextmanager
-def _deep_recursion(limit: int = 20000):
-    # json's C scanner honors the interpreter recursion limit; deep trees need
-    # headroom
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, limit))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
-def _node_to_doc(root) -> dict:
-    docs: dict[int, dict] = {}
-    stack: list[tuple[object, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Leaf):
-            docs[id(node)] = {"counts": [int(v) for v in node.counts]}
-            continue
-        if not expanded:
-            stack.append((node, True))
-            stack.append((node.left, False))
-            stack.append((node.right, False))
-            continue
-        docs[id(node)] = {
-            "dim": int(node.dim),
-            "thr": float(node.threshold),
-            "l": docs.pop(id(node.left)),
-            "r": docs.pop(id(node.right)),
-        }
-    return docs[id(root)]
-
-
-def _node_from_doc(doc: dict, n_classes: int):
-    root = None
-    stack: list[tuple[dict, Split | None, int]] = [(doc, None, 0)]
-    while stack:
-        item, parent, side = stack.pop()
-        if not isinstance(item, dict):
-            raise ModelError("malformed tree node")
-        if "counts" in item:
-            counts = np.asarray(item["counts"], dtype=np.int64)
-            if counts.shape != (n_classes,) or (counts < 0).any():
-                raise ModelError("leaf counts disagree with the class list")
-            node: Leaf | Split = Leaf(counts)
-        else:
-            try:
-                node = Split(int(item["dim"]), float(item["thr"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ModelError(f"malformed split node: {exc}") from exc
-            stack.append((item["l"], node, 0))
-            stack.append((item["r"], node, 1))
-        if parent is None:
-            root = node
-        elif side == 0:
-            parent.left = node
-        else:
-            parent.right = node
-    return root
-
-
 def save_model(forest: RandomForest, schema, path: str | Path) -> None:
-    """Serialize to JSON, binding the forest to the schema by digest."""
+    """Serialize to JSON, binding the forest to the schema by digest.
+
+    The node arrays are written as flat lists; ``counts`` is row-major,
+    n_nodes x n_classes.
+    """
     doc = {
         "version": MODEL_VERSION,
-        "params": {
-            "n_trees": forest.params.n_trees,
-            "max_depth": forest.params.max_depth,
-            "min_samples_leaf": forest.params.min_samples_leaf,
-            "features_per_split": forest.params.features_per_split,
-            "bootstrap": forest.params.bootstrap,
-            "seed": forest.params.seed,
-        },
+        "params": params_to_dict(forest.params),
         "classes": list(forest.classes),
         "schema_digest": schema.digest(),
-        "trees": [_node_to_doc(tree) for tree in forest.trees],
+        "roots": forest.roots.tolist(),
+        "feature": forest.feature.tolist(),
+        "threshold": forest.threshold.tolist(),
+        "left": forest.left.tolist(),
+        "right": forest.right.tolist(),
+        "counts": forest.counts.ravel().tolist(),
     }
-    with _deep_recursion():
-        text = json.dumps(doc, separators=(",", ":"))
+    text = json.dumps(doc, separators=(",", ":"))
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path, schema) -> RandomForest:
-    """Load a model and refuse any schema whose digest disagrees."""
+    """Load a model and refuse any schema whose digest disagrees.
+
+    The node arrays are checked so that predict can neither index out of
+    range nor loop: every split names a schema column and both its children
+    lie after it.
+    """
     try:
-        with _deep_recursion():
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelError(f"cannot read model {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != MODEL_VERSION:
-        raise ModelError(f"unsupported model format in {path}")
+        raise ModelError(
+            f"unsupported model format in {path}; retrain to write version {MODEL_VERSION}"
+        )
     digest = doc.get("schema_digest")
     if digest != schema.digest():
         raise ModelError(
@@ -547,28 +503,43 @@ def load_model(path: str | Path, schema) -> RandomForest:
             seed=int(raw["seed"]),
         )
         classes = tuple(int(c) for c in doc["classes"])
-        tree_docs = doc["trees"]
-    except (KeyError, TypeError, ValueError) as exc:
+        roots = np.asarray(doc["roots"], dtype=np.intp)
+        feature = np.asarray(doc["feature"], dtype=np.intp)
+        threshold = np.asarray(doc["threshold"], dtype=np.float64)
+        left = np.asarray(doc["left"], dtype=np.intp)
+        right = np.asarray(doc["right"], dtype=np.intp)
+        counts = np.asarray(doc["counts"], dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed model {path}: {exc}") from exc
     if len(classes) < 2 or len(classes) != len(set(classes)):
         raise ModelError("model class list must hold at least two distinct ids")
-    if not isinstance(tree_docs, list) or len(tree_docs) != params.n_trees:
+    n_nodes = feature.size
+    if any(a.shape != (n_nodes,) for a in (feature, threshold, left, right)):
+        raise ModelError("model node arrays differ in length")
+    if counts.shape != (n_nodes * len(classes),) or (counts < 0).any():
+        raise ModelError("node counts disagree with the class list")
+    if roots.shape != (params.n_trees,):
         raise ModelError("model tree count disagrees with its params")
-    trees = tuple(_node_from_doc(t, len(classes)) for t in tree_docs)
+    if roots[0] != 0 or (np.diff(roots) <= 0).any() or roots[-1] >= n_nodes:
+        raise ModelError("model tree roots are not increasing node indices from 0")
     n_features = len(schema)
-    for tree in trees:
-        _check_dims(tree, n_features)
-    return RandomForest(params=params, classes=classes, n_features=n_features, trees=trees)
-
-
-def _check_dims(tree, n_features: int) -> None:
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Split):
-            if not 0 <= node.dim < n_features:
-                raise ModelError(
-                    f"split dimension {node.dim} outside the schema's {n_features} columns"
-                )
-            stack.append(node.left)
-            stack.append(node.right)
+    bad = feature[(feature < -1) | (feature >= n_features)]
+    if bad.size:
+        raise ModelError(
+            f"split dimension {bad[0]} outside the schema's {n_features} columns"
+        )
+    inner = np.flatnonzero(feature >= 0)
+    for child in (left[inner], right[inner]):
+        if ((child <= inner) | (child >= n_nodes)).any():
+            raise ModelError("a split's child must lie after it within the node arrays")
+    return RandomForest(
+        params=params,
+        classes=classes,
+        n_features=n_features,
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
+        counts=counts.reshape(n_nodes, len(classes)),
+        roots=roots,
+    )

@@ -29,6 +29,7 @@ from .forest import (
     fit_forest,
     grid_search,
     load_model,
+    params_to_dict,
     save_model,
 )
 from .util import mix_seed
@@ -194,17 +195,6 @@ def train_pipeline(
     return result, train_man, test_man
 
 
-def _params_to_dict(params: ForestParams) -> dict:
-    return {
-        "n_trees": params.n_trees,
-        "max_depth": params.max_depth,
-        "min_samples_leaf": params.min_samples_leaf,
-        "features_per_split": params.features_per_split,
-        "bootstrap": params.bootstrap,
-        "seed": params.seed,
-    }
-
-
 def metrics_to_dict(metrics: Metrics) -> dict:
     doc = {
         "accuracy": metrics.accuracy,
@@ -236,13 +226,13 @@ def save_train_dir(
     save_model(result.forest, result.schema, out / MODEL_FILE)
     metrics_doc = {
         "version": 1,
-        "params": _params_to_dict(result.params),
+        "params": params_to_dict(result.params),
         "holdout": metrics_to_dict(result.holdout),
         "cv": metrics_to_dict(result.cv),
     }
     if result.grid is not None:
         metrics_doc["grid"] = [
-            {"params": _params_to_dict(p), "cv_accuracy": a} for p, a in result.grid
+            {"params": params_to_dict(p), "cv_accuracy": a} for p, a in result.grid
         ]
     (out / METRICS_FILE).write_text(
         json.dumps(metrics_doc, indent=1) + "\n", encoding="utf-8"

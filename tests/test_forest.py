@@ -2,6 +2,8 @@
 oracle, fitting, probabilities, MDI importances, CV protocol, persistence."""
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,10 +14,8 @@ from malfam.errors import ModelError, TrainingError
 from malfam.features import Vocabulary, build_schema
 from malfam.forest import (
     ForestParams,
-    Leaf,
     Metrics,
     RandomForest,
-    Split,
     best_split,
     cross_validate,
     evaluate,
@@ -190,7 +190,7 @@ def test_fit_forest_tree_count_and_determinism():
     params = ForestParams(n_trees=12, seed=99)
     a = fit_forest(X, y, params)
     b = fit_forest(X, y, params)
-    assert len(a.trees) == 12
+    assert a.roots.size == 12
     probes = rng.normal(size=(10, 4)) * 15
     assert np.array_equal(predict_proba(a, probes), predict_proba(b, probes))
 
@@ -237,17 +237,64 @@ def test_forest_params_validation():
         ForestParams(features_per_split="half")
 
 
-def leaf(counts) -> Leaf:
-    return Leaf(counts=np.asarray(counts, dtype=np.float64))
+def leaf(counts) -> tuple:
+    return (-1, 0.0, -1, -1, counts)
 
 
-def hand_forest(trees, n_classes=9, n_features=2) -> RandomForest:
+def split(dim, threshold, left, right, counts) -> tuple:
+    return (dim, threshold, left, right, counts)
+
+
+def hand_forest(nodes, roots=(0,), n_classes=9, n_features=2) -> RandomForest:
+    """A forest from preorder (dim, threshold, left, right, counts) node rows."""
+    feature, threshold, left, right, counts = zip(*nodes)
     return RandomForest(
-        params=ForestParams(n_trees=len(trees), seed=0),
+        params=ForestParams(n_trees=len(roots), seed=0),
         classes=tuple(range(1, n_classes + 1)),
         n_features=n_features,
-        trees=tuple(trees),
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.intp),
+        right=np.array(right, dtype=np.intp),
+        counts=np.array(counts, dtype=np.int64).reshape(len(nodes), n_classes),
+        roots=np.array(roots, dtype=np.intp),
     )
+
+
+def reversed_trees(forest: RandomForest) -> RandomForest:
+    """The same trees stored in the opposite order, child indices remapped."""
+    bounds = np.append(forest.roots, forest.feature.size)
+    order = np.concatenate([np.arange(bounds[t], bounds[t + 1])
+                            for t in reversed(range(forest.roots.size))])
+    moved_to = np.empty_like(order)
+    moved_to[order] = np.arange(order.size)
+
+    def remap(children):
+        return np.where(children >= 0, moved_to[children], -1)
+
+    return replace(
+        forest,
+        feature=forest.feature[order],
+        threshold=forest.threshold[order],
+        left=remap(forest.left[order]),
+        right=remap(forest.right[order]),
+        counts=forest.counts[order],
+        roots=np.sort(moved_to[forest.roots]),
+    )
+
+
+def walk_proba(forest: RandomForest, x) -> np.ndarray:
+    """Scalar oracle: walk each tree for one row and average in tree order."""
+    k = len(forest.classes)
+    acc = np.zeros(k)
+    for root in forest.roots:
+        n = root
+        while forest.feature[n] >= 0:
+            n = forest.left[n] if x[forest.feature[n]] <= forest.threshold[n] else forest.right[n]
+        counts = forest.counts[n].astype(np.float64)
+        total = counts.sum()
+        acc += counts / total if total > 0 else np.full(k, 1.0 / k)
+    return acc / forest.roots.size
 
 
 def test_predict_proba_single_pure_tree():
@@ -257,7 +304,7 @@ def test_predict_proba_single_pure_tree():
 
 def test_predict_proba_averages_two_trees():
     forest = hand_forest([leaf([3, 0, 0, 0, 0, 0, 0, 0, 0]),
-                          leaf([0, 7, 0, 0, 0, 0, 0, 0, 0])])
+                          leaf([0, 7, 0, 0, 0, 0, 0, 0, 0])], roots=(0, 1))
     got = predict_proba(forest, np.zeros(2))
     assert got.tolist() == [0.5, 0.5, 0, 0, 0, 0, 0, 0, 0]
     # argmax tie resolves to the lower class id
@@ -279,10 +326,35 @@ def test_predict_proba_permutation_invariant_over_trees():
     rng = np.random.default_rng(8)
     X, y = separable_data(rng)
     forest = fit_forest(X, y, ForestParams(n_trees=9, seed=3))
-    shuffled = replace(forest, trees=tuple(reversed(forest.trees)))
+    shuffled = reversed_trees(forest)
     probes = rng.normal(size=(20, 4)) * 12
     assert np.allclose(predict_proba(forest, probes), predict_proba(shuffled, probes),
                        rtol=0, atol=1e-12)
+
+
+def test_predict_proba_matches_scalar_walk_on_thresholds():
+    rng = np.random.default_rng(19)
+    X = rng.integers(0, 5, size=(90, 6)).astype(np.float64)
+    y = rng.integers(1, 5, size=90)
+    forest = fit_forest(X, y, ForestParams(n_trees=11, seed=6))
+    probes = rng.integers(0, 5, size=(60, 6)) + rng.choice([0.0, 0.5], size=(60, 6))
+    # pin one coordinate of every probe exactly onto some split's threshold
+    inner = np.flatnonzero(forest.feature >= 0)
+    for probe, node in zip(probes, rng.choice(inner, size=len(probes))):
+        probe[forest.feature[node]] = forest.threshold[node]
+    expected = np.array([walk_proba(forest, x) for x in probes])
+    assert np.array_equal(predict_proba(forest, probes), expected)
+    assert np.array_equal(predict_proba(forest, probes[0]), expected[0])
+
+
+def test_predict_proba_empty_leaf_is_uniform():
+    forest = hand_forest([split(0, 0.5, 1, 2, [1, 0, 0, 0, 0, 0, 0, 0, 0]),
+                          leaf([1, 0, 0, 0, 0, 0, 0, 0, 0]),
+                          leaf([0, 0, 0, 0, 0, 0, 0, 0, 0])])
+    got = predict_proba(forest, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert got[0].tolist() == [1, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert np.array_equal(got[1], np.full(9, 1 / 9))
+    assert np.array_equal(got[1], walk_proba(forest, [1.0, 0.0]))
 
 
 def test_predict_proba_shape_contract():
@@ -297,24 +369,24 @@ def test_predict_proba_shape_contract():
 # feature importance
 # ---------------------------------------------------------------------------
 
-def stump() -> Split:
-    return Split(dim=0, threshold=5.5,
-                 left=leaf([2, 0, 0, 0, 0, 0, 0, 0, 0]),
-                 right=leaf([0, 2, 0, 0, 0, 0, 0, 0, 0]))
+def stump(base=0) -> list[tuple]:
+    return [split(0, 5.5, base + 1, base + 2, [2, 2, 0, 0, 0, 0, 0, 0, 0]),
+            leaf([2, 0, 0, 0, 0, 0, 0, 0, 0]),
+            leaf([0, 2, 0, 0, 0, 0, 0, 0, 0])]
 
 
 def test_importance_single_dim_forest_normalizes_to_one():
-    forest = hand_forest([stump()])
+    forest = hand_forest(stump())
     assert feature_importance(forest).tolist() == [1.0, 0.0]
 
 
 def test_importance_hand_computed_ratio():
     # stump on dim 0: root gini 0.5, pure children, raw MDI = 0.5
     # second tree on dim 1: counts [3,1] -> gini 0.375, pure children
-    other = Split(dim=1, threshold=1.0,
-                  left=leaf([3, 0, 0, 0, 0, 0, 0, 0, 0]),
-                  right=leaf([0, 1, 0, 0, 0, 0, 0, 0, 0]))
-    forest = hand_forest([stump(), other])
+    other = [split(1, 1.0, 4, 5, [3, 1, 0, 0, 0, 0, 0, 0, 0]),
+             leaf([3, 0, 0, 0, 0, 0, 0, 0, 0]),
+             leaf([0, 1, 0, 0, 0, 0, 0, 0, 0])]
+    forest = hand_forest(stump() + other, roots=(0, 3))
     imp = feature_importance(forest)
     # averaged raw importances (0.25, 0.1875) normalize to (4/7, 3/7)
     assert imp[0] == pytest.approx(4 / 7, abs=1e-12)
@@ -324,6 +396,45 @@ def test_importance_hand_computed_ratio():
 def test_importance_leaf_only_forest_is_zero():
     forest = hand_forest([leaf([5, 5, 0, 0, 0, 0, 0, 0, 0])])
     assert feature_importance(forest).tolist() == [0.0, 0.0]
+
+
+def walk_importance(forest: RandomForest) -> np.ndarray:
+    """Scalar oracle: per tree, visit splits after their subtrees (right
+    subtree first) and accumulate n * impurity drop; average over trees."""
+    def node_gini(c):
+        t = c.sum()
+        return 0.0 if t == 0 else float(1.0 - c @ c / (t * t))
+
+    counts = forest.counts.astype(np.float64)
+    total = np.zeros(forest.n_features)
+    for root in forest.roots:
+        tree_imp = np.zeros(forest.n_features)
+        stack = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if forest.feature[node] < 0:
+                continue
+            lo, hi = forest.left[node], forest.right[node]
+            if not expanded:
+                stack += [(node, True), (lo, False), (hi, False)]
+                continue
+            n, n_l, n_r = counts[node].sum(), counts[lo].sum(), counts[hi].sum()
+            if n > 0:
+                drop = (node_gini(counts[node]) - (n_l / n) * node_gini(counts[lo])
+                        - (n_r / n) * node_gini(counts[hi]))
+                tree_imp[forest.feature[node]] += n * drop
+        if counts[root].sum() > 0:
+            total += tree_imp / counts[root].sum()
+    total /= forest.roots.size
+    return total / total.sum() if total.sum() > 0 else total
+
+
+def test_importance_matches_scalar_walk():
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(200, 5))
+    y = rng.integers(1, 6, size=200)
+    forest = fit_forest(X, y, ForestParams(n_trees=25, seed=7))
+    assert np.array_equal(feature_importance(forest), walk_importance(forest))
 
 
 def test_importance_sums_to_one_for_fitted_forest():
@@ -478,6 +589,84 @@ def test_model_rejects_corrupt_file(tmp_path):
     path.write_text("{broken", encoding="utf-8")
     with pytest.raises(ModelError):
         load_model(path, schema_for(24))
+
+
+def saved_model_doc(tmp_path) -> tuple[dict, object]:
+    rng = np.random.default_rng(20)
+    schema = schema_for(24)
+    X = rng.normal(size=(40, 24))
+    y = rng.integers(1, 4, size=40)
+    path = tmp_path / "model.json"
+    save_model(fit_forest(X, y, ForestParams(n_trees=3, seed=2)), schema, path)
+    return json.loads(path.read_text(encoding="utf-8")), schema
+
+
+def first_split(doc) -> int:
+    return next(i for i, f in enumerate(doc["feature"]) if f >= 0)
+
+
+def set_split_dim(doc, value):
+    doc["feature"][first_split(doc)] = value
+
+
+def set_left(doc, value):
+    doc["left"][first_split(doc)] = value
+
+
+def set_right(doc, value):
+    doc["right"][first_split(doc)] = value
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda d: d.update(version=1),
+    lambda d: set_split_dim(d, 24),
+    lambda d: set_split_dim(d, -2),
+    lambda d: set_left(d, len(d["feature"])),
+    lambda d: set_left(d, first_split(d)),
+    lambda d: set_right(d, 0),
+    lambda d: set_right(d, -1),
+    lambda d: d.update(counts=d["counts"] + [0] * len(d["feature"])),
+    lambda d: d["counts"].__setitem__(0, -1),
+    lambda d: d.update(roots=d["roots"][:-1]),
+    lambda d: d.update(roots=d["roots"] + [len(d["feature"]) - 1]),
+    lambda d: d.update(roots=d["roots"][::-1]),
+    lambda d: d.update(threshold=d["threshold"][:-1]),
+    lambda d: d.update(feature=["x"] * len(d["feature"])),
+    lambda d: d.pop("left"),
+], ids=[
+    "version-1", "dim-past-schema", "dim-below-leaf-mark", "child-out-of-range",
+    "child-is-parent", "child-before-parent", "child-missing", "counts-too-wide",
+    "counts-negative", "too-few-roots", "too-many-roots", "roots-decreasing",
+    "short-threshold", "feature-not-int", "left-absent",
+])
+def test_model_rejects_malformed_node_arrays(tmp_path, corrupt):
+    doc, schema = saved_model_doc(tmp_path)
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelError):
+        load_model(path, schema)
+
+
+def test_deep_tree_round_trips_under_default_recursion_limit(tmp_path):
+    depth = 2500
+    assert sys.getrecursionlimit() < depth
+    # a right spine: split i sends x <= i to a leaf and the rest one level down
+    nodes = []
+    for i in range(depth):
+        nodes.append(split(0, float(i), 2 * i + 1, 2 * i + 2, [depth - i, 1]))
+        nodes.append(leaf([1, 0]))
+    nodes.append(leaf([0, 1]))
+    forest = hand_forest(nodes, n_classes=2, n_features=24)
+    schema = schema_for(24)
+    path = tmp_path / "model.json"
+    save_model(forest, schema, path)
+    loaded = load_model(path, schema)
+    probes = np.zeros((3, 24))
+    probes[:, 0] = [-1.0, 1.0, depth + 0.5]
+    assert predict_proba(loaded, probes).tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    assert np.array_equal(predict_proba(loaded, probes), predict_proba(forest, probes))
+    assert np.array_equal(feature_importance(loaded), feature_importance(forest))
 
 
 def test_metrics_dataclass_shape():
