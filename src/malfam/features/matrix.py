@@ -113,4 +113,9 @@ def load_matrix_csv(path: str | Path) -> FeatureMatrix:
     except ValueError as exc:
         raise CorpusError(f"{path}: malformed matrix: {exc}") from exc
     values = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise CorpusError(
+            f"{path}:{row + 2}: non-finite value {values[row, col]} in column {names[col]}"
+        )
     return FeatureMatrix(schema=schema, ids=tuple(ids), labels=tuple(labels), values=values)

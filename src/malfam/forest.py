@@ -7,6 +7,13 @@ for every node.  Nodes are stored in preorder, left child first, and trees are
 concatenated in index order; ``roots[t]`` is the first node of tree t.  Fit,
 predict, importance and ``model.json`` all read and write these arrays.
 
+Split search scores all candidate dims of a node as one n x m block (n rows at
+the node, m candidate dims): each column is sorted, the squared class counts
+left and right of every cut come from one cumulative sum per class present,
+and the gain of every (cut, dim) pair is computed at once.  Memory is O(n*m)
+whatever the class count; no n x m x k one-hot tensor is built.  The counts
+are exact integers, so gains are the same floats a per-dim loop computes.
+
 Determinism contract: every tree draws from its own PCG64 generator seeded by
 mix_seed(seed, "tree", index), so refitting with the same seed reproduces the
 forest node for node regardless of thread count.  Ties in the split search
@@ -108,46 +115,59 @@ def _best_split(X, row_idx, y_codes, n_classes, dims, min_leaf):
     """Exact best (dim, threshold, gain) over candidate dims, or None.
 
     Thresholds are midpoints between consecutive distinct sorted values.  The
-    winner takes the strictly largest gain; on a tie the dim iterated first
-    (lowest index) wins, and within a dim argmax picks the lowest threshold.
+    winner takes the strictly largest gain, which must be > 0; on a tie the
+    dim listed first wins, and within a dim the lowest threshold.  Callers
+    pass dims sorted, so the first listed is the lowest index.
     """
     n = row_idx.size
-    sub_y = y_codes[row_idx]
-    total = np.bincount(sub_y, minlength=n_classes).astype(np.float64)
-    g_parent = 1.0 - total @ total / (n * n)
-    positions = np.arange(n)
-    best_gain = 0.0
-    best: tuple[int, float] | None = None
-    for dim in dims:
-        col = X[row_idx, dim]
-        order = np.argsort(col, kind="stable")
-        sorted_vals = col[order]
-        cuts = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1])
-        if cuts.size == 0:
-            continue
-        n_left = cuts + 1
-        n_right = n - n_left
-        feasible = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not feasible.any():
-            continue
-        cuts = cuts[feasible]
-        n_left = n_left[feasible]
-        n_right = n_right[feasible]
-        onehot = np.zeros((n, n_classes))
-        onehot[positions, sub_y[order]] = 1.0
-        left_counts = onehot.cumsum(axis=0)[cuts]
-        right_counts = total - left_counts
-        g_left = 1.0 - (left_counts * left_counts).sum(axis=1) / (n_left * n_left)
-        g_right = 1.0 - (right_counts * right_counts).sum(axis=1) / (n_right * n_right)
-        gain = g_parent - (n_left / n) * g_left - (n_right / n) * g_right
-        pick = int(np.argmax(gain))  # first max = lowest threshold
-        if gain[pick] > best_gain:
-            best_gain = float(gain[pick])
-            threshold = (sorted_vals[cuts[pick]] + sorted_vals[cuts[pick] + 1]) / 2.0
-            best = (int(dim), float(threshold))
-    if best is None:
+    dims = np.asarray(dims, dtype=np.intp)
+    lo, hi = min_leaf - 1, n - min_leaf  # cut i puts sorted rows 0..i on the left
+    if dims.size == 0 or hi <= lo:
         return None
-    return (best[0], best[1], best_gain)
+    sub_y = y_codes[row_idx]
+    total = np.bincount(sub_y, minlength=n_classes)
+    total_sq = total @ total
+    g_parent = 1.0 - total_sq / (n * n)
+    block = X[row_idx[:, np.newaxis], dims]
+    # Counts at a cut where the value changes do not depend on how equal
+    # values are ordered, so the sort need not be stable.
+    order = block.argsort(axis=0)
+    sorted_vals = block[order, np.arange(dims.size)]
+    ys = sub_y[order[:hi]]
+    del block, order
+    valid = sorted_vals[lo + 1:hi + 1] != sorted_vals[lo:hi]
+    n_left = np.arange(lo + 1, hi + 1)[:, np.newaxis]
+    n_right = n - n_left
+    # Sums of squared class counts left and right of every cut, kept in
+    # integers so they are exact whatever the order of summation.  One cumsum
+    # per class present; the right side follows from
+    # sum_c (T_c - L_c)^2 = sum_c T_c^2 - 2 sum_c T_c L_c + sum_c L_c^2.
+    left_sq = np.zeros(valid.shape, dtype=np.int64)
+    for c in np.flatnonzero(total):
+        left_c = (ys == c).cumsum(axis=0)[lo:]
+        left_sq += left_c * left_c
+    right_sq = total_sq - 2 * total[ys].cumsum(axis=0)[lo:] + left_sq
+    del ys
+    g_left = 1.0 - left_sq / (n_left * n_left)
+    g_right = 1.0 - right_sq / (n_right * n_right)
+    gain = g_parent - (n_left / n) * g_left - (n_right / n) * g_right
+    gain = np.where(valid, gain, -np.inf)
+    cut = gain.argmax(axis=0)  # first max = lowest threshold
+    per_dim = gain[cut, np.arange(dims.size)]
+    j = int(per_dim.argmax())  # first max = dim listed first
+    if not per_dim[j] > 0.0:
+        return None
+    row = lo + cut[j]
+    threshold = (sorted_vals[row, j] + sorted_vals[row + 1, j]) / 2.0
+    return (int(dims[j]), float(threshold), float(per_dim[j]))
+
+
+def _require_finite(X: np.ndarray) -> None:
+    # A NaN or inf value yields a NaN/inf threshold that sends every row to
+    # one side, so the same node would be split again without end.
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"non-finite value {X[row, col]} at row {row}, column {col}")
 
 
 def best_split(values, labels, dims=None, min_samples_leaf: int = 1):
@@ -155,6 +175,7 @@ def best_split(values, labels, dims=None, min_samples_leaf: int = 1):
     X = np.asarray(values, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("values must be 2-d")
+    _require_finite(X)
     y = np.asarray(labels)
     if y.shape[0] != X.shape[0]:
         raise ValueError("labels must align with rows")
@@ -222,6 +243,7 @@ def fit_forest(values, labels, params: ForestParams = ForestParams(), threads: i
         raise ValueError("values must be 2-d")
     if y.shape != (X.shape[0],):
         raise ValueError("labels must align with rows")
+    _require_finite(X)
     if X.shape[0] == 0:
         raise TrainingError("cannot fit a forest on an empty training set")
     classes = np.unique(y)
@@ -350,11 +372,13 @@ def evaluate(forest: RandomForest, values, labels) -> Metrics:
     if unknown:
         raise TrainingError(f"evaluation labels absent from the model: {unknown}")
     preds = predict(forest, X)
-    index = {c: i for i, c in enumerate(forest.classes)}
-    k = len(forest.classes)
+    classes = np.asarray(forest.classes)
+    sorter = np.argsort(classes)  # a loaded model's class list need not be sorted
+    k = classes.size
     conf = np.zeros((k, k), dtype=np.int64)
-    for truth, pred in zip(y, preds):
-        conf[index[int(truth)], index[int(pred)]] += 1
+    truth = sorter[np.searchsorted(classes, y, sorter=sorter)]
+    pred = sorter[np.searchsorted(classes, preds, sorter=sorter)]
+    np.add.at(conf, (truth, pred), 1)
     return Metrics(
         accuracy=float(np.trace(conf)) / y.shape[0],
         classes=forest.classes,
@@ -392,8 +416,7 @@ def cross_validate(
         idx = np.flatnonzero(y == cls)
         rng = np.random.Generator(np.random.PCG64(mix_seed(seed, "cv", int(cls))))
         perm = rng.permutation(idx.size)
-        for position, j in enumerate(perm):
-            fold_of[idx[j]] = position % folds
+        fold_of[idx[perm]] = np.arange(idx.size) % folds
 
     accuracies: list[float] = []
     k = classes.size

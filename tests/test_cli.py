@@ -165,6 +165,29 @@ def test_select_reports_kept_counts(cli_env, tmp_path, capsys):
     assert "section_size: kept 5 of 27" in capsys.readouterr().out
 
 
+def test_select_rejects_non_finite_matrix(cli_env, tmp_path, capsys):
+    matrix = tmp_path / "train.csv"
+    assert main([
+        "extract", "--quiet", "--config", str(cli_env["config"]),
+        "--corpus", str(cli_env["corpus"]),
+        "--build-vocab", str(tmp_path / "vocab.json"),
+        "--out", str(matrix),
+    ]) == 0
+    lines = matrix.read_text(encoding="utf-8").splitlines()
+    cells = lines[1].split(",")
+    cells[2] = "nan"
+    lines[1] = ",".join(cells)
+    matrix.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main([
+        "select", "--quiet", "--config", str(cli_env["config"]),
+        "--matrix", str(matrix),
+        "--out", str(tmp_path / "sel.json"),
+    ])
+    assert code == 2  # a data error, not an endless fit
+    assert "train.csv:2: non-finite value" in capsys.readouterr().err
+
+
 def test_select_rejects_bad_budgets(cli_env, tmp_path, capsys):
     for budget in ("section_size=zero", "bogus=3", "section_size=0"):
         code = main([

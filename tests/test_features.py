@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from malfam.corpus import Sample, scan_corpus
-from malfam.errors import ExtractionError, TrainingError
+from malfam.errors import CorpusError, ExtractionError, TrainingError
 from malfam.features import (
     FeatureSchema,
     VocabCaps,
@@ -459,3 +459,18 @@ def test_matrix_csv_round_trip(tmp_path, small_corpus):
     assert loaded.labels == matrix.labels
     assert loaded.schema.names == matrix.schema.names
     assert np.array_equal(loaded.values, matrix.values)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_matrix_csv_rejects_non_finite_cells(tmp_path, small_corpus, cell):
+    vocab = build_vocab(small_corpus, VocabCaps(4, 4, 8, 8), prefer="asm")
+    schema = build_schema(vocab)
+    path = tmp_path / "m.csv"
+    save_matrix_csv(extract_matrix(small_corpus, schema, vocab, prefer="asm"), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[2].split(",")
+    cells[5] = cell  # second sample, fourth dimension
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=rf"m\.csv:3: non-finite value .* in column {schema.names[3]}$"):
+        load_matrix_csv(path)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from malfam import forest as forest_module
 from malfam.errors import ModelError, TrainingError
 from malfam.features import Vocabulary, build_schema
 from malfam.forest import (
@@ -28,6 +30,7 @@ from malfam.forest import (
     predict_proba,
     save_model,
 )
+from malfam.util import mix_seed
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +171,156 @@ def test_best_split_matches_exhaustive_oracle():
         assert chosen == best_gain
         checked_splits += 1
     assert checked_splits > 100  # the fixture mix must mostly be splittable
+
+
+# ---------------------------------------------------------------------------
+# block split search vs the per-dim loop it replaced
+# ---------------------------------------------------------------------------
+
+# The per-dim loop the block search replaced, kept verbatim as its oracle.
+def per_dim_best_split(X, row_idx, y_codes, n_classes, dims, min_leaf):
+    """Exact best (dim, threshold, gain) over candidate dims, or None.
+
+    Thresholds are midpoints between consecutive distinct sorted values.  The
+    winner takes the strictly largest gain; on a tie the dim iterated first
+    (lowest index) wins, and within a dim argmax picks the lowest threshold.
+    """
+    n = row_idx.size
+    sub_y = y_codes[row_idx]
+    total = np.bincount(sub_y, minlength=n_classes).astype(np.float64)
+    g_parent = 1.0 - total @ total / (n * n)
+    positions = np.arange(n)
+    best_gain = 0.0
+    best: tuple[int, float] | None = None
+    for dim in dims:
+        col = X[row_idx, dim]
+        order = np.argsort(col, kind="stable")
+        sorted_vals = col[order]
+        cuts = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1])
+        if cuts.size == 0:
+            continue
+        n_left = cuts + 1
+        n_right = n - n_left
+        feasible = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not feasible.any():
+            continue
+        cuts = cuts[feasible]
+        n_left = n_left[feasible]
+        n_right = n_right[feasible]
+        onehot = np.zeros((n, n_classes))
+        onehot[positions, sub_y[order]] = 1.0
+        left_counts = onehot.cumsum(axis=0)[cuts]
+        right_counts = total - left_counts
+        g_left = 1.0 - (left_counts * left_counts).sum(axis=1) / (n_left * n_left)
+        g_right = 1.0 - (right_counts * right_counts).sum(axis=1) / (n_right * n_right)
+        gain = g_parent - (n_left / n) * g_left - (n_right / n) * g_right
+        pick = int(np.argmax(gain))  # first max = lowest threshold
+        if gain[pick] > best_gain:
+            best_gain = float(gain[pick])
+            threshold = (sorted_vals[cuts[pick]] + sorted_vals[cuts[pick] + 1]) / 2.0
+            best = (int(dim), float(threshold))
+    if best is None:
+        return None
+    return (best[0], best[1], best_gain)
+
+
+def random_nodes(seed: int, count: int):
+    """Seeded split-search inputs: small-integer values with heavy ties,
+    constant columns, signed zeros, nodes of 1-3 rows, rows drawn with
+    repeats, classes missing from the node, min_leaf 1-4."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_total = int(rng.integers(1, 40))
+        d = int(rng.integers(1, 9))
+        k = int(rng.integers(2, 7))
+        if rng.random() < 0.8:
+            X = rng.integers(0, int(rng.integers(1, 5)), size=(n_total, d)).astype(np.float64)
+        else:
+            X = rng.normal(size=(n_total, d))
+        X[:, rng.random(d) < 0.2] = 7.0
+        if rng.random() < 0.3:
+            X *= rng.choice([-1.0, 1.0], size=X.shape)
+        present = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        y_codes = rng.choice(present, size=n_total).astype(np.intp)
+        n = int(rng.integers(1, 4)) if rng.random() < 0.25 else int(rng.integers(1, n_total + 1))
+        rows = rng.integers(0, n_total, size=n)
+        dims = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+        yield X, rows, y_codes, k, dims, int(rng.integers(1, 5))
+
+
+def test_block_split_equals_per_dim_loop_bit_for_bit():
+    found = tiny = 0
+    for X, rows, y_codes, k, dims, min_leaf in random_nodes(seed=2024, count=3000):
+        want = per_dim_best_split(X, rows, y_codes, k, dims, min_leaf)
+        got = forest_module._best_split(X, rows, y_codes, k, dims, min_leaf)
+        assert got == want, (rows, dims, min_leaf)
+        found += want is not None
+        tiny += rows.size <= 3
+    assert found > 600 and tiny > 500  # the mix must exercise both outcomes
+
+
+def test_public_best_split_sorts_unsorted_and_duplicate_dims():
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        n, d = int(rng.integers(2, 25)), int(rng.integers(1, 7))
+        X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        y = rng.integers(1, 4, size=n)
+        dims = rng.integers(0, d, size=int(rng.integers(1, 2 * d + 1)))  # repeats, any order
+        min_leaf = int(rng.integers(1, 4))
+        _, y_codes = np.unique(y, return_inverse=True)
+        want = per_dim_best_split(
+            X, np.arange(n), y_codes.astype(np.intp), np.unique(y).size,
+            sorted(int(v) for v in dims), min_leaf,
+        )
+        assert best_split(X, y, dims=dims, min_samples_leaf=min_leaf) == want
+        assert best_split(X, y, dims=np.unique(dims), min_samples_leaf=min_leaf) == want
+
+
+@pytest.mark.parametrize("params", [
+    ForestParams(n_trees=6, seed=3),
+    ForestParams(n_trees=6, seed=4, max_depth=3, min_samples_leaf=2),
+    ForestParams(n_trees=6, seed=5, features_per_split="third"),
+], ids=["default", "depth3-leaf2", "third"])
+def test_fit_forest_node_arrays_equal_per_dim_loop(monkeypatch, params):
+    rng = np.random.default_rng(31)
+    X = rng.integers(0, 4, size=(70, 15)).astype(np.float64)
+    X[:, 3] = 1.0
+    y = rng.integers(1, 6, size=70)
+    block = fit_forest(X, y, params)
+    monkeypatch.setattr(forest_module, "_best_split", per_dim_best_split)
+    loop = fit_forest(X, y, params)
+    assert block.feature.size > 6 * 5  # deep enough to compare many splits
+    for name in ("feature", "threshold", "left", "right", "counts", "roots"):
+        assert np.array_equal(getattr(block, name), getattr(loop, name)), name
+
+
+def test_block_split_memory_is_linear_in_the_block():
+    n, m, k = 5000, 100, 9
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 50, size=(n, m)).astype(np.float64)
+    y_codes = rng.integers(0, k, size=n).astype(np.intp)
+    rows, dims = np.arange(n), np.arange(m)
+    tracemalloc.start()
+    try:
+        forest_module._best_split(X, rows, y_codes, k, dims, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a class loop peaks near 8x the block's bytes; an n x m x k one-hot
+    # tensor would peak past 40x
+    assert peak < 16 * n * m * 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_are_rejected(bad):
+    X = np.arange(6, dtype=np.float64).reshape(6, 1)
+    X[2, 0] = bad
+    y = np.array([1, 1, 1, 2, 2, 2])
+    # max_depth bounds the fit, so a missing check fails here instead of hanging
+    with pytest.raises(ValueError, match="non-finite value .* at row 2, column 0"):
+        fit_forest(X, y, ForestParams(n_trees=2, max_depth=40))
+    with pytest.raises(ValueError, match="non-finite"):
+        best_split(X, y)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +624,16 @@ def test_evaluate_accuracy_is_trace_over_total():
     assert metrics.accuracy == pytest.approx(np.trace(conf) / conf.sum(), abs=1e-12)
 
 
+def test_evaluate_confusion_follows_an_unsorted_class_list():
+    stump = hand_forest(
+        [split(0, 0.5, 1, 2, [1, 1]), leaf([1, 0]), leaf([0, 1])], n_classes=2, n_features=1,
+    )
+    forest = replace(stump, classes=(7, 3))  # a loaded model keeps its file's order
+    metrics = evaluate(forest, np.array([[0.0], [1.0], [0.0]]), np.array([7, 3, 3]))
+    assert metrics.confusion == ((1, 0), (1, 1))  # rows and columns in (7, 3) order
+    assert metrics.accuracy == pytest.approx(2 / 3, abs=1e-12)
+
+
 def test_evaluate_rejects_empty_or_unknown():
     rng = np.random.default_rng(12)
     X, y = separable_data(rng)
@@ -490,6 +653,29 @@ def test_cross_validate_partitions_every_row_once():
     assert conf.sum(axis=1).tolist() == [15, 15, 15, 15]
     assert metrics.per_fold is not None and len(metrics.per_fold) == 5
     assert metrics.accuracy == pytest.approx(float(np.mean(metrics.per_fold)), abs=1e-12)
+
+
+def test_cross_validate_folds_match_round_robin_dealing(monkeypatch):
+    rng = np.random.default_rng(15)
+    X, y = separable_data(rng, n_per_class=13, classes=(2, 5, 7))
+    X[:, 0] = np.arange(y.size)  # row ids survive the fold split
+    held_out = []
+    real_fit = forest_module.fit_forest
+
+    def spy(values, labels, params, threads=1):
+        held_out.append(sorted(set(range(y.size)) - {int(v) for v in values[:, 0]}))
+        return real_fit(values, labels, params, threads=threads)
+
+    monkeypatch.setattr(forest_module, "fit_forest", spy)
+    cross_validate(X, y, ForestParams(n_trees=2, seed=0), folds=4, seed=9)
+    # the dealing loop the vectorized assignment replaced
+    expected: list[list[int]] = [[] for _ in range(4)]
+    for cls in np.unique(y):
+        idx = np.flatnonzero(y == cls)
+        perm = np.random.Generator(np.random.PCG64(mix_seed(9, "cv", int(cls)))).permutation(idx.size)
+        for position, j in enumerate(perm):
+            expected[position % 4].append(int(idx[j]))
+    assert held_out == [sorted(fold) for fold in expected]
 
 
 def test_cross_validate_separable_data_is_perfect():
