@@ -1,17 +1,35 @@
-"""Per-sample feature computation for the seven groups.
+"""Per-sample feature computation for the seven groups, in two halves.
 
-Sizes and compression stats come straight off the artifact files.  Section
-geometry and import libraries prefer the PE when one is on disk (exact header
-values) and fall back to the listing, where virtual size is the address span
-and raw size is the count of listed bytes.  The two 4-gram groups always come
-from the listing; a dump alone carries no token stream.
+The first half, `digest_sample`, reads one sample and returns a
+`SampleDigest`: what the groups need from its artifacts, with no reference to
+any vocabulary.  Sizes and compression stats come straight off the artifact
+files.  Section geometry and import libraries prefer the PE when one is on
+disk (exact header values) and fall back to the listing, where virtual size
+is the address span and raw size is the count of listed bytes.  The two
+4-gram groups always come from the listing; a dump alone carries no token
+stream.  `digest_sample` is the only place that makes the PE/listing choice,
+and it parses each artifact at most once.
+
+The second half projects a digest into one schema's columns.
+`compile_columns` turns a (schema, vocabulary) pair into a `ColumnLookup`:
+token -> column dicts for the library and 4-gram groups, keyed by the token
+itself (a library name, a gram tuple) rather than by its dimension name, and
+(schema columns, source positions) index arrays for the fixed-size groups.
+A projection then visits only the tokens the sample has, not the whole
+vocabulary.  `assemble` keeps the last lookup it compiled in a one-slot memo
+compared by identity on both the schema and the vocabulary object, so every
+caller that scores many samples against one model compiles once.
+
+`build_vocab` folds digests of its open-ended groups; `feat_ngrams`,
+`feat_import_lib` and `group_dims` stay as the by-name reference for the
+projection.
 """
 from __future__ import annotations
 
 import zlib
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +121,15 @@ def load_pe_summary(sample: Sample) -> PeSummary:
         )
 
 
+def _load_sample_listing(sample: Sample) -> Listing:
+    try:
+        return load_listing(sample.asm_path)
+    except OSError as exc:
+        raise ExtractionError(
+            f"sample {sample.id}: cannot read {sample.asm_path}: {exc}"
+        ) from exc
+
+
 # ---------------------------------------------------------------------------
 # group computations
 # ---------------------------------------------------------------------------
@@ -165,12 +192,7 @@ def section_stats_from_pe(summary: PeSummary) -> dict[str, SectionStats]:
 
 
 def aggregate_sections(sample: Sample, prefer: str = "pe") -> dict[str, SectionStats]:
-    source = pick_source(sample, prefer)
-    if source == "pe":
-        return section_stats_from_pe(load_pe_summary(sample))
-    if source == "asm":
-        return section_stats_from_listing(load_listing(sample.asm_path))
-    return {}
+    return digest_sample(sample, (GROUP_SECTION_SIZE,), prefer).sections
 
 
 def feat_section_size(
@@ -195,12 +217,7 @@ def feat_section_perm(stats: Mapping[str, SectionStats]) -> np.ndarray:
 
 
 def sample_libraries(sample: Sample, prefer: str = "pe") -> frozenset[str]:
-    source = pick_source(sample, prefer)
-    if source == "pe":
-        return load_pe_summary(sample).import_libraries
-    if source == "asm":
-        return parse_imports(load_listing(sample.asm_path).lines).libraries
-    return frozenset()
+    return digest_sample(sample, (GROUP_IMPORT_LIB,), prefer).libraries
 
 
 def feat_import_lib(libraries: frozenset[str], vocab_libraries: Sequence[str]) -> np.ndarray:
@@ -226,6 +243,168 @@ def feat_ngrams(
 
 
 # ---------------------------------------------------------------------------
+# per-sample digest
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SampleDigest:
+    """What the feature groups read off one sample, independent of any vocabulary.
+
+    Only the groups asked of `digest_sample` are filled; the rest keep their
+    empty defaults.
+    """
+
+    file_size: np.ndarray | None = None   # feat_file_size
+    complexity: np.ndarray | None = None  # feat_complexity
+    sections: dict[str, SectionStats] = field(default_factory=dict)
+    libraries: frozenset[str] = frozenset()
+    api_grams: Counter = field(default_factory=Counter)
+    opcode_grams: Counter = field(default_factory=Counter)
+
+
+def digest_sample(
+    sample: Sample, groups: Sequence[str] = GROUP_ORDER, prefer: str = "pe"
+) -> SampleDigest:
+    """Parse the sample's artifacts once and return what `groups` need from them."""
+    wanted = set(groups)
+    source = pick_source(sample, prefer)
+    want_sections = bool(wanted & {GROUP_SECTION_SIZE, GROUP_SECTION_PERM})
+    want_libs = GROUP_IMPORT_LIB in wanted
+    want_api = GROUP_API_4GRAM in wanted
+    want_opcodes = GROUP_OPCODE_4GRAM in wanted
+    from_pe = source == "pe" and (want_sections or want_libs)
+    from_asm = source == "asm" and (want_sections or want_libs)
+
+    listing: Listing | None = None
+    if sample.asm_path is not None and (want_api or want_opcodes or from_asm):
+        listing = _load_sample_listing(sample)
+    summary = load_pe_summary(sample) if from_pe else None
+
+    found: dict = {}
+    if want_sections and summary is not None:
+        found["sections"] = section_stats_from_pe(summary)
+    elif want_sections and from_asm:
+        found["sections"] = section_stats_from_listing(listing)
+    imports = None
+    if listing is not None and (want_api or (want_libs and from_asm)):
+        imports = parse_imports(listing.lines)
+    # the whole-file reads come after the listing passes: run straight after
+    # the parse, they raised peak RSS on 2.5 MB listings by about 1.5 MB
+    if GROUP_FILE_SIZE in wanted:
+        found["file_size"] = feat_file_size(sample)
+    if GROUP_COMPLEXITY in wanted:
+        found["complexity"] = feat_complexity(sample)
+    if want_libs and summary is not None:
+        found["libraries"] = summary.import_libraries
+    elif want_libs and from_asm:
+        found["libraries"] = imports.libraries
+    if want_api and listing is not None:
+        found["api_grams"] = extract_4grams(api_stream(listing.lines, imports))
+    if want_opcodes and listing is not None:
+        found["opcode_grams"] = extract_4grams(opcode_stream(listing.lines))
+    return SampleDigest(**found)
+
+
+# ---------------------------------------------------------------------------
+# projection into schema columns
+# ---------------------------------------------------------------------------
+
+# groups whose columns are vocabulary tokens, by the field that holds those
+# tokens in Vocabulary, SampleDigest and ColumnLookup alike; every other group
+# is a fixed-size vector projected by position
+_TOKEN_FIELDS = {
+    GROUP_IMPORT_LIB: "libraries",
+    GROUP_API_4GRAM: "api_grams",
+    GROUP_OPCODE_4GRAM: "opcode_grams",
+}
+
+
+@dataclass(frozen=True)
+class ColumnLookup:
+    """Where each digest value lands in one schema's vector under one vocabulary."""
+
+    width: int
+    groups: tuple[str, ...]  # the schema's groups, in canonical order
+    section_names: tuple[str, ...]
+    dense: tuple[tuple[str, np.ndarray, np.ndarray], ...]  # (group, schema cols, source positions)
+    libraries: dict[str, int] = field(default_factory=dict)
+    api_grams: dict[tuple[str, ...], int] = field(default_factory=dict)
+    opcode_grams: dict[tuple[str, ...], int] = field(default_factory=dict)
+
+    def project(self, digest: SampleDigest, binary_ngrams: bool = False) -> np.ndarray:
+        values = np.zeros(self.width, dtype=np.float64)
+        for group, cols, positions in self.dense:
+            if group == GROUP_FILE_SIZE:
+                full = digest.file_size
+            elif group == GROUP_COMPLEXITY:
+                full = digest.complexity
+            elif group == GROUP_SECTION_SIZE:
+                full = feat_section_size(digest.sections, self.section_names)
+            else:
+                full = feat_section_perm(digest.sections)
+            values[cols] = full[positions]
+        for name in digest.libraries:
+            col = self.libraries.get(name)
+            if col is not None:
+                values[col] = 1.0
+        for counts, columns in (
+            (digest.api_grams, self.api_grams),
+            (digest.opcode_grams, self.opcode_grams),
+        ):
+            for gram, count in counts.items():
+                col = columns.get(gram)
+                if col is not None:
+                    values[col] = 1.0 if binary_ngrams else float(count)
+        return values
+
+
+def compile_columns(schema: FeatureSchema, vocab) -> ColumnLookup:
+    """Map every schema column to the vocabulary token or group position it reads.
+
+    A column is matched through its dimension name, as `group_dims` spells
+    it; when two tokens share a name the later one wins.  Raises ValueError
+    for a column that no token of the vocabulary names.
+    """
+    cols_of: dict[str, list[int]] = {}
+    for col, group in enumerate(schema.groups):
+        cols_of.setdefault(group, []).append(col)
+    groups = tuple(g for g in GROUP_ORDER if g in cols_of)
+    dense = []
+    token_cols: dict[str, dict] = {}
+    for group in groups:
+        names = group_dims(group, vocab)
+        token_field = _TOKEN_FIELDS.get(group)
+        by_name = dict(zip(names, getattr(vocab, token_field) if token_field else range(len(names))))
+        cols = cols_of[group]
+        try:
+            tokens = [by_name[schema.names[c]] for c in cols]
+        except KeyError as exc:
+            raise ValueError(
+                f"schema names dimension {exc.args[0]!r} absent from the vocabulary"
+            ) from exc
+        if token_field:
+            token_cols[token_field] = dict(zip(tokens, cols))
+        else:
+            dense.append((group, np.array(cols, dtype=np.intp), np.array(tokens, dtype=np.intp)))
+    return ColumnLookup(len(schema), groups, tuple(vocab.section_names), tuple(dense), **token_cols)
+
+
+# (schema, vocab, lookup) of the last compile.  Read once per call, so a
+# thread never pairs one call's objects with another's lookup; two threads
+# that miss together both compile the same lookup, and either may stay.
+_last_lookup: tuple[FeatureSchema, object, ColumnLookup] | None = None
+
+
+def _lookup_for(schema: FeatureSchema, vocab) -> ColumnLookup:
+    global _last_lookup
+    memo = _last_lookup
+    if memo is None or memo[0] is not schema or memo[1] is not vocab:
+        memo = (schema, vocab, compile_columns(schema, vocab))
+        _last_lookup = memo
+    return memo[2]
+
+
+# ---------------------------------------------------------------------------
 # full vector
 # ---------------------------------------------------------------------------
 
@@ -248,77 +427,8 @@ def assemble(
     if getattr(vocab, "version", VOCAB_VERSION) != VOCAB_VERSION:
         raise ExtractionError(f"vocabulary version {vocab.version} unsupported")
 
-    present = set(schema.groups)
-    values = np.zeros(len(schema), dtype=np.float64)
-
-    source = pick_source(sample, prefer)
-    needs_sections = present & {GROUP_SECTION_SIZE, GROUP_SECTION_PERM}
-    needs_grams = present & {GROUP_API_4GRAM, GROUP_OPCODE_4GRAM}
-
-    listing: Listing | None = None
-    if sample.asm_path is not None and (
-        needs_grams or (source == "asm" and (needs_sections or GROUP_IMPORT_LIB in present))
-    ):
-        listing = load_listing(sample.asm_path)
-
-    summary: PeSummary | None = None
-    if source == "pe" and (needs_sections or GROUP_IMPORT_LIB in present):
-        summary = load_pe_summary(sample)
-
-    stats: Mapping[str, SectionStats] = {}
-    if needs_sections:
-        if summary is not None:
-            stats = section_stats_from_pe(summary)
-        elif listing is not None:
-            stats = section_stats_from_listing(listing)
-
-    imports = None
-    if listing is not None and (needs_grams or (summary is None and GROUP_IMPORT_LIB in present)):
-        imports = parse_imports(listing.lines)
-
-    for group in GROUP_ORDER:
-        if group not in present:
-            continue
-        if group == GROUP_FILE_SIZE:
-            full = feat_file_size(sample)
-        elif group == GROUP_COMPLEXITY:
-            full = feat_complexity(sample)
-        elif group == GROUP_SECTION_SIZE:
-            full = feat_section_size(stats, vocab.section_names)
-        elif group == GROUP_SECTION_PERM:
-            full = feat_section_perm(stats)
-        elif group == GROUP_IMPORT_LIB:
-            if summary is not None:
-                libs = summary.import_libraries
-            elif imports is not None:
-                libs = imports.libraries
-            else:
-                libs = frozenset()
-            full = feat_import_lib(libs, vocab.libraries)
-        elif group == GROUP_API_4GRAM:
-            counts: Mapping = {}
-            if listing is not None and imports is not None:
-                counts = extract_4grams(api_stream(listing.lines, imports))
-            full = feat_ngrams(counts, vocab.api_grams, binary_ngrams)
-        else:
-            counts = {}
-            if listing is not None:
-                counts = extract_4grams(opcode_stream(listing.lines))
-            full = feat_ngrams(counts, vocab.opcode_grams, binary_ngrams)
-
-        idx = schema.group_indices(group)
-        full_names = group_dims(group, vocab)
-        if tuple(schema.names[i] for i in idx) == full_names:
-            values[idx] = full
-        else:
-            mapping = dict(zip(full_names, full))
-            try:
-                values[idx] = [mapping[schema.names[i]] for i in idx]
-            except KeyError as exc:
-                raise ValueError(
-                    f"schema names dimension {exc.args[0]!r} absent from the vocabulary"
-                ) from exc
-
+    lookup = _lookup_for(schema, vocab)
+    values = lookup.project(digest_sample(sample, lookup.groups, prefer), binary_ngrams)
     if not np.isfinite(values).all():
         bad = schema.names[int(np.flatnonzero(~np.isfinite(values))[0])]
         raise ExtractionError(f"sample {sample.id}: non-finite value in {bad}")

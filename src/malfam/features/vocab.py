@@ -9,18 +9,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from collections.abc import Sequence
 
-from ..asm import api_stream, load_listing, opcode_stream, parse_imports
 from ..errors import CorpusError
-from .extract import (
-    extract_4grams,
-    load_pe_summary,
-    pick_source,
-    section_stats_from_listing,
-    section_stats_from_pe,
-)
+from .extract import N_GRAM, digest_sample
 from .schema import (
     GROUP_API_4GRAM,
     GROUP_IMPORT_LIB,
@@ -28,6 +22,9 @@ from .schema import (
     GROUP_ORDER,
     GROUP_SECTION_SIZE,
 )
+
+# the groups whose dimensions a vocabulary names
+OPEN_GROUPS = (GROUP_SECTION_SIZE, GROUP_IMPORT_LIB, GROUP_API_4GRAM, GROUP_OPCODE_4GRAM)
 
 VOCAB_VERSION = 1
 
@@ -68,56 +65,22 @@ def build_vocab(
     prefer: str = "pe",
 ) -> Vocabulary:
     """Scan a manifest (the train split) and rank tokens by document frequency."""
-    enabled = set(groups)
-    need_sections = GROUP_SECTION_SIZE in enabled
-    need_libs = GROUP_IMPORT_LIB in enabled
-    need_api = GROUP_API_4GRAM in enabled
-    need_opc = GROUP_OPCODE_4GRAM in enabled
-
+    asked = tuple(g for g in OPEN_GROUPS if g in groups)
     section_freq: Counter = Counter()
     library_freq: Counter = Counter()
     api_freq: Counter = Counter()
     opcode_freq: Counter = Counter()
-
     for sample in manifest.samples:
-        listing = None
-        need_listing = (need_api or need_opc) and sample.asm_path is not None
-        source = pick_source(sample, prefer)
-        if need_listing or ((need_sections or need_libs) and source == "asm"):
-            listing = load_listing(sample.asm_path)
-        summary = None
-        if (need_sections or need_libs) and source == "pe":
-            summary = load_pe_summary(sample)
-
-        if need_sections:
-            if summary is not None:
-                stats = section_stats_from_pe(summary)
-            elif listing is not None:
-                stats = section_stats_from_listing(listing)
-            else:
-                stats = {}
-            section_freq.update(stats.keys())
-        imports = None
-        if need_libs:
-            if summary is not None:
-                library_freq.update(summary.import_libraries)
-            elif listing is not None:
-                imports = parse_imports(listing.lines)
-                library_freq.update(imports.libraries)
-        if need_api and listing is not None:
-            if imports is None:
-                imports = parse_imports(listing.lines)
-            grams = extract_4grams(api_stream(listing.lines, imports))
-            api_freq.update(grams.keys())
-        if need_opc and listing is not None:
-            grams = extract_4grams(opcode_stream(listing.lines))
-            opcode_freq.update(grams.keys())
-
+        digest = digest_sample(sample, asked, prefer)
+        section_freq.update(digest.sections.keys())
+        library_freq.update(digest.libraries)
+        api_freq.update(digest.api_grams.keys())
+        opcode_freq.update(digest.opcode_grams.keys())
     return Vocabulary(
-        section_names=tuple(_top_k(section_freq, caps.sections)) if need_sections else (),
-        libraries=tuple(_top_k(library_freq, caps.libraries)) if need_libs else (),
-        api_grams=tuple(_top_k(api_freq, caps.api_grams)) if need_api else (),
-        opcode_grams=tuple(_top_k(opcode_freq, caps.opcode_grams)) if need_opc else (),
+        section_names=tuple(_top_k(section_freq, caps.sections)),
+        libraries=tuple(_top_k(library_freq, caps.libraries)),
+        api_grams=tuple(_top_k(api_freq, caps.api_grams)),
+        opcode_grams=tuple(_top_k(opcode_freq, caps.opcode_grams)),
     )
 
 
@@ -132,6 +95,29 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
+# json.loads yields exact lists and strs; the type sets keep these checks out
+# of the interpreter loop, since a default vocabulary holds 40k gram tokens
+def _strings(doc: dict, key: str, path) -> tuple[str, ...]:
+    items = doc[key]
+    if not (isinstance(items, list) and set(map(type, items)) <= {str}):
+        raise CorpusError(f"malformed vocabulary {path}: {key} must be a list of strings")
+    return tuple(items)
+
+
+def _grams(doc: dict, key: str, path) -> tuple[tuple[str, ...], ...]:
+    items = doc[key]
+    if not (
+        isinstance(items, list)
+        and set(map(type, items)) <= {list}
+        and set(map(len, items)) <= {N_GRAM}
+        and set(map(type, chain.from_iterable(items))) <= {str}
+    ):
+        raise CorpusError(
+            f"malformed vocabulary {path}: {key} must be a list of {N_GRAM}-string lists"
+        )
+    return tuple(map(tuple, items))
+
+
 def load_vocab(path: str | Path) -> Vocabulary:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -141,10 +127,10 @@ def load_vocab(path: str | Path) -> Vocabulary:
         raise CorpusError(f"unsupported vocabulary format in {path}")
     try:
         return Vocabulary(
-            section_names=tuple(doc["section_names"]),
-            libraries=tuple(doc["libraries"]),
-            api_grams=tuple(tuple(g) for g in doc["api_grams"]),
-            opcode_grams=tuple(tuple(g) for g in doc["opcode_grams"]),
+            section_names=_strings(doc, "section_names", path),
+            libraries=_strings(doc, "libraries", path),
+            api_grams=_grams(doc, "api_grams", path),
+            opcode_grams=_grams(doc, "opcode_grams", path),
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise CorpusError(f"malformed vocabulary {path}: {exc}") from exc

@@ -6,10 +6,12 @@ byte stream a user would.
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from malfam import cli as cli_mod
 from malfam.cli import format_report, main
 from malfam.config import RunConfig, save_config
 from malfam.forest import ForestParams
@@ -325,6 +327,38 @@ def test_classify_partial_failure_keeps_good_results(cli_env, tmp_path, capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert "error: broken: " in captured.err
+    assert f"# {good.stem}" in captured.out
+
+
+def test_classify_rejects_malformed_vocabulary(cli_env, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(cli_env["model"], model)
+    doc = json.loads((model / "vocab.json").read_text(encoding="utf-8"))
+    doc["api_grams"] = [[1, 2, 3, 4]]
+    (model / "vocab.json").write_text(json.dumps(doc), encoding="utf-8")
+    asm = sorted(cli_env["corpus"].glob("*.asm"))[0]
+    code = main(["classify", "--model-dir", str(model), str(asm)])
+    assert code == 2
+    assert "error: malformed vocabulary" in capsys.readouterr().err
+
+
+def test_classify_counts_vanished_listing_as_failed(cli_env, tmp_path, capsys, monkeypatch):
+    good = sorted(cli_env["corpus"].glob("*.asm"))[0]
+    doomed = tmp_path / "doomed.asm"
+    doomed.write_bytes(good.read_bytes())
+    real_scan = cli_mod.scan_corpus
+
+    def scan_then_vanish(root):
+        manifest = real_scan(root)
+        doomed.unlink()  # gone between the scan and the read
+        return manifest
+
+    shutil.copy(good, tmp_path / good.name)
+    monkeypatch.setattr(cli_mod, "scan_corpus", scan_then_vanish)
+    code = main(["classify", "--quiet", "--model-dir", str(cli_env["model"]), str(tmp_path)])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "error: doomed: sample doomed: cannot read" in captured.err
     assert f"# {good.stem}" in captured.out
 
 

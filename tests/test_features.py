@@ -2,14 +2,18 @@
 vocabulary ranking rules, schema arithmetic, and importance-based selection."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import zlib
 from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
-from malfam.corpus import Sample, scan_corpus
+from malfam.asm import Listing, api_stream, load_listing, opcode_stream, parse_imports
+from malfam.corpus import CorpusManifest, Sample, scan_corpus
 from malfam.errors import CorpusError, ExtractionError, TrainingError
 from malfam.features import (
     FeatureSchema,
@@ -19,6 +23,7 @@ from malfam.features import (
     assemble,
     build_schema,
     build_vocab,
+    digest_sample,
     extract_4grams,
     extract_matrix,
     feat_complexity,
@@ -28,10 +33,19 @@ from malfam.features import (
     feat_section_perm,
     feat_section_size,
     load_matrix_csv,
+    load_vocab,
     save_matrix_csv,
+    save_vocab,
     select_by_importance,
 )
-from malfam.features.extract import SectionStats
+from malfam.features import extract
+from malfam.features.extract import (
+    SectionStats,
+    load_pe_summary,
+    pick_source,
+    section_stats_from_listing,
+    section_stats_from_pe,
+)
 from malfam.features.schema import (
     GROUP_API_4GRAM,
     GROUP_COMPLEXITY,
@@ -41,10 +55,13 @@ from malfam.features.schema import (
     GROUP_ORDER,
     GROUP_SECTION_PERM,
     GROUP_SECTION_SIZE,
+    FeatureVector,
+    group_dims,
     group_of_dim,
     section_dims,
 )
 from malfam.forest import ForestParams
+from malfam.pe import PeSummary
 
 
 def sample_with(tmp_path, sample_id="s", asm: bytes | None = None, dump: bytes | None = None) -> Sample:
@@ -298,6 +315,46 @@ def test_vocab_empty_corpus(tmp_path):
     assert vocab.api_grams == () and vocab.opcode_grams == ()
 
 
+def test_vocab_missing_listing_names_sample(tmp_path):
+    sample = Sample(id="gone", asm_path=tmp_path / "gone.asm")
+    manifest = CorpusManifest(root=tmp_path, samples=(sample,))
+    with pytest.raises(ExtractionError, match=r"sample gone: cannot read .*gone\.asm"):
+        build_vocab(manifest, prefer="asm")
+
+
+def test_vocab_round_trip(tmp_path):
+    vocab = Vocabulary(
+        section_names=("text", "data"),
+        libraries=("KERNEL32",),
+        api_grams=(("a", "b", "c", "d"),),
+        opcode_grams=(("mov", "push", "call", "ret"), ("x", "y", "z", "w")),
+    )
+    save_vocab(vocab, tmp_path / "vocab.json")
+    assert load_vocab(tmp_path / "vocab.json") == vocab
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("section_names", [1]),
+        ("section_names", "text"),
+        ("libraries", [None]),
+        ("api_grams", [[1, 2, 3, 4]]),
+        ("api_grams", [["a", "b", "c"]]),
+        ("opcode_grams", [["a", "b", "c", "d", "e"]]),
+        ("opcode_grams", ["abcd"]),
+        ("opcode_grams", {"a": 1}),
+    ],
+)
+def test_load_vocab_rejects_wrongly_typed_entries(tmp_path, key, value):
+    doc = {"version": 1, "section_names": [], "libraries": [], "api_grams": [], "opcode_grams": []}
+    doc[key] = value
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"malformed vocabulary .*{key}"):
+        load_vocab(path)
+
+
 # ---------------------------------------------------------------------------
 # schema arithmetic
 # ---------------------------------------------------------------------------
@@ -437,6 +494,318 @@ def test_assemble_version_mismatch(small_corpus):
     stale = FeatureSchema(names=schema.names, groups=schema.groups, version=99)
     with pytest.raises(ExtractionError, match="version"):
         assemble(small_corpus.samples[0], stale, vocab, prefer="asm")
+
+
+def test_assemble_missing_listing_names_sample(tmp_path):
+    sample = Sample(id="gone", asm_path=tmp_path / "gone.asm")
+    vocab = Vocabulary(opcode_grams=(("a", "b", "c", "d"),))
+    for groups in (GROUP_ORDER, (GROUP_OPCODE_4GRAM,), (GROUP_SECTION_PERM,)):
+        with pytest.raises(ExtractionError, match=r"sample gone: cannot read .*gone\.asm"):
+            assemble(sample, build_schema(vocab, groups), vocab, prefer="asm")
+
+
+# ---------------------------------------------------------------------------
+# projection against the by-name oracle
+# ---------------------------------------------------------------------------
+
+def reference_assemble(
+    sample: Sample,
+    schema: FeatureSchema,
+    vocab,
+    *,
+    prefer: str = "pe",
+    binary_ngrams: bool = False,
+) -> FeatureVector:
+    """The by-name assemble body the column lookup replaced, kept as the oracle:
+    every group's full vector over the vocabulary, matched to the schema by
+    dimension name."""
+    present = set(schema.groups)
+    values = np.zeros(len(schema), dtype=np.float64)
+
+    source = pick_source(sample, prefer)
+    needs_sections = present & {GROUP_SECTION_SIZE, GROUP_SECTION_PERM}
+    needs_grams = present & {GROUP_API_4GRAM, GROUP_OPCODE_4GRAM}
+
+    listing: Listing | None = None
+    if sample.asm_path is not None and (
+        needs_grams or (source == "asm" and (needs_sections or GROUP_IMPORT_LIB in present))
+    ):
+        listing = load_listing(sample.asm_path)
+
+    summary: PeSummary | None = None
+    if source == "pe" and (needs_sections or GROUP_IMPORT_LIB in present):
+        summary = load_pe_summary(sample)
+
+    stats: Mapping[str, SectionStats] = {}
+    if needs_sections:
+        if summary is not None:
+            stats = section_stats_from_pe(summary)
+        elif listing is not None:
+            stats = section_stats_from_listing(listing)
+
+    imports = None
+    if listing is not None and (needs_grams or (summary is None and GROUP_IMPORT_LIB in present)):
+        imports = parse_imports(listing.lines)
+
+    for group in GROUP_ORDER:
+        if group not in present:
+            continue
+        if group == GROUP_FILE_SIZE:
+            full = feat_file_size(sample)
+        elif group == GROUP_COMPLEXITY:
+            full = feat_complexity(sample)
+        elif group == GROUP_SECTION_SIZE:
+            full = feat_section_size(stats, vocab.section_names)
+        elif group == GROUP_SECTION_PERM:
+            full = feat_section_perm(stats)
+        elif group == GROUP_IMPORT_LIB:
+            if summary is not None:
+                libs = summary.import_libraries
+            elif imports is not None:
+                libs = imports.libraries
+            else:
+                libs = frozenset()
+            full = feat_import_lib(libs, vocab.libraries)
+        elif group == GROUP_API_4GRAM:
+            counts: Mapping = {}
+            if listing is not None and imports is not None:
+                counts = extract_4grams(api_stream(listing.lines, imports))
+            full = feat_ngrams(counts, vocab.api_grams, binary_ngrams)
+        else:
+            counts = {}
+            if listing is not None:
+                counts = extract_4grams(opcode_stream(listing.lines))
+            full = feat_ngrams(counts, vocab.opcode_grams, binary_ngrams)
+
+        idx = schema.group_indices(group)
+        full_names = group_dims(group, vocab)
+        if tuple(schema.names[i] for i in idx) == full_names:
+            values[idx] = full
+        else:
+            mapping = dict(zip(full_names, full))
+            try:
+                values[idx] = [mapping[schema.names[i]] for i in idx]
+            except KeyError as exc:
+                raise ValueError(
+                    f"schema names dimension {exc.args[0]!r} absent from the vocabulary"
+                ) from exc
+
+    if not np.isfinite(values).all():
+        bad = schema.names[int(np.flatnonzero(~np.isfinite(values))[0])]
+        raise ExtractionError(f"sample {sample.id}: non-finite value in {bad}")
+    return FeatureVector(values=values)
+
+
+def shuffled_selection(vocab, groups, rng, keep=0.6) -> dict[str, list[str]]:
+    """A seeded subset of each group's dims in a seeded (non-canonical) order."""
+    out = {}
+    for group in groups:
+        dims = list(group_dims(group, vocab))
+        if dims:
+            chosen = rng.permutation(len(dims))[: max(1, int(keep * len(dims)))]
+            out[group] = [dims[i] for i in chosen]
+    return out
+
+
+def assert_matches_oracle(samples, schema, vocab, **kwargs) -> None:
+    for sample in samples:
+        got = assemble(sample, schema, vocab, **kwargs).values
+        want = reference_assemble(sample, schema, vocab, **kwargs).values
+        assert got.tobytes() == want.tobytes(), (sample.id, kwargs)
+
+
+@pytest.fixture(scope="module")
+def oracle_vocab(small_corpus):
+    return build_vocab(small_corpus, prefer="asm")
+
+
+def test_projection_matches_oracle_default_config(small_corpus, oracle_vocab):
+    rng = np.random.default_rng(5)
+    vocab = oracle_vocab
+    assert vocab.api_grams and vocab.opcode_grams and vocab.libraries
+    # the default config selects section dims in importance order
+    sections = shuffled_selection(vocab, (GROUP_SECTION_SIZE,), rng, keep=0.5)
+    schema = build_schema(vocab, GROUP_ORDER, sections)
+    assert schema.names != build_schema(vocab).names
+    assert_matches_oracle(small_corpus.samples, schema, vocab, prefer="asm")
+    assert_matches_oracle(small_corpus.samples, build_schema(vocab), vocab, prefer="pe")
+
+
+def test_projection_matches_oracle_selected_token_groups(small_corpus, oracle_vocab):
+    rng = np.random.default_rng(6)
+    selection = shuffled_selection(oracle_vocab, GROUP_ORDER, rng, keep=0.3)
+    schema = build_schema(oracle_vocab, GROUP_ORDER, selection)
+    assert_matches_oracle(small_corpus.samples, schema, oracle_vocab, prefer="asm")
+
+
+@pytest.mark.parametrize("group", GROUP_ORDER)
+def test_projection_matches_oracle_each_group_alone(small_corpus, oracle_vocab, group):
+    schema = build_schema(oracle_vocab, (group,))
+    assert_matches_oracle(small_corpus.samples, schema, oracle_vocab, prefer="asm")
+
+
+def test_projection_matches_oracle_binary_ngrams(small_corpus, oracle_vocab):
+    rng = np.random.default_rng(7)
+    full = build_schema(oracle_vocab)
+    selected = build_schema(
+        oracle_vocab, GROUP_ORDER, shuffled_selection(oracle_vocab, GROUP_ORDER, rng)
+    )
+    for schema in (full, selected):
+        assert_matches_oracle(small_corpus.samples, schema, oracle_vocab,
+                              prefer="asm", binary_ngrams=True)
+    values = assemble(small_corpus.samples[0], full, oracle_vocab,
+                      prefer="asm", binary_ngrams=True).values
+    grams = [i for i, g in enumerate(full.groups) if g in (GROUP_API_4GRAM, GROUP_OPCODE_4GRAM)]
+    assert set(values[grams].tolist()) == {0.0, 1.0}
+
+
+@pytest.fixture(scope="module")
+def pe_manifest(small_corpus, tmp_path_factory):
+    """Synthetic samples with PE images beside them: two whole PEs, a truncated
+    one, a PE with no listing or dump, and samples with no PE at all."""
+    from pe_fixtures import SectionSpec, build_pe
+
+    root = tmp_path_factory.mktemp("pe_corpus")
+    images = {
+        "whole32": build_pe(
+            [SectionSpec(".text", 0x300, 0x400, executable=True),
+             SectionSpec(".data", 0x80, 0x200, writable=True),
+             SectionSpec(".rsrc", 0x40, 0)],
+            imports=("KERNEL32.dll", "WS2_32.dll"),
+        ),
+        "whole64": build_pe(
+            [SectionSpec(".text", 0x100, 0x200, executable=True),
+             SectionSpec("UPX0", 0x1000, 0, writable=True, executable=True)],
+            imports=("ADVAPI32.dll",),
+            pe32plus=True,
+        ),
+        # cut inside the third section header: two sections survive
+        "truncated": build_pe(
+            [SectionSpec(".text", 64, 128, executable=True),
+             SectionSpec(".data", 32, 64, writable=True),
+             SectionSpec(".rsrc", 16, 32)],
+        )[: 88 + 224 + 2 * 40 + 10],
+    }
+    samples = []
+    for i, (name, image) in enumerate(images.items()):
+        path = root / f"{name}.exe"
+        path.write_bytes(image)
+        samples.append(dataclasses.replace(small_corpus.samples[i], pe_path=path))
+    samples.append(Sample(id="pe_only", pe_path=root / "whole32.exe", label=1))
+    samples.extend(small_corpus.samples[3:9])
+    return CorpusManifest(root=root, samples=tuple(samples))
+
+
+@pytest.mark.parametrize("prefer", ["pe", "asm"])
+def test_projection_matches_oracle_with_pe_files(pe_manifest, prefer):
+    vocab = build_vocab(pe_manifest, prefer=prefer)
+    rng = np.random.default_rng(8)
+    schemas = [
+        build_schema(vocab),
+        build_schema(vocab, GROUP_ORDER, shuffled_selection(vocab, GROUP_ORDER, rng)),
+    ]
+    for schema in schemas:
+        assert_matches_oracle(pe_manifest.samples, schema, vocab, prefer=prefer)
+    if prefer == "pe":
+        assert {"WS2_32", "ADVAPI32"} <= set(vocab.libraries)
+        truncated = digest_sample(pe_manifest.samples[2], GROUP_ORDER, "pe")
+        assert set(truncated.sections) == {"text", "data"}
+        assert truncated.libraries == frozenset()
+
+
+def test_projection_ignores_sample_gram_whose_name_collides(tmp_path):
+    # ("a|b", "c", "d", "e") and ("a", "b|c", "d", "e") share the dim name
+    # opc_a|b|c|d|e; only the vocabulary's own gram may fill that column
+    listing = "".join(
+        f".text:{0x401000 + i:08X} 90 {m} x\n" for i, m in enumerate(["a|b", "c", "d", "e"])
+    )
+    sample = sample_with(tmp_path, asm=listing.encode())
+    vocab = Vocabulary(opcode_grams=(("a", "b|c", "d", "e"),))
+    schema = build_schema(vocab, (GROUP_OPCODE_4GRAM,))
+    assert schema.names == ("opc_a|b|c|d|e",)
+    digest = digest_sample(sample, (GROUP_OPCODE_4GRAM,), "asm")
+    assert digest.opcode_grams == Counter({("a|b", "c", "d", "e"): 1})
+    assert assemble(sample, schema, vocab, prefer="asm").values.tolist() == [0.0]
+    assert reference_assemble(sample, schema, vocab, prefer="asm").values.tolist() == [0.0]
+    # with both grams in the vocabulary the shared name reads the later one
+    both = Vocabulary(opcode_grams=(("a|b", "c", "d", "e"), ("a", "b|c", "d", "e")))
+    schema = build_schema(both, (GROUP_OPCODE_4GRAM,), {GROUP_OPCODE_4GRAM: ["opc_a|b|c|d|e"]})
+    assert assemble(sample, schema, both, prefer="asm").values.tolist() == [0.0]
+    assert reference_assemble(sample, schema, both, prefer="asm").values.tolist() == [0.0]
+
+
+# ---------------------------------------------------------------------------
+# the column-lookup memo
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def compile_counter(monkeypatch):
+    """Counts compile_columns calls, starting from an empty memo."""
+    calls = []
+    original = extract.compile_columns
+
+    def counting(schema, vocab):
+        calls.append((schema, vocab))
+        return original(schema, vocab)
+
+    monkeypatch.setattr(extract, "_last_lookup", None)
+    monkeypatch.setattr(extract, "compile_columns", counting)
+    return calls
+
+
+def test_lookup_compiles_once_per_schema_and_vocab(small_corpus, oracle_vocab, compile_counter):
+    schema = build_schema(oracle_vocab)
+    for sample in small_corpus.samples[:4]:
+        assemble(sample, schema, oracle_vocab, prefer="asm")
+    assert len(compile_counter) == 1
+    # the memo compares by identity: an equal but distinct schema recompiles
+    twin = FeatureSchema(schema.names, schema.groups)
+    assemble(small_corpus.samples[0], twin, oracle_vocab, prefer="asm")
+    assert len(compile_counter) == 2
+    assert compile_counter[1][0] is twin
+
+
+def test_lookup_alternating_schemas_never_goes_stale(small_corpus, oracle_vocab, compile_counter):
+    # fit_pipeline extracts the full schema, then the selected one, in one process
+    rng = np.random.default_rng(9)
+    full = build_schema(oracle_vocab)
+    selected = build_schema(
+        oracle_vocab, GROUP_ORDER, shuffled_selection(oracle_vocab, GROUP_ORDER, rng)
+    )
+    for sample in small_corpus.samples[:6]:
+        for schema in (full, selected, full):
+            got = assemble(sample, schema, oracle_vocab, prefer="asm").values
+            want = reference_assemble(sample, schema, oracle_vocab, prefer="asm").values
+            assert got.tobytes() == want.tobytes()
+    # every switch recompiles: three for the first sample, two for each later one
+    assert len(compile_counter) == 3 + 2 * 5
+
+
+def test_lookup_rejects_dim_absent_from_vocabulary(small_corpus, oracle_vocab, compile_counter):
+    schema = FeatureSchema(("fsz_asm", "api_x|y|z|w"), (GROUP_FILE_SIZE, GROUP_API_4GRAM))
+    message = r"^schema names dimension 'api_x\|y\|z\|w' absent from the vocabulary$"
+    for _ in range(2):  # a failed compile leaves nothing in the memo
+        with pytest.raises(ValueError, match=message):
+            assemble(small_corpus.samples[0], schema, oracle_vocab, prefer="asm")
+    assert len(compile_counter) == 2
+    with pytest.raises(ValueError, match=message):
+        reference_assemble(small_corpus.samples[0], schema, oracle_vocab, prefer="asm")
+
+
+def test_extract_matrix_threads_share_the_memo(small_corpus, oracle_vocab, compile_counter):
+    rng = np.random.default_rng(10)
+    selected = build_schema(
+        oracle_vocab, GROUP_ORDER, shuffled_selection(oracle_vocab, GROUP_ORDER, rng)
+    )
+    for schema in (build_schema(oracle_vocab), selected):
+        one = extract_matrix(small_corpus, schema, oracle_vocab, prefer="asm", threads=1)
+        four = extract_matrix(small_corpus, schema, oracle_vocab, prefer="asm", threads=4)
+        assert one.values.tobytes() == four.values.tobytes()
+        want = np.vstack([
+            reference_assemble(s, schema, oracle_vocab, prefer="asm").values
+            for s in small_corpus.samples
+        ])
+        assert one.values.tobytes() == want.tobytes()
 
 
 def test_extract_matrix_thread_invariant(small_corpus):
