@@ -13,10 +13,21 @@ Disambiguation rule for the byte column: a token is a dumped byte only if it
 is an uppercase hex pair or ``??``.  Data directives are printed lowercase
 (``db``, ``dd``), so they always land in the mnemonic slot even though "DB"
 and "DD" would be valid hex pairs.
+
+There are two readers of one grammar.  `scan_listing` is the one the feature
+pipeline uses: a single pass over ``text.splitlines()`` that matches each line
+once against one regex and folds it straight into the aggregates the features
+need (segments, dumped bytes per section, imports, the opcode and API
+streams, the failure count), so no per-line object is built and memory stays
+a small multiple of the text on multi-MB listings.  The by-line reader --
+`parse_line`, `parse_listing`/`load_listing` producing `AsmLine` objects, and
+`parse_segments`, `parse_imports`, `opcode_stream` and `api_stream` over them
+-- is kept as the oracle the scanner is tested against field for field.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +41,19 @@ _SEG_PERMS_RE = re.compile(r"^Segment permissions:\s*(.+?)\s*$", re.IGNORECASE)
 _IMPORTS_FROM_RE = re.compile(r"^Imports from\s+(\S+)", re.IGNORECASE)
 # identifier charset for operand tokens; covers IDA names incl. VC++ mangling
 _NAME_TOKEN_RE = re.compile(r"[A-Za-z0-9_@?$]+")
+# The whole line grammar in one pattern: the prefix, then the dumped-byte run
+# (tokens that are a hex pair or ?? up to whitespace, ';' or the end), the
+# mnemonic and operands (the rest of the code before the first ';') and the
+# comment.  Everything after the prefix can match empty, so a line matches
+# exactly when _PREFIX_RE does and the greedy byte run never gives a byte
+# back to the mnemonic: the groups are what parse_line would take apart.
+_LINE_RE = re.compile(
+    r"\s*([^\s:]+):([0-9A-Fa-f]{1,16})(?=\s|$)"
+    r"((?:\s+(?:[0-9A-F][0-9A-F]|\?\?)(?![^\s;]))*)"
+    r"(?:\s+([^\s;]+)([^;]*))?"
+    r"[^;]*(?:;(.*))?",
+    re.DOTALL,
+)
 
 _CALL_MNEMONICS = frozenset({"call", "jmp"})
 
@@ -158,6 +182,46 @@ def load_listing(path: str | Path) -> Listing:
     return parse_listing(data.decode("utf-8", errors="replace"))
 
 
+def _declared_perms(comment: str) -> tuple[bool, bool, bool] | None:
+    """(read, write, execute) from a 'Segment permissions:' comment, else None."""
+    m = _SEG_PERMS_RE.match(comment)
+    if m is None:
+        return None
+    tokens = {t.strip().lower() for t in m.group(1).split("/")}
+    return ("read" in tokens, "write" in tokens, "execute" in tokens)
+
+
+def _segment(name: str, start: int, end: int, perms: tuple[bool, bool, bool] | None) -> SegmentInfo:
+    if perms is None:
+        return SegmentInfo(name, start, end, True, False, name == "text", False)
+    return SegmentInfo(name, start, end, *perms, True)
+
+
+def _import_library(comment: str) -> str:
+    """Canonical library named by an 'Imports from' comment, else ""."""
+    m = _IMPORTS_FROM_RE.match(comment)
+    return canonical_library(m.group(1)) if m is not None else ""
+
+
+def _extern_symbol(operands: str) -> str:
+    """Symbol of an ``extrn <symbol>:<type>`` line's operands, else ""."""
+    sym, colon, _type = operands.split()[0].rpartition(":")
+    return sym.removeprefix("__imp_") if colon else ""
+
+
+def _api_names(call_operands: Iterable[str], symbols: frozenset[str]) -> list[str]:
+    """For each call/jmp operand string, the first name token that is an extern symbol."""
+    stream: list[str] = []
+    if not symbols:
+        return stream
+    for operands in call_operands:
+        for token in _NAME_TOKEN_RE.findall(operands):
+            if token in symbols:
+                stream.append(token)
+                break
+    return stream
+
+
 def parse_segments(lines: tuple[AsmLine, ...] | list[AsmLine]) -> list[SegmentInfo]:
     """Group lines into segments: maximal runs sharing a section name.
 
@@ -172,24 +236,18 @@ def parse_segments(lines: tuple[AsmLine, ...] | list[AsmLine]) -> list[SegmentIn
     def flush() -> None:
         if not run:
             return
-        name = run[0].section
-        start = min(line.address for line in run)
-        end = max(line.address + line.span for line in run)
-        readable, writable, executable = True, False, name == "text"
-        declared = False
+        perms = None
         for line in run:
-            if line.comment is None:
-                continue
-            m = _SEG_PERMS_RE.match(line.comment)
-            if m is None:
-                continue
-            tokens = {t.strip().lower() for t in m.group(1).split("/")}
-            readable = "read" in tokens
-            writable = "write" in tokens
-            executable = "execute" in tokens
-            declared = True
-            break
-        segments.append(SegmentInfo(name, start, end, readable, writable, executable, declared))
+            if line.comment is not None:
+                perms = _declared_perms(line.comment)
+                if perms is not None:
+                    break
+        segments.append(_segment(
+            run[0].section,
+            min(line.address for line in run),
+            max(line.address + line.span for line in run),
+            perms,
+        ))
         run.clear()
 
     for line in lines:
@@ -212,20 +270,11 @@ def parse_imports(lines: tuple[AsmLine, ...] | list[AsmLine]) -> ImportInfo:
     symbols: set[str] = set()
     for line in lines:
         if line.comment is not None:
-            m = _IMPORTS_FROM_RE.match(line.comment)
-            if m is not None:
-                lib = canonical_library(m.group(1))
-                if lib:
-                    libraries.add(lib)
+            libraries.add(_import_library(line.comment))
         if line.mnemonic == "extrn" and line.operands:
-            first = line.operands.split()[0]
-            sym, colon, _type = first.rpartition(":")
-            if not colon or not sym:
-                continue
-            if sym.startswith("__imp_"):
-                sym = sym[len("__imp_"):]
-            if sym:
-                symbols.add(sym)
+            symbols.add(_extern_symbol(line.operands))
+    libraries.discard("")
+    symbols.discard("")
     return ImportInfo(frozenset(libraries), frozenset(symbols))
 
 
@@ -246,15 +295,119 @@ def api_stream(lines: tuple[AsmLine, ...] | list[AsmLine], imports: ImportInfo) 
     local jump stubs are invisible — a known blind spot of this kind of
     static extraction.
     """
-    symbols = imports.api_symbols
-    if not symbols:
-        return []
-    stream: list[str] = []
-    for line in lines:
-        if line.mnemonic not in _CALL_MNEMONICS or not line.operands:
+    return _api_names(
+        (line.operands for line in lines if line.mnemonic in _CALL_MNEMONICS and line.operands),
+        imports.api_symbols,
+    )
+
+
+@dataclass(frozen=True)
+class ListingScan:
+    """What one pass of `scan_listing` keeps of a listing.
+
+    Each field equals its by-line counterpart on the same text: `segments`
+    is `parse_segments`, `known_bytes` sums `AsmLine.known_bytes` per
+    section, `imports` is `parse_imports`, `opcodes` is `opcode_stream`,
+    `api_calls` is `api_stream` and `parse_failures` is
+    `Listing.parse_failures`.
+    """
+
+    segments: list[SegmentInfo]
+    known_bytes: dict[str, int]
+    imports: ImportInfo
+    opcodes: list[str]
+    api_calls: list[str]
+    parse_failures: int
+
+
+def scan_listing(text: str) -> ListingScan:
+    """Read a whole listing in one pass, keeping only the aggregates.
+
+    Splits lines exactly as `parse_listing` does and matches each one once
+    against `_LINE_RE`.  Segments are folded as their lines arrive; call/jmp
+    operand strings are kept and resolved against the extern symbols after
+    the pass, since an extern may be declared after its first call.
+    Never raises.
+    """
+    segments: list[SegmentInfo] = []
+    known_bytes: dict[str, int] = {}
+    libraries: set[str] = set()
+    symbols: set[str] = set()
+    opcodes: list[str] = []
+    call_operands: list[str] = []
+    failures = 0
+    # raw mnemonic -> lowercase, so every repeat shares one string object
+    lowered: dict[str, str] = {}
+    raw_section = section = None
+    # the segment being folded: name, start, end, declared perms, dumped bytes
+    run_name: str | None = None
+    run_start = run_end = run_known = 0
+    run_perms: tuple[bool, bool, bool] | None = None
+
+    match = _LINE_RE.match
+    for line in text.splitlines():
+        m = match(line)
+        if m is None:
+            if line and not line.isspace():
+                failures += 1
             continue
-        for token in _NAME_TOKEN_RE.findall(line.operands):
-            if token in symbols:
-                stream.append(token)
-                break
-    return stream
+        name, address, byte_run, mnemonic, operands, comment = m.groups()
+        if name != raw_section:
+            raw_section, section = name, canonical_section(name)
+        if not section:
+            failures += 1
+            continue
+
+        address = int(address, 16)
+        if byte_run:
+            n_bytes = len(byte_run.split())
+            known = n_bytes - byte_run.count("??")
+            end = address + n_bytes
+        else:
+            known = 0
+            end = address + 1
+        if section != run_name:
+            if run_name is not None:
+                segments.append(_segment(run_name, run_start, run_end, run_perms))
+                known_bytes[run_name] = known_bytes.get(run_name, 0) + run_known
+            run_name, run_start, run_end, run_known, run_perms = section, address, end, known, None
+        else:
+            if address < run_start:
+                run_start = address
+            if end > run_end:
+                run_end = end
+            run_known += known
+
+        if comment is not None:
+            comment = comment.strip()
+            if comment:
+                if run_perms is None:
+                    run_perms = _declared_perms(comment)
+                libraries.add(_import_library(comment))
+
+        if mnemonic is not None:
+            low = lowered.get(mnemonic)
+            if low is None:
+                low = lowered[mnemonic] = mnemonic.lower()
+            opcodes.append(low)
+            if low == "extrn" or low in _CALL_MNEMONICS:
+                operands = operands.strip()
+                if operands and low == "extrn":
+                    symbols.add(_extern_symbol(operands))
+                elif operands:
+                    call_operands.append(operands)
+
+    if run_name is not None:
+        segments.append(_segment(run_name, run_start, run_end, run_perms))
+        known_bytes[run_name] = known_bytes.get(run_name, 0) + run_known
+    libraries.discard("")
+    symbols.discard("")
+    api_symbols = frozenset(symbols)
+    return ListingScan(
+        segments=segments,
+        known_bytes=known_bytes,
+        imports=ImportInfo(frozenset(libraries), api_symbols),
+        opcodes=opcodes,
+        api_calls=_api_names(call_operands, api_symbols),
+        parse_failures=failures,
+    )

@@ -135,7 +135,7 @@ def save_config(config: RunConfig, path: str | Path) -> None:
 def load_config(path: str | Path) -> RunConfig:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise MalfamError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(doc)
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -67,30 +68,34 @@ def load_labels(path: str | Path) -> dict[str, int]:
     offending line number.
     """
     path = Path(path)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:
+        raise LabelError(f"cannot read labels {path}: {exc}") from exc
     labels: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [col.strip() for col in header] != ["Id", "Class"]:
-            raise LabelError(f"{path}: line 1: expected header Id,Class")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise LabelError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            sample_id = row[0].strip()
-            class_text = row[1].strip()
-            if not sample_id:
-                raise LabelError(f"{path}: line {lineno}: empty sample id")
-            try:
-                class_id = int(class_text)
-            except ValueError:
-                raise LabelError(f"{path}: line {lineno}: class {class_text!r} is not an integer") from None
-            if class_id not in FAMILY_NAMES:
-                raise LabelError(f"{path}: line {lineno}: class {class_id} outside 1..9")
-            if sample_id in labels:
-                raise LabelError(f"{path}: line {lineno}: duplicate id {sample_id!r}")
-            labels[sample_id] = class_id
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [col.strip() for col in header] != ["Id", "Class"]:
+        raise LabelError(f"{path}: line 1: expected header Id,Class")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise LabelError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+        sample_id = row[0].strip()
+        class_text = row[1].strip()
+        if not sample_id:
+            raise LabelError(f"{path}: line {lineno}: empty sample id")
+        try:
+            class_id = int(class_text)
+        except ValueError:
+            raise LabelError(f"{path}: line {lineno}: class {class_text!r} is not an integer") from None
+        if class_id not in FAMILY_NAMES:
+            raise LabelError(f"{path}: line {lineno}: class {class_id} outside 1..9")
+        if sample_id in labels:
+            raise LabelError(f"{path}: line {lineno}: duplicate id {sample_id!r}")
+        labels[sample_id] = class_id
     return labels
 
 
@@ -220,11 +225,13 @@ def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: not valid JSON: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise CorpusError(f"cannot read manifest {path}: {exc}") from exc
     try:
         root = Path(doc["root"])
         samples = []

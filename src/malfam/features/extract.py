@@ -8,7 +8,9 @@ disk (exact header values) and fall back to the listing, where virtual size
 is the address span and raw size is the count of listed bytes.  The two
 4-gram groups always come from the listing; a dump alone carries no token
 stream.  `digest_sample` is the only place that makes the PE/listing choice,
-and it parses each artifact at most once.
+and it parses each artifact at most once: a listing is read once and folded
+by `asm.scan_listing` in a single pass, with no per-line objects, and the
+digest carries that pass's parse-failure count.
 
 The second half projects a digest into one schema's columns.
 `compile_columns` turns a (schema, vocabulary) pair into a `ColumnLookup`:
@@ -22,7 +24,8 @@ caller that scores many samples against one model compiles once.
 
 `build_vocab` folds digests of its open-ended groups; `feat_ngrams`,
 `feat_import_lib` and `group_dims` stay as the by-name reference for the
-projection.
+projection, and `section_stats_from_listing` as the by-line reference for
+the listing's section stats.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..asm import Listing, api_stream, load_listing, opcode_stream, parse_imports, parse_segments
+from ..asm import Listing, ListingScan, SegmentInfo, parse_segments, scan_listing
 from ..corpus import Sample
 from ..errors import ExtractionError, TruncatedPeError
 from ..pe import PeSummary, parse_pe
@@ -121,15 +124,6 @@ def load_pe_summary(sample: Sample) -> PeSummary:
         )
 
 
-def _load_sample_listing(sample: Sample) -> Listing:
-    try:
-        return load_listing(sample.asm_path)
-    except OSError as exc:
-        raise ExtractionError(
-            f"sample {sample.id}: cannot read {sample.asm_path}: {exc}"
-        ) from exc
-
-
 # ---------------------------------------------------------------------------
 # group computations
 # ---------------------------------------------------------------------------
@@ -156,22 +150,31 @@ def feat_complexity(sample: Sample) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def section_stats_from_listing(listing: Listing) -> dict[str, SectionStats]:
+def _section_stats(
+    segments: Iterable[SegmentInfo], known_bytes: Mapping[str, int]
+) -> dict[str, SectionStats]:
+    """Fold a listing's segments by name: virtual size is the summed span, raw
+    size the dumped bytes, and each permission is set when any segment has it."""
     virtual: dict[str, int] = {}
-    raw: dict[str, int] = {}
     perms: dict[str, list[bool]] = {}
-    for seg in parse_segments(listing.lines):
+    for seg in segments:
         virtual[seg.name] = virtual.get(seg.name, 0) + seg.span
         flags = perms.setdefault(seg.name, [False, False, False])
         flags[0] |= seg.readable
         flags[1] |= seg.writable
         flags[2] |= seg.executable
-    for line in listing.lines:
-        raw[line.section] = raw.get(line.section, 0) + line.known_bytes
     return {
-        name: SectionStats(virtual[name], raw.get(name, 0), *perms[name])
+        name: SectionStats(virtual[name], known_bytes.get(name, 0), *perms[name])
         for name in virtual
     }
+
+
+def section_stats_from_listing(listing: Listing) -> dict[str, SectionStats]:
+    """The by-line reference for the listing's section stats."""
+    raw: dict[str, int] = {}
+    for line in listing.lines:
+        raw[line.section] = raw.get(line.section, 0) + line.known_bytes
+    return _section_stats(parse_segments(listing.lines), raw)
 
 
 def section_stats_from_pe(summary: PeSummary) -> dict[str, SectionStats]:
@@ -227,9 +230,7 @@ def feat_import_lib(libraries: frozenset[str], vocab_libraries: Sequence[str]) -
 def extract_4grams(stream: Iterable[str]) -> Counter:
     """Count contiguous 4-token windows; streams shorter than 4 yield nothing."""
     tokens = list(stream)
-    return Counter(
-        tuple(tokens[i : i + N_GRAM]) for i in range(len(tokens) - N_GRAM + 1)
-    )
+    return Counter(zip(*(tokens[i:] for i in range(N_GRAM))))
 
 
 def feat_ngrams(
@@ -260,6 +261,7 @@ class SampleDigest:
     libraries: frozenset[str] = frozenset()
     api_grams: Counter = field(default_factory=Counter)
     opcode_grams: Counter = field(default_factory=Counter)
+    parse_failures: int = 0  # listing lines that failed to parse; 0 when none was read
 
 
 def digest_sample(
@@ -275,20 +277,19 @@ def digest_sample(
     from_pe = source == "pe" and (want_sections or want_libs)
     from_asm = source == "asm" and (want_sections or want_libs)
 
-    listing: Listing | None = None
+    scan: ListingScan | None = None
     if sample.asm_path is not None and (want_api or want_opcodes or from_asm):
-        listing = _load_sample_listing(sample)
+        scan = scan_listing(_read_file(sample.asm_path, sample.id).decode("utf-8", errors="replace"))
     summary = load_pe_summary(sample) if from_pe else None
 
     found: dict = {}
+    if scan is not None:
+        found["parse_failures"] = scan.parse_failures
     if want_sections and summary is not None:
         found["sections"] = section_stats_from_pe(summary)
     elif want_sections and from_asm:
-        found["sections"] = section_stats_from_listing(listing)
-    imports = None
-    if listing is not None and (want_api or (want_libs and from_asm)):
-        imports = parse_imports(listing.lines)
-    # the whole-file reads come after the listing passes: run straight after
+        found["sections"] = _section_stats(scan.segments, scan.known_bytes)
+    # the whole-file reads come after the listing pass: run straight after
     # the parse, they raised peak RSS on 2.5 MB listings by about 1.5 MB
     if GROUP_FILE_SIZE in wanted:
         found["file_size"] = feat_file_size(sample)
@@ -297,11 +298,11 @@ def digest_sample(
     if want_libs and summary is not None:
         found["libraries"] = summary.import_libraries
     elif want_libs and from_asm:
-        found["libraries"] = imports.libraries
-    if want_api and listing is not None:
-        found["api_grams"] = extract_4grams(api_stream(listing.lines, imports))
-    if want_opcodes and listing is not None:
-        found["opcode_grams"] = extract_4grams(opcode_stream(listing.lines))
+        found["libraries"] = scan.imports.libraries
+    if want_api and scan is not None:
+        found["api_grams"] = extract_4grams(scan.api_calls)
+    if want_opcodes and scan is not None:
+        found["opcode_grams"] = extract_4grams(scan.opcodes)
     return SampleDigest(**found)
 
 

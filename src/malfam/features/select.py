@@ -54,7 +54,7 @@ def save_selection(selection: Mapping[str, Sequence[str]], path: str | Path) -> 
 def load_selection(path: str | Path) -> dict[str, list[str]]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise MalfamError(f"cannot read selection {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != SELECTION_VERSION:
         raise MalfamError(f"unsupported selection format in {path}")

@@ -121,7 +121,7 @@ def _grams(doc: dict, key: str, path) -> tuple[tuple[str, ...], ...]:
 def load_vocab(path: str | Path) -> Vocabulary:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CorpusError(f"cannot read vocabulary {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != VOCAB_VERSION:
         raise CorpusError(f"unsupported vocabulary format in {path}")

@@ -499,7 +499,7 @@ def load_model(path: str | Path, schema) -> RandomForest:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ModelError(f"cannot read model {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != MODEL_VERSION:
         raise ModelError(

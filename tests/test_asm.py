@@ -1,9 +1,12 @@
-"""Disassembly-listing parser tests: line grammar, segments, imports, streams."""
+"""Disassembly-listing parser tests: line grammar, segments, imports, streams,
+and the one-pass scanner against the by-line parser."""
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from malfam.asm import (
     PARSE_FAILURE,
@@ -14,6 +17,7 @@ from malfam.asm import (
     parse_segments,
     api_stream,
     opcode_stream,
+    scan_listing,
 )
 
 HEX_PAIR = re.compile(r"^[0-9A-F]{2}$")
@@ -267,3 +271,171 @@ def test_api_stream_whole_token_only():
 def test_api_stream_without_externs_is_empty():
     lines = parse_listing(".text:00401000 FF 15 00 F0 40 00 call ds:WriteFile").lines
     assert api_stream(lines, parse_imports(lines)) == []
+
+
+# ---------------------------------------------------------------------------
+# scan_listing against the by-line oracle
+# ---------------------------------------------------------------------------
+
+def assert_scan_matches_oracle(text: str) -> None:
+    listing = parse_listing(text)
+    imports = parse_imports(listing.lines)
+    known: dict[str, int] = {}
+    for line in listing.lines:
+        known[line.section] = known.get(line.section, 0) + line.known_bytes
+    scan = scan_listing(text)
+    assert scan.segments == parse_segments(listing.lines)
+    assert scan.known_bytes == known
+    assert scan.imports == imports
+    assert scan.opcodes == opcode_stream(listing.lines)
+    assert scan.api_calls == api_stream(listing.lines, imports)
+    assert scan.parse_failures == listing.parse_failures
+
+
+HAND_LISTINGS = [
+    SIX_LINE_LISTING,
+    THUNK_LISTING,
+    "",
+    "\n".join([
+        ".text:00401000 55 push ebp",
+        "garbage line",
+        "",
+        ".text:00401001 8B EC mov ebp, esp",
+        "HEADER banner",
+    ]),
+    "\n".join([
+        ".rsrc:00407000 00 db 0 ; Segment permissions: Read/Write",
+        ".rsrc:00407001 00 db 0 ; Segment permissions: Execute",
+    ]),
+    ".data:00403000 00 db 0\n.text:00401000 C3 retn",
+    "\n".join([
+        ".idata:0040F000 ; Imports from KERNEL32.dll",
+        ".idata:0040F0A4 extrn GetProcAddress:dword",
+        ".idata:0040F0A8 extrn __imp_WriteFile:dword",
+    ]),
+    "\n".join([
+        ".text:00401000 EB 08 jmp short loc_40100A",
+        ".text:00401002 db      10",
+        ".text:00401003 B8 00 00 00 00 mov eax, 0",
+        ".text:00401008 03 C3 add eax, ebx",
+    ]),
+    ".text:00401000 ; a banner\n.text:00401001 ; another",
+    "\n".join([
+        ".idata:0040F000 extrn WriteFile:dword",
+        ".text:00401000 FF 15 00 F0 40 00 call ds:WriteFile",
+        ".text:00401006 E8 00 10 00 00 call sub_401000",
+    ]),
+    ".idata:0040F000 extrn ReadFile:dword\n.text:00401000 FF 15 00 F0 40 00 call ds:ReadFileEx",
+    ".text:00401000 FF 15 00 F0 40 00 call ds:WriteFile",
+    # the extern is declared after the call that names it
+    ".text:00401000 FF 15 00 F0 40 00 call ds:WriteFile\n.idata:0040F000 extrn WriteFile:dword",
+    ".text:1000110C F6 C4 44 test    ah, 44h",
+    ".data:00403000 ?? ?? 41 ??",
+    ".text:00401000 DB db 0",
+]
+
+
+@pytest.mark.parametrize("text", HAND_LISTINGS)
+def test_scan_listing_matches_oracle_on_hand_listings(text):
+    assert_scan_matches_oracle(text)
+
+
+def test_scan_listing_hand_counted():
+    scan = scan_listing(SIX_LINE_LISTING)
+    assert [(s.name, s.start, s.end) for s in scan.segments] == [
+        ("text", 0x401000, 0x401003), ("data", 0x403000, 0x403006), ("text", 0x405000, 0x405011),
+    ]
+    assert scan.known_bytes == {"text": 5, "data": 2}
+    assert scan.opcodes == ["push", "mov", "dd", "dw", "retn", "align"]
+    assert scan.parse_failures == 0
+
+
+# pieces the fuzzed lines are drawn from: line breaks splitlines() honours,
+# whitespace that str.split() and the regex \s treat alike, and tokens near
+# every branch of the grammar (bytes next to ';', lowercase hex, placeholders,
+# dot-only and empty sections, 16- and 17-digit addresses, call/extrn shapes)
+FUZZ_BREAKS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+FUZZ_SPACES = [" ", " ", " ", "  ", "\t", "\xa0", "\u3000", "\x1f", ""]
+FUZZ_SECTIONS = [".text", ".text", ".data", "text", ".TEXT", ".idata", "...", ".", "", "a.b", "CODE:x"]
+FUZZ_ADDRESSES = [
+    "00401000", "00401001", "0040100a", "00401010", "1", "FFFFFFFFFFFFFFFF",
+    "12345678901234567", "", "zz", "0040;",
+]
+FUZZ_BYTES = ["AB", "C3", "00", "??", "DB"]
+FUZZ_NEAR_BYTES = ["ab", "AB;", "??;", "?", "???", "ABC", "F", "0F0", "A\u0660"]
+FUZZ_STATEMENTS = [
+    "extrn WriteFile:dword", "extrn __imp_ReadFile:dword", "EXTRN ReadFile:dword x",
+    "extrn :dword", "extrn __imp_:dword", "extrn WriteFile", "call ds:WriteFile",
+    "jmp ReadFile", "CALL [WriteFile+4]", "call sub_401000 ; WriteFile", "jmp x;ReadFile",
+    "call\tds:ReadFile\xa0", "jmp", "call ;", "mov eax, WriteFile",
+]
+FUZZ_TOKENS = [
+    "db", "dd", "mov", "MOV", "call", "CALL", "jmp", "Jmp", "extrn", "EXTRN",
+    "ds:WriteFile", "WriteFile", "ReadFile", "__imp_ReadFile:dword", "WriteFile:dword",
+    ":dword", "eax,", ";", "x;y",
+    "; Imports from KERNEL32.dll", "; Segment permissions: Read/Write", ";Segment permissions:",
+    "Imports", "from", "x.dll", "Read/Execute", "\u0130mports", "\x85", "\r", "\xe9",
+]
+
+
+def fuzz_listing(rng: np.random.Generator) -> str:
+    def pick(options):
+        return options[int(rng.integers(0, len(options)))]
+
+    parts = []
+    for _ in range(int(rng.integers(0, 12))):
+        line = pick(FUZZ_SPACES) if rng.random() < 0.2 else ""
+        if rng.random() < 0.5:
+            line += f".text:{int(rng.integers(0x401000, 0x401040)):08X}"
+        elif rng.random() < 0.7:
+            line += f"{pick(FUZZ_SECTIONS)}:{pick(FUZZ_ADDRESSES)}"
+        for _ in range(int(rng.integers(0, 5))):
+            line += pick(FUZZ_SPACES) + pick(FUZZ_BYTES if rng.random() < 0.8 else FUZZ_NEAR_BYTES)
+        if rng.random() < 0.6:
+            line += pick(FUZZ_SPACES) + pick(FUZZ_STATEMENTS)
+        for _ in range(int(rng.integers(0, 5))):
+            line += pick(FUZZ_SPACES) + pick(FUZZ_TOKENS)
+        if rng.random() < 0.2:
+            line += pick(FUZZ_SPACES)
+        parts.append(line + pick(FUZZ_BREAKS))
+    return "".join(parts)
+
+
+def test_scan_listing_matches_oracle_under_fuzz():
+    rng = np.random.default_rng(2024)
+    for _ in range(5000):
+        assert_scan_matches_oracle(fuzz_listing(rng))
+
+
+def test_scan_listing_matches_oracle_on_random_bytes():
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        raw = bytes(rng.integers(0, 256, size=int(rng.integers(0, 200))))
+        assert_scan_matches_oracle(raw.decode("utf-8", errors="replace"))
+
+
+@pytest.fixture(scope="module")
+def joined_listing(small_corpus) -> str:
+    """About 540 KB: every synthetic listing of the session corpus, end to end."""
+    return "".join(
+        s.asm_path.read_bytes().decode("utf-8", errors="replace") for s in small_corpus.samples
+    )
+
+
+def test_scan_listing_matches_oracle_on_joined_synthetic_listing(joined_listing):
+    assert len(joined_listing) >= 250_000
+    assert_scan_matches_oracle(joined_listing)
+
+
+def test_scan_listing_peak_memory_is_a_small_multiple_of_the_text(joined_listing):
+    # the per-line AsmLine objects of parse_listing peak near 11x the text;
+    # the scanner keeps only the line list and the streams
+    size = len(joined_listing.encode("utf-8"))
+    assert size >= 250_000
+    tracemalloc.start()
+    try:
+        scan_listing(joined_listing)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * size

@@ -226,6 +226,22 @@ def test_train_requires_labels(tmp_path, capsys):
     assert "no label file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["missing", "undecodable"])
+def test_train_unreadable_labels_is_a_data_error(tmp_path, capsys, case):
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    (corpus / "aa.asm").write_text(".text:00401000 90 nop\n", encoding="ascii")
+    labels = tmp_path / "labels.csv"
+    if case == "undecodable":
+        labels.write_bytes(b"\xffId,Class\naa,1\n")
+    code = main(["train", "--corpus", str(corpus), "--labels", str(labels),
+                 "--out", str(tmp_path / "m")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read labels {labels}" in err
+    assert "Traceback" not in err
+
+
 def test_eval_on_matching_matrix(cli_env, tmp_path, capsys):
     matrix = tmp_path / "holdout.csv"
     assert main([
@@ -340,6 +356,19 @@ def test_classify_rejects_malformed_vocabulary(cli_env, tmp_path, capsys):
     code = main(["classify", "--model-dir", str(model), str(asm)])
     assert code == 2
     assert "error: malformed vocabulary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["vocab.json", "config.json", "model.json", "selection.json"])
+def test_classify_undecodable_model_file_is_a_data_error(cli_env, tmp_path, capsys, name):
+    model = tmp_path / "model"
+    shutil.copytree(cli_env["model"], model)
+    (model / name).write_bytes(b"\xff" + (model / name).read_bytes())
+    asm = sorted(cli_env["corpus"].glob("*.asm"))[0]
+    code = main(["classify", "--quiet", "--model-dir", str(model), str(asm)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ")
+    assert str(model / name) in err
 
 
 def test_classify_counts_vanished_listing_as_failed(cli_env, tmp_path, capsys, monkeypatch):

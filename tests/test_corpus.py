@@ -1,6 +1,8 @@
 """Corpus plumbing tests: label CSVs, scanning, splitting, manifest I/O."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,16 @@ def test_load_labels_rejects_bad_rows(tmp_path):
         load_labels(write_labels(tmp_path, "Id,Class\nx,1,extra\n"))
     with pytest.raises(LabelError, match="duplicate"):
         load_labels(write_labels(tmp_path, "Id,Class\nx,1\nx,2\n"))
+
+
+def test_load_manifest_unreadable_is_a_corpus_error(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(CorpusError, match=re.escape(f"cannot read manifest {missing}")):
+        load_manifest(missing)
+    undecodable = tmp_path / "manifest.json"
+    undecodable.write_bytes(b'\xff{"root": ".", "samples": []}')
+    with pytest.raises(CorpusError, match=re.escape(f"cannot read manifest {undecodable}")):
+        load_manifest(undecodable)
 
 
 def test_scan_corpus_pairs_by_stem(tmp_path):

@@ -504,6 +504,25 @@ def test_assemble_missing_listing_names_sample(tmp_path):
             assemble(sample, build_schema(vocab, groups), vocab, prefer="asm")
 
 
+def test_digest_counts_listing_parse_failures(tmp_path):
+    asm = tmp_path / "s.asm"
+    asm.write_bytes(b"\n".join([
+        b".text:00401000 55 push ebp",
+        b"garbage line",
+        b"",
+        b".text:00401001 8B EC mov ebp, esp",
+        b"\xff\xfe more garbage",
+    ]))
+    dump = tmp_path / "s.bytes"
+    dump.write_text("00401000 55 8B EC\n")
+    sample = Sample(id="s", asm_path=asm)
+    assert digest_sample(sample, GROUP_ORDER, prefer="asm").parse_failures == 2
+    assert digest_sample(sample, (GROUP_OPCODE_4GRAM,)).parse_failures == 2
+    # no listing read: the file-size group alone never opens it
+    assert digest_sample(sample, (GROUP_FILE_SIZE,)).parse_failures == 0
+    assert digest_sample(Sample(id="d", bytes_path=dump)).parse_failures == 0
+
+
 # ---------------------------------------------------------------------------
 # projection against the by-name oracle
 # ---------------------------------------------------------------------------
