@@ -14,15 +14,15 @@ is an uppercase hex pair or ``??``.  Data directives are printed lowercase
 (``db``, ``dd``), so they always land in the mnemonic slot even though "DB"
 and "DD" would be valid hex pairs.
 
-There are two readers of one grammar.  `scan_listing` is the one the feature
-pipeline uses: a single pass over ``text.splitlines()`` that matches each line
-once against one regex and folds it straight into the aggregates the features
-need (segments, dumped bytes per section, imports, the opcode and API
-streams, the failure count), so no per-line object is built and memory stays
-a small multiple of the text on multi-MB listings.  The by-line reader --
-`parse_line`, `parse_listing`/`load_listing` producing `AsmLine` objects, and
-`parse_segments`, `parse_imports`, `opcode_stream` and `api_stream` over them
--- is kept as the oracle the scanner is tested against field for field.
+`scan_listing` is the one reader the feature pipeline uses: a single pass
+over ``text.splitlines()`` that matches each line once against one regex and
+folds it straight into the aggregates the features need (segments, dumped
+bytes per section, imports, the opcode and API streams, the failure count),
+so no per-line object is built and memory stays a small multiple of the text
+on multi-MB listings.  The line reader -- `parse_line`, and
+`parse_listing`/`load_listing` producing `AsmLine` objects -- parses the same
+grammar one line at a time; the tests fold its lines into a `ListingScan` of
+their own and require it to equal the scanner's.
 """
 from __future__ import annotations
 
@@ -222,94 +222,15 @@ def _api_names(call_operands: Iterable[str], symbols: frozenset[str]) -> list[st
     return stream
 
 
-def parse_segments(lines: tuple[AsmLine, ...] | list[AsmLine]) -> list[SegmentInfo]:
-    """Group lines into segments: maximal runs sharing a section name.
-
-    Permissions come from the first 'Segment permissions: Read/Write/Execute'
-    comment inside the run.  Without one, the defaults are readable-only,
-    executable only for 'text' — the convention the listings follow when the
-    producer omits the banner.
-    """
-    segments: list[SegmentInfo] = []
-    run: list[AsmLine] = []
-
-    def flush() -> None:
-        if not run:
-            return
-        perms = None
-        for line in run:
-            if line.comment is not None:
-                perms = _declared_perms(line.comment)
-                if perms is not None:
-                    break
-        segments.append(_segment(
-            run[0].section,
-            min(line.address for line in run),
-            max(line.address + line.span for line in run),
-            perms,
-        ))
-        run.clear()
-
-    for line in lines:
-        if run and line.section != run[0].section:
-            flush()
-        run.append(line)
-    flush()
-    return segments
-
-
-def parse_imports(lines: tuple[AsmLine, ...] | list[AsmLine]) -> ImportInfo:
-    """Collect import libraries and extern API symbols.
-
-    Libraries come from 'Imports from <name>' comments (canonicalized:
-    uppercase, extension stripped).  API symbols come from
-    ``extrn <symbol>:<type>`` lines with any ``__imp_`` prefix removed;
-    mangled names pass through verbatim.
-    """
-    libraries: set[str] = set()
-    symbols: set[str] = set()
-    for line in lines:
-        if line.comment is not None:
-            libraries.add(_import_library(line.comment))
-        if line.mnemonic == "extrn" and line.operands:
-            symbols.add(_extern_symbol(line.operands))
-    libraries.discard("")
-    symbols.discard("")
-    return ImportInfo(frozenset(libraries), frozenset(symbols))
-
-
-def opcode_stream(lines: tuple[AsmLine, ...] | list[AsmLine]) -> list[str]:
-    """Mnemonics of every mnemonic-bearing line, in file order.
-
-    Data directives (db, dd, ...) count: the stream mirrors what the listing
-    prints, not what a CPU would execute.
-    """
-    return [line.mnemonic for line in lines if line.mnemonic is not None]
-
-
-def api_stream(lines: tuple[AsmLine, ...] | list[AsmLine], imports: ImportInfo) -> list[str]:
-    """API names referenced by call/jmp lines, in file order.
-
-    A line emits a symbol when any operand token equals an extern symbol
-    (whole-token match).  Thunks are not resolved, so indirect calls through
-    local jump stubs are invisible — a known blind spot of this kind of
-    static extraction.
-    """
-    return _api_names(
-        (line.operands for line in lines if line.mnemonic in _CALL_MNEMONICS and line.operands),
-        imports.api_symbols,
-    )
-
-
 @dataclass(frozen=True)
 class ListingScan:
     """What one pass of `scan_listing` keeps of a listing.
 
-    Each field equals its by-line counterpart on the same text: `segments`
-    is `parse_segments`, `known_bytes` sums `AsmLine.known_bytes` per
-    section, `imports` is `parse_imports`, `opcodes` is `opcode_stream`,
-    `api_calls` is `api_stream` and `parse_failures` is
-    `Listing.parse_failures`.
+    `segments` are the maximal runs of lines sharing a section name, in file
+    order; `known_bytes` counts the dumped (non-``??``) bytes per section;
+    `imports` holds the libraries and extern symbols; `opcodes` and
+    `api_calls` are the two token streams; `parse_failures` counts the lines
+    that are neither blank nor parseable.
     """
 
     segments: list[SegmentInfo]
@@ -324,10 +245,27 @@ def scan_listing(text: str) -> ListingScan:
     """Read a whole listing in one pass, keeping only the aggregates.
 
     Splits lines exactly as `parse_listing` does and matches each one once
-    against `_LINE_RE`.  Segments are folded as their lines arrive; call/jmp
-    operand strings are kept and resolved against the extern symbols after
-    the pass, since an extern may be declared after its first call.
-    Never raises.
+    against `_LINE_RE`.  Never raises.  The rules of the fold:
+
+    - A segment spans its lowest address to the end of its farthest line (a
+      line covers its byte count, at least 1).  Its permissions come from the
+      first 'Segment permissions: Read/Write/Execute' comment in the run;
+      without one it is readable only, and a 'text' segment is also
+      executable, the convention the listings follow when the banner is
+      omitted.
+    - Libraries come from 'Imports from <name>' comments, canonicalized
+      (uppercase, extension stripped).  Extern symbols come from
+      ``extrn <symbol>:<type>`` lines with any ``__imp_`` prefix removed;
+      mangled names pass through verbatim.
+    - The opcode stream is the mnemonic of every line that has one, data
+      directives (db, dd, ...) included: it mirrors what the listing prints,
+      not what a CPU would execute.
+    - The API stream holds, for each call/jmp line, the first operand token
+      that equals an extern symbol as a whole token (``ReadFileEx`` is not
+      ``ReadFile``).  Operand strings are kept and resolved after the pass,
+      since an extern may be declared after its first call.  Thunks are not
+      resolved, so calls through local jump stubs are invisible, a known
+      blind spot of this kind of static extraction.
     """
     segments: list[SegmentInfo] = []
     known_bytes: dict[str, int] = {}

@@ -9,7 +9,7 @@ from collections.abc import Mapping
 from .errors import MalfamError
 from .features.schema import GROUP_ORDER, GROUP_SECTION_SIZE
 from .features.vocab import VocabCaps
-from .forest import ForestParams, params_to_dict
+from .forest import ForestParams, params_from_dict, params_to_dict
 
 CONFIG_VERSION = 1
 
@@ -78,6 +78,13 @@ def config_to_dict(config: RunConfig) -> dict:
     }
 
 
+def _object(doc: Mapping, key: str, default: Mapping) -> Mapping:
+    value = doc.get(key, default)
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{key} must be a JSON object")
+    return value
+
+
 def config_from_dict(doc: Mapping) -> RunConfig:
     if not isinstance(doc, Mapping):
         raise MalfamError("config must be a JSON object")
@@ -85,31 +92,19 @@ def config_from_dict(doc: Mapping) -> RunConfig:
         raise MalfamError(f"unsupported config version {doc.get('version')!r}")
     defaults = RunConfig()
     try:
-        caps_doc = doc.get("caps", {})
+        caps_doc = _object(doc, "caps", {})
         caps = VocabCaps(
             sections=int(caps_doc.get("sections", defaults.caps.sections)),
             libraries=int(caps_doc.get("libraries", defaults.caps.libraries)),
             api_grams=int(caps_doc.get("api_grams", defaults.caps.api_grams)),
             opcode_grams=int(caps_doc.get("opcode_grams", defaults.caps.opcode_grams)),
         )
-        forest_doc = doc.get("forest", {})
-        forest = ForestParams(
-            n_trees=int(forest_doc.get("n_trees", defaults.forest.n_trees)),
-            max_depth=(
-                None
-                if forest_doc.get("max_depth", defaults.forest.max_depth) is None
-                else int(forest_doc["max_depth"])
-            ),
-            min_samples_leaf=int(
-                forest_doc.get("min_samples_leaf", defaults.forest.min_samples_leaf)
-            ),
-            features_per_split=forest_doc.get(
-                "features_per_split", defaults.forest.features_per_split
-            ),
-            bootstrap=bool(forest_doc.get("bootstrap", defaults.forest.bootstrap)),
-            seed=int(forest_doc.get("seed", defaults.forest.seed)),
-        )
-        selection = {str(g): int(k) for g, k in doc.get("selection", DEFAULT_SELECTION).items()}
+        forest = params_from_dict({**params_to_dict(defaults.forest), **_object(doc, "forest", {})})
+        selection_doc = _object(doc, "selection", DEFAULT_SELECTION)
+        selection = {str(g): int(k) for g, k in selection_doc.items()}
+        binary_ngrams = doc.get("binary_ngrams", defaults.binary_ngrams)
+        if not isinstance(binary_ngrams, bool):
+            raise TypeError("binary_ngrams must be true or false")
         return RunConfig(
             groups=tuple(doc.get("groups", defaults.groups)),
             caps=caps,
@@ -120,7 +115,7 @@ def config_from_dict(doc: Mapping) -> RunConfig:
             seed=int(doc.get("seed", defaults.seed)),
             threads=int(doc.get("threads", defaults.threads)),
             prefer=str(doc.get("prefer", defaults.prefer)),
-            binary_ngrams=bool(doc.get("binary_ngrams", defaults.binary_ngrams)),
+            binary_ngrams=binary_ngrams,
         )
     except (TypeError, ValueError) as exc:
         raise MalfamError(f"invalid config value: {exc}") from exc

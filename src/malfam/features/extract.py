@@ -24,8 +24,9 @@ caller that scores many samples against one model compiles once.
 
 `build_vocab` folds digests of its open-ended groups; `feat_ngrams`,
 `feat_import_lib` and `group_dims` stay as the by-name reference for the
-projection, and `section_stats_from_listing` as the by-line reference for
-the listing's section stats.
+projection.  The listing half is checked in the tests against one oracle,
+which folds the line reader's `AsmLine`s into the same `ListingScan` the
+scanner returns.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..asm import Listing, ListingScan, SegmentInfo, parse_segments, scan_listing
+from ..asm import ListingScan, SegmentInfo, scan_listing
 from ..corpus import Sample
 from ..errors import ExtractionError, TruncatedPeError
 from ..pe import PeSummary, parse_pe
@@ -169,14 +170,6 @@ def _section_stats(
     }
 
 
-def section_stats_from_listing(listing: Listing) -> dict[str, SectionStats]:
-    """The by-line reference for the listing's section stats."""
-    raw: dict[str, int] = {}
-    for line in listing.lines:
-        raw[line.section] = raw.get(line.section, 0) + line.known_bytes
-    return _section_stats(parse_segments(listing.lines), raw)
-
-
 def section_stats_from_pe(summary: PeSummary) -> dict[str, SectionStats]:
     virtual: dict[str, int] = {}
     raw: dict[str, int] = {}
@@ -192,10 +185,6 @@ def section_stats_from_pe(summary: PeSummary) -> dict[str, SectionStats]:
         name: SectionStats(virtual[name], raw[name], *perms[name])
         for name in virtual
     }
-
-
-def aggregate_sections(sample: Sample, prefer: str = "pe") -> dict[str, SectionStats]:
-    return digest_sample(sample, (GROUP_SECTION_SIZE,), prefer).sections
 
 
 def feat_section_size(
@@ -217,10 +206,6 @@ def feat_section_perm(stats: Mapping[str, SectionStats]) -> np.ndarray:
         rsize = sum(s.raw_size for s in stats.values() if getattr(s, attr))
         out[3 * p : 3 * p + 3] = (vsize, rsize, vsize / rsize if rsize else 0.0)
     return out
-
-
-def sample_libraries(sample: Sample, prefer: str = "pe") -> frozenset[str]:
-    return digest_sample(sample, (GROUP_IMPORT_LIB,), prefer).libraries
 
 
 def feat_import_lib(libraries: frozenset[str], vocab_libraries: Sequence[str]) -> np.ndarray:

@@ -5,7 +5,7 @@ a matrix column maps back to its group without side tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -111,7 +111,6 @@ class FeatureSchema:
 @dataclass(frozen=True)
 class FeatureVector:
     values: np.ndarray
-    schema_version: int = SCHEMA_VERSION
 
 
 def group_dims(group: str, vocab) -> tuple[str, ...]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -80,6 +80,28 @@ def params_to_dict(params: ForestParams) -> dict:
         "bootstrap": params.bootstrap,
         "seed": params.seed,
     }
+
+
+def params_from_dict(doc: Mapping) -> ForestParams:
+    """The inverse of `params_to_dict`; every key is required.
+
+    Raises KeyError, TypeError or ValueError for a missing key or a value
+    of the wrong type: `bootstrap` must be a boolean, and `features_per_split`
+    a rule name or a number, never a boolean.
+    """
+    rule = doc["features_per_split"]
+    if isinstance(rule, bool):
+        raise TypeError("features_per_split must be a rule name or a number, not a boolean")
+    if not isinstance(doc["bootstrap"], bool):
+        raise TypeError("bootstrap must be true or false")
+    return ForestParams(
+        n_trees=int(doc["n_trees"]),
+        max_depth=None if doc["max_depth"] is None else int(doc["max_depth"]),
+        min_samples_leaf=int(doc["min_samples_leaf"]),
+        features_per_split=rule if isinstance(rule, str) else int(rule),
+        bootstrap=doc["bootstrap"],
+        seed=int(doc["seed"]),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,19 +534,7 @@ def load_model(path: str | Path, schema) -> RandomForest:
             f"(digest {digest} != {schema.digest()})"
         )
     try:
-        raw = doc["params"]
-        params = ForestParams(
-            n_trees=int(raw["n_trees"]),
-            max_depth=None if raw["max_depth"] is None else int(raw["max_depth"]),
-            min_samples_leaf=int(raw["min_samples_leaf"]),
-            features_per_split=(
-                raw["features_per_split"]
-                if isinstance(raw["features_per_split"], str)
-                else int(raw["features_per_split"])
-            ),
-            bootstrap=bool(raw["bootstrap"]),
-            seed=int(raw["seed"]),
-        )
+        params = params_from_dict(doc["params"])
         classes = tuple(int(c) for c in doc["classes"])
         roots = np.asarray(doc["roots"], dtype=np.intp)
         feature = np.asarray(doc["feature"], dtype=np.intp)

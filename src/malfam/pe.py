@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import NotAPeError, TruncatedPeError
 from .util import canonical_library, canonical_section
@@ -200,10 +199,6 @@ def _read_import_libraries(
         if library:
             out.add(library)
     return False  # descriptor array never terminated
-
-
-def load_pe(path: str | Path) -> PeSummary:
-    return parse_pe(Path(path).read_bytes())
 
 
 def dump_bytes(data: bytes, base_address: int = 0) -> str:

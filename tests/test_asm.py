@@ -1,5 +1,5 @@
 """Disassembly-listing parser tests: line grammar, segments, imports, streams,
-and the one-pass scanner against the by-line parser."""
+and the one-pass scanner against the by-line oracle."""
 from __future__ import annotations
 
 import re
@@ -8,17 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from malfam.asm import (
-    PARSE_FAILURE,
-    AsmLine,
-    parse_imports,
-    parse_line,
-    parse_listing,
-    parse_segments,
-    api_stream,
-    opcode_stream,
-    scan_listing,
-)
+from malfam.asm import PARSE_FAILURE, AsmLine, parse_line, parse_listing, scan_listing
+from oracles import reference_scan
 
 HEX_PAIR = re.compile(r"^[0-9A-F]{2}$")
 
@@ -117,8 +108,7 @@ SIX_LINE_LISTING = "\n".join([
 
 
 def test_parse_segments_two_text_runs_hand_counted():
-    listing = parse_listing(SIX_LINE_LISTING)
-    segments = parse_segments(listing.lines)
+    segments = scan_listing(SIX_LINE_LISTING).segments
     assert [s.name for s in segments] == ["text", "data", "text"]
 
     first, data, second = segments
@@ -134,22 +124,20 @@ def test_parse_segments_two_text_runs_hand_counted():
 
 
 def test_parse_segments_declared_permissions_win():
-    lines = parse_listing("\n".join([
+    (seg,) = scan_listing("\n".join([
         ".rsrc:00407000 00 db 0 ; Segment permissions: Read/Write",
         ".rsrc:00407001 00 db 0 ; Segment permissions: Execute",
-    ])).lines
-    (seg,) = parse_segments(lines)
+    ])).segments
     # first banner in the run wins
     assert (seg.readable, seg.writable, seg.executable) == (True, True, False)
     assert seg.declared_perms
 
 
 def test_parse_segments_default_rule():
-    lines = parse_listing("\n".join([
+    data, text = scan_listing("\n".join([
         ".data:00403000 00 db 0",
         ".text:00401000 C3 retn",
-    ])).lines
-    data, text = parse_segments(lines)
+    ])).segments
     assert (data.readable, data.writable, data.executable) == (True, False, False)
     assert (text.readable, text.writable, text.executable) == (True, False, True)
     assert not data.declared_perms and not text.declared_perms
@@ -166,18 +154,17 @@ def test_parse_segments_spans_well_formed():
             byte_part = " ".join("90" for _ in range(n))
             rows.append(f"{section}:{addr:08X} {byte_part} nop")
             addr += max(n, 1) + int(rng.integers(0, 3))
-        segments = parse_segments(parse_listing("\n".join(rows)).lines)
+        segments = scan_listing("\n".join(rows)).segments
         for seg in segments:
             assert seg.end >= seg.start
 
 
 def test_parse_imports_libraries_and_symbols():
-    lines = parse_listing("\n".join([
+    info = scan_listing("\n".join([
         ".idata:0040F000 ; Imports from KERNEL32.dll",
         ".idata:0040F0A4 extrn GetProcAddress:dword",
         ".idata:0040F0A8 extrn __imp_WriteFile:dword",
-    ])).lines
-    info = parse_imports(lines)
+    ])).imports
     assert "KERNEL32" in info.libraries
     assert "GetProcAddress" in info.api_symbols
     assert "WriteFile" in info.api_symbols
@@ -185,27 +172,27 @@ def test_parse_imports_libraries_and_symbols():
 
 
 def test_parse_imports_empty_listing_is_valid():
-    info = parse_imports(())
+    info = scan_listing("").imports
     assert info.libraries == frozenset()
     assert info.api_symbols == frozenset()
 
 
 def test_opcode_stream_includes_data_directives():
-    lines = parse_listing("\n".join([
+    opcodes = scan_listing("\n".join([
         ".text:00401000 EB 08 jmp short loc_40100A",
         ".text:00401002 db      10",
         ".text:00401003 B8 00 00 00 00 mov eax, 0",
         ".text:00401008 03 C3 add eax, ebx",
-    ])).lines
-    assert opcode_stream(lines) == ["jmp", "db", "mov", "add"]
+    ])).opcodes
+    assert opcodes == ["jmp", "db", "mov", "add"]
 
 
 def test_opcode_stream_comment_only_lines_yield_nothing():
-    lines = parse_listing("\n".join([
+    opcodes = scan_listing("\n".join([
         ".text:00401000 ; a banner",
         ".text:00401001 ; another",
-    ])).lines
-    assert opcode_stream(lines) == []
+    ])).opcodes
+    assert opcodes == []
 
 
 def test_opcode_stream_length_matches_independent_recount():
@@ -221,8 +208,7 @@ def test_opcode_stream_length_matches_independent_recount():
                 op = mnemonics[int(rng.integers(0, len(mnemonics)))]
                 rows.append(f".text:{0x1000 + k:08X} 90 {op} eax")
                 expected += 1
-        lines = parse_listing("\n".join(rows)).lines
-        assert len(opcode_stream(lines)) == expected
+        assert len(scan_listing("\n".join(rows)).opcodes) == expected
 
 
 THUNK_LISTING = "\n".join([
@@ -241,56 +227,36 @@ THUNK_LISTING = "\n".join([
 
 
 def test_api_stream_sees_thunks_not_true_call_order():
-    lines = parse_listing(THUNK_LISTING).lines
-    imports = parse_imports(lines)
     # the calls go read, write, read; a linear scan only sees the two
     # thunk-definition jmps, in their definition order
-    assert api_stream(lines, imports) == ["WriteFile", "ReadFile"]
+    assert scan_listing(THUNK_LISTING).api_calls == ["WriteFile", "ReadFile"]
 
 
 def test_api_stream_direct_match_and_non_import():
-    lines = parse_listing("\n".join([
+    api_calls = scan_listing("\n".join([
         ".idata:0040F000 extrn WriteFile:dword",
         ".text:00401000 FF 15 00 F0 40 00 call ds:WriteFile",
         ".text:00401006 E8 00 10 00 00 call sub_401000",
-    ])).lines
-    imports = parse_imports(lines)
-    assert api_stream(lines, imports) == ["WriteFile"]
+    ])).api_calls
+    assert api_calls == ["WriteFile"]
 
 
 def test_api_stream_whole_token_only():
-    lines = parse_listing("\n".join([
+    api_calls = scan_listing("\n".join([
         ".idata:0040F000 extrn ReadFile:dword",
         ".text:00401000 FF 15 00 F0 40 00 call ds:ReadFileEx",
-    ])).lines
-    imports = parse_imports(lines)
+    ])).api_calls
     # ReadFileEx is a different symbol; substring matching would be wrong
-    assert api_stream(lines, imports) == []
+    assert api_calls == []
 
 
 def test_api_stream_without_externs_is_empty():
-    lines = parse_listing(".text:00401000 FF 15 00 F0 40 00 call ds:WriteFile").lines
-    assert api_stream(lines, parse_imports(lines)) == []
+    assert scan_listing(".text:00401000 FF 15 00 F0 40 00 call ds:WriteFile").api_calls == []
 
 
 # ---------------------------------------------------------------------------
-# scan_listing against the by-line oracle
+# scan_listing against the by-line oracle (tests/oracles.py)
 # ---------------------------------------------------------------------------
-
-def assert_scan_matches_oracle(text: str) -> None:
-    listing = parse_listing(text)
-    imports = parse_imports(listing.lines)
-    known: dict[str, int] = {}
-    for line in listing.lines:
-        known[line.section] = known.get(line.section, 0) + line.known_bytes
-    scan = scan_listing(text)
-    assert scan.segments == parse_segments(listing.lines)
-    assert scan.known_bytes == known
-    assert scan.imports == imports
-    assert scan.opcodes == opcode_stream(listing.lines)
-    assert scan.api_calls == api_stream(listing.lines, imports)
-    assert scan.parse_failures == listing.parse_failures
-
 
 HAND_LISTINGS = [
     SIX_LINE_LISTING,
@@ -337,7 +303,7 @@ HAND_LISTINGS = [
 
 @pytest.mark.parametrize("text", HAND_LISTINGS)
 def test_scan_listing_matches_oracle_on_hand_listings(text):
-    assert_scan_matches_oracle(text)
+    assert scan_listing(text) == reference_scan(parse_listing(text))
 
 
 def test_scan_listing_hand_counted():
@@ -404,14 +370,16 @@ def fuzz_listing(rng: np.random.Generator) -> str:
 def test_scan_listing_matches_oracle_under_fuzz():
     rng = np.random.default_rng(2024)
     for _ in range(5000):
-        assert_scan_matches_oracle(fuzz_listing(rng))
+        text = fuzz_listing(rng)
+        assert scan_listing(text) == reference_scan(parse_listing(text))
 
 
 def test_scan_listing_matches_oracle_on_random_bytes():
     rng = np.random.default_rng(5)
     for _ in range(500):
         raw = bytes(rng.integers(0, 256, size=int(rng.integers(0, 200))))
-        assert_scan_matches_oracle(raw.decode("utf-8", errors="replace"))
+        text = raw.decode("utf-8", errors="replace")
+        assert scan_listing(text) == reference_scan(parse_listing(text))
 
 
 @pytest.fixture(scope="module")
@@ -424,7 +392,7 @@ def joined_listing(small_corpus) -> str:
 
 def test_scan_listing_matches_oracle_on_joined_synthetic_listing(joined_listing):
     assert len(joined_listing) >= 250_000
-    assert_scan_matches_oracle(joined_listing)
+    assert scan_listing(joined_listing) == reference_scan(parse_listing(joined_listing))
 
 
 def test_scan_listing_peak_memory_is_a_small_multiple_of_the_text(joined_listing):

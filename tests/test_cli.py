@@ -435,3 +435,12 @@ def test_unreadable_config_is_a_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "c")])
     assert code == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [{"selection": []}, {"caps": []}, {"forest": 3}])
+def test_config_of_wrong_shape_is_a_data_error(tmp_path, capsys, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["gen", "--synthetic", "--config", str(path), "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: invalid config")

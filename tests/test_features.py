@@ -12,14 +12,13 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
-from malfam.asm import Listing, api_stream, load_listing, opcode_stream, parse_imports
+from malfam.asm import ListingScan, load_listing
 from malfam.corpus import CorpusManifest, Sample, scan_corpus
 from malfam.errors import CorpusError, ExtractionError, TrainingError
 from malfam.features import (
     FeatureSchema,
     VocabCaps,
     Vocabulary,
-    aggregate_sections,
     assemble,
     build_schema,
     build_vocab,
@@ -43,7 +42,6 @@ from malfam.features.extract import (
     SectionStats,
     load_pe_summary,
     pick_source,
-    section_stats_from_listing,
     section_stats_from_pe,
 )
 from malfam.features.schema import (
@@ -62,6 +60,7 @@ from malfam.features.schema import (
 )
 from malfam.forest import ForestParams
 from malfam.pe import PeSummary
+from oracles import reference_scan
 
 
 def sample_with(tmp_path, sample_id="s", asm: bytes | None = None, dump: bytes | None = None) -> Sample:
@@ -146,7 +145,7 @@ def test_aggregate_two_text_segments_add_up(tmp_path):
     rows += [f".text:{0x500000 + 16 * i:08X} " + " ".join(["90"] * 16) + " nop"
              for i in range(8)]
     asm = "\n".join(rows).encode()
-    stats = aggregate_sections(sample_with(tmp_path, asm=asm), prefer="asm")
+    stats = digest_sample(sample_with(tmp_path, asm=asm), (GROUP_SECTION_SIZE,), "asm").sections
     assert stats["text"].virtual_size == 0x100 + 0x80
     assert stats["text"].raw_size == 0x180  # every text byte dumped
 
@@ -154,7 +153,8 @@ def test_aggregate_two_text_segments_add_up(tmp_path):
 def test_aggregate_virtual_only_section_has_zero_ratio(tmp_path):
     rows = [f".bss:{0x600000 + 16 * i:08X} " + " ".join(["??"] * 16)
             for i in range(256)]
-    stats = aggregate_sections(sample_with(tmp_path, asm="\n".join(rows).encode()), prefer="asm")
+    sample = sample_with(tmp_path, asm="\n".join(rows).encode())
+    stats = digest_sample(sample, (GROUP_SECTION_SIZE,), "asm").sections
     assert stats["bss"].virtual_size == 4096
     assert stats["bss"].raw_size == 0
     assert stats["bss"].ratio == 0.0
@@ -169,12 +169,12 @@ def test_aggregate_prefers_pe_summary(tmp_path):
     asm_path.write_text(".text:00401000 90 nop\n")
     sample = Sample(id="s", asm_path=asm_path, pe_path=pe_path)
 
-    stats = aggregate_sections(sample, prefer="pe")
+    stats = digest_sample(sample, (GROUP_SECTION_SIZE,), "pe").sections
     assert stats["text"].virtual_size == 256
     assert stats["text"].raw_size == 512
     assert stats["text"].ratio == 0.5
     # asm preference flips to the listing-derived numbers
-    stats = aggregate_sections(sample, prefer="asm")
+    stats = digest_sample(sample, (GROUP_SECTION_SIZE,), "asm").sections
     assert stats["text"].virtual_size == 1
 
 
@@ -545,11 +545,11 @@ def reference_assemble(
     needs_sections = present & {GROUP_SECTION_SIZE, GROUP_SECTION_PERM}
     needs_grams = present & {GROUP_API_4GRAM, GROUP_OPCODE_4GRAM}
 
-    listing: Listing | None = None
+    scan: ListingScan | None = None
     if sample.asm_path is not None and (
         needs_grams or (source == "asm" and (needs_sections or GROUP_IMPORT_LIB in present))
     ):
-        listing = load_listing(sample.asm_path)
+        scan = reference_scan(load_listing(sample.asm_path))
 
     summary: PeSummary | None = None
     if source == "pe" and (needs_sections or GROUP_IMPORT_LIB in present):
@@ -559,12 +559,8 @@ def reference_assemble(
     if needs_sections:
         if summary is not None:
             stats = section_stats_from_pe(summary)
-        elif listing is not None:
-            stats = section_stats_from_listing(listing)
-
-    imports = None
-    if listing is not None and (needs_grams or (summary is None and GROUP_IMPORT_LIB in present)):
-        imports = parse_imports(listing.lines)
+        elif scan is not None:
+            stats = extract._section_stats(scan.segments, scan.known_bytes)
 
     for group in GROUP_ORDER:
         if group not in present:
@@ -580,20 +576,20 @@ def reference_assemble(
         elif group == GROUP_IMPORT_LIB:
             if summary is not None:
                 libs = summary.import_libraries
-            elif imports is not None:
-                libs = imports.libraries
+            elif scan is not None:
+                libs = scan.imports.libraries
             else:
                 libs = frozenset()
             full = feat_import_lib(libs, vocab.libraries)
         elif group == GROUP_API_4GRAM:
             counts: Mapping = {}
-            if listing is not None and imports is not None:
-                counts = extract_4grams(api_stream(listing.lines, imports))
+            if scan is not None:
+                counts = extract_4grams(scan.api_calls)
             full = feat_ngrams(counts, vocab.api_grams, binary_ngrams)
         else:
             counts = {}
-            if listing is not None:
-                counts = extract_4grams(opcode_stream(listing.lines))
+            if scan is not None:
+                counts = extract_4grams(scan.opcodes)
             full = feat_ngrams(counts, vocab.opcode_grams, binary_ngrams)
 
         idx = schema.group_indices(group)

@@ -26,6 +26,8 @@ from malfam.forest import (
     gini,
     grid_search,
     load_model,
+    params_from_dict,
+    params_to_dict,
     predict,
     predict_proba,
     save_model,
@@ -770,6 +772,16 @@ def test_model_rejects_schema_digest_mismatch(tmp_path):
         load_model(path, other)
 
 
+@pytest.mark.parametrize("params", [
+    ForestParams(),
+    ForestParams(n_trees=7, max_depth=3, min_samples_leaf=2, features_per_split="third",
+                 bootstrap=False, seed=11),
+    ForestParams(features_per_split=5),
+])
+def test_params_from_dict_inverts_params_to_dict(params):
+    assert params_from_dict(json.loads(json.dumps(params_to_dict(params)))) == params
+
+
 def test_model_rejects_corrupt_file(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("{broken", encoding="utf-8")
@@ -819,11 +831,15 @@ def set_right(doc, value):
     lambda d: d.update(threshold=d["threshold"][:-1]),
     lambda d: d.update(feature=["x"] * len(d["feature"])),
     lambda d: d.pop("left"),
+    lambda d: d["params"].update(bootstrap="false"),
+    lambda d: d["params"].update(features_per_split=True),
+    lambda d: d.update(params=[]),
 ], ids=[
     "version-1", "dim-past-schema", "dim-below-leaf-mark", "child-out-of-range",
     "child-is-parent", "child-before-parent", "child-missing", "counts-too-wide",
     "counts-negative", "too-few-roots", "too-many-roots", "roots-decreasing",
-    "short-threshold", "feature-not-int", "left-absent",
+    "short-threshold", "feature-not-int", "left-absent", "bootstrap-string",
+    "features-per-split-bool", "params-list",
 ])
 def test_model_rejects_malformed_node_arrays(tmp_path, corrupt):
     doc, schema = saved_model_doc(tmp_path)

@@ -87,6 +87,28 @@ def test_config_rejects_bad_values():
         config_from_dict({"folds": "many"})
 
 
+@pytest.mark.parametrize("doc", [
+    {"selection": []},
+    {"caps": []},
+    {"forest": 3},
+    {"binary_ngrams": "false"},
+    {"forest": {"bootstrap": "false"}},
+    {"forest": {"features_per_split": True}},
+], ids=[
+    "selection-list", "caps-list", "forest-number", "binary-ngrams-string",
+    "bootstrap-string", "features-per-split-bool",
+])
+def test_config_rejects_wrong_json_types(doc):
+    with pytest.raises(MalfamError, match="invalid config"):
+        config_from_dict(doc)
+
+
+def test_config_reads_forest_params_like_the_model():
+    config = config_from_dict({"forest": {"features_per_split": 5.0, "bootstrap": False}})
+    assert config.forest == ForestParams(features_per_split=5, bootstrap=False)
+    assert type(config_to_dict(config)["forest"]["features_per_split"]) is int
+
+
 def test_config_overrides_steer_both_seeds():
     config = with_overrides(RunConfig(), seed=17, threads=4)
     assert config.seed == 17

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import filecmp
 
-from malfam.asm import load_listing, opcode_stream
+from malfam.asm import load_listing
 from malfam.corpus import load_labels
 from malfam.synth import gen_synthetic
+from oracles import reference_scan
 
 
 def test_shape_and_labels(tmp_path):
@@ -21,9 +22,9 @@ def test_shape_and_labels(tmp_path):
 
 def test_generated_listings_parse_clean(small_corpus):
     for sample in small_corpus.samples:
-        listing = load_listing(sample.asm_path)
-        assert listing.parse_failures == 0
-        assert listing.lines  # never degenerate
+        scan = reference_scan(load_listing(sample.asm_path))
+        assert scan.parse_failures == 0
+        assert scan.segments  # never degenerate
 
 
 def test_same_seed_byte_identical(tmp_path):
@@ -51,5 +52,5 @@ def test_recorded_instruction_counts_match_parser(tmp_path):
     manifest = gen_synthetic(2, seed=13, out_root=tmp_path, stats=stats)
     assert set(stats) == manifest.ids()
     for sample in manifest.samples:
-        lines = load_listing(sample.asm_path).lines
-        assert len(opcode_stream(lines)) == stats[sample.id]
+        scan = reference_scan(load_listing(sample.asm_path))
+        assert len(scan.opcodes) == stats[sample.id]
