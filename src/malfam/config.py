@@ -1,8 +1,7 @@
 """Run configuration: one JSON-serializable object drives every pipeline stage."""
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from collections.abc import Mapping
 
@@ -10,6 +9,7 @@ from .errors import MalfamError
 from .features.schema import GROUP_ORDER, GROUP_SECTION_SIZE
 from .features.vocab import VocabCaps
 from .forest import ForestParams, params_from_dict, params_to_dict
+from .util import json_int, read_json, write_json
 
 CONFIG_VERSION = 1
 
@@ -58,24 +58,8 @@ class RunConfig:
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    return {
-        "version": CONFIG_VERSION,
-        "groups": list(config.groups),
-        "caps": {
-            "sections": config.caps.sections,
-            "libraries": config.caps.libraries,
-            "api_grams": config.caps.api_grams,
-            "opcode_grams": config.caps.opcode_grams,
-        },
-        "selection": dict(config.selection),
-        "train_fraction": config.train_fraction,
-        "folds": config.folds,
-        "forest": params_to_dict(config.forest),
-        "seed": config.seed,
-        "threads": config.threads,
-        "prefer": config.prefer,
-        "binary_ngrams": config.binary_ngrams,
-    }
+    """The file's keys in field order; caps and forest nest as objects."""
+    return {"version": CONFIG_VERSION, **asdict(config)}
 
 
 def _object(doc: Mapping, key: str, default: Mapping) -> Mapping:
@@ -93,15 +77,13 @@ def config_from_dict(doc: Mapping) -> RunConfig:
     defaults = RunConfig()
     try:
         caps_doc = _object(doc, "caps", {})
-        caps = VocabCaps(
-            sections=int(caps_doc.get("sections", defaults.caps.sections)),
-            libraries=int(caps_doc.get("libraries", defaults.caps.libraries)),
-            api_grams=int(caps_doc.get("api_grams", defaults.caps.api_grams)),
-            opcode_grams=int(caps_doc.get("opcode_grams", defaults.caps.opcode_grams)),
-        )
+        caps = VocabCaps(**{
+            name: json_int(caps_doc.get(name, default), f"caps.{name}")
+            for name, default in asdict(defaults.caps).items()
+        })
         forest = params_from_dict({**params_to_dict(defaults.forest), **_object(doc, "forest", {})})
         selection_doc = _object(doc, "selection", DEFAULT_SELECTION)
-        selection = {str(g): int(k) for g, k in selection_doc.items()}
+        selection = {str(g): json_int(k, f"selection.{g}") for g, k in selection_doc.items()}
         binary_ngrams = doc.get("binary_ngrams", defaults.binary_ngrams)
         if not isinstance(binary_ngrams, bool):
             raise TypeError("binary_ngrams must be true or false")
@@ -110,10 +92,10 @@ def config_from_dict(doc: Mapping) -> RunConfig:
             caps=caps,
             selection=selection,
             train_fraction=float(doc.get("train_fraction", defaults.train_fraction)),
-            folds=int(doc.get("folds", defaults.folds)),
+            folds=json_int(doc.get("folds", defaults.folds), "folds"),
             forest=forest,
-            seed=int(doc.get("seed", defaults.seed)),
-            threads=int(doc.get("threads", defaults.threads)),
+            seed=json_int(doc.get("seed", defaults.seed), "seed"),
+            threads=json_int(doc.get("threads", defaults.threads), "threads"),
             prefer=str(doc.get("prefer", defaults.prefer)),
             binary_ngrams=binary_ngrams,
         )
@@ -122,17 +104,12 @@ def config_from_dict(doc: Mapping) -> RunConfig:
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(config), indent=1) + "\n", encoding="utf-8"
-    )
+    write_json(path, config_to_dict(config))
 
 
 def load_config(path: str | Path) -> RunConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise MalfamError(f"cannot read config {path}: {exc}") from exc
-    return config_from_dict(doc)
+    # a config may omit its version; config_from_dict checks it when present
+    return config_from_dict(read_json(path, "config", MalfamError, None))
 
 
 def with_overrides(

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import math
 import os
@@ -13,7 +12,7 @@ from pathlib import Path
 
 from .errors import CorpusError, LabelError
 from .families import FAMILY_NAMES, family_name
-from .util import mix_seed
+from .util import json_int, mix_seed, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -219,31 +218,35 @@ def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
             for sample in manifest.samples
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc, indent=2)
+
+
+def _manifest_label(value) -> int | None:
+    if value is None:
+        return None
+    label = json_int(value, "label")
+    if label not in FAMILY_NAMES:
+        raise ValueError(f"label {label} is not a family id 1..{len(FAMILY_NAMES)}")
+    return label
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}: not valid JSON: {exc}") from None
-    except (OSError, ValueError) as exc:
-        raise CorpusError(f"cannot read manifest {path}: {exc}") from exc
+    doc = read_json(path, "manifest", CorpusError, MANIFEST_VERSION)
     try:
         root = Path(doc["root"])
         samples = []
         for entry in doc["samples"]:
+            sample_id = entry["id"]
+            if not isinstance(sample_id, str) or not sample_id:
+                raise TypeError(f"sample id must be a non-empty string, not {sample_id!r}")
             samples.append(Sample(
-                id=entry["id"],
+                id=sample_id,
                 asm_path=root / entry["asm"] if entry.get("asm") else None,
                 bytes_path=root / entry["bytes"] if entry.get("bytes") else None,
                 pe_path=root / entry["pe"] if entry.get("pe") else None,
-                label=entry.get("label"),
+                label=_manifest_label(entry.get("label")),
             ))
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusError(f"{path}: malformed manifest: {exc}") from None
+        raise CorpusError(f"malformed manifest {path}: {exc}") from None
     samples.sort(key=lambda s: s.id)
     return CorpusManifest(root=root, samples=tuple(samples))

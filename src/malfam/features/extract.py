@@ -137,17 +137,16 @@ def feat_file_size(sample: Sample) -> np.ndarray:
     return np.array([asm, dump, ratio], dtype=np.float64)
 
 
-def _complexity_triple(path: Path | None, sample_id: str) -> tuple[float, float, float]:
-    if path is None:
+def _complexity_triple(data: bytes | None) -> tuple[float, float, float]:
+    if data is None:
         return (0.0, 0.0, 0.0)
-    data = _read_file(path, sample_id)
     comp = len(zlib.compress(data, COMPRESSION_LEVEL))
     return (float(len(data)), float(comp), len(data) / comp)
 
 
-def feat_complexity(sample: Sample) -> np.ndarray:
-    values = _complexity_triple(sample.asm_path, sample.id)
-    values += _complexity_triple(sample.bytes_path, sample.id)
+def feat_complexity(asm_bytes: bytes | None, dump_bytes: bytes | None) -> np.ndarray:
+    """Size, zlib size and ratio of the listing, then of the dump; None for an absent file."""
+    values = _complexity_triple(asm_bytes) + _complexity_triple(dump_bytes)
     return np.array(values, dtype=np.float64)
 
 
@@ -261,25 +260,35 @@ def digest_sample(
     want_opcodes = GROUP_OPCODE_4GRAM in wanted
     from_pe = source == "pe" and (want_sections or want_libs)
     from_asm = source == "asm" and (want_sections or want_libs)
-
-    scan: ListingScan | None = None
-    if sample.asm_path is not None and (want_api or want_opcodes or from_asm):
-        scan = scan_listing(_read_file(sample.asm_path, sample.id).decode("utf-8", errors="replace"))
-    summary = load_pe_summary(sample) if from_pe else None
+    want_complexity = GROUP_COMPLEXITY in wanted
+    want_scan = sample.asm_path is not None and (want_api or want_opcodes or from_asm)
 
     found: dict = {}
+    # each file is read once: the complexity triple is taken from the listing
+    # bytes, which are then decoded and dropped before the scan
+    asm = None
+    if sample.asm_path is not None and (want_scan or want_complexity):
+        asm = _read_file(sample.asm_path, sample.id)
+    if want_complexity:
+        dump = _read_file(sample.bytes_path, sample.id) if sample.bytes_path else None
+        found["complexity"] = feat_complexity(asm, dump)
+        del dump
+    scan: ListingScan | None = None
+    if want_scan:
+        text = asm.decode("utf-8", errors="replace")
+        del asm
+        scan = scan_listing(text)
+        del text
+    summary = load_pe_summary(sample) if from_pe else None
+
     if scan is not None:
         found["parse_failures"] = scan.parse_failures
     if want_sections and summary is not None:
         found["sections"] = section_stats_from_pe(summary)
     elif want_sections and from_asm:
         found["sections"] = _section_stats(scan.segments, scan.known_bytes)
-    # the whole-file reads come after the listing pass: run straight after
-    # the parse, they raised peak RSS on 2.5 MB listings by about 1.5 MB
     if GROUP_FILE_SIZE in wanted:
         found["file_size"] = feat_file_size(sample)
-    if GROUP_COMPLEXITY in wanted:
-        found["complexity"] = feat_complexity(sample)
     if want_libs and summary is not None:
         found["libraries"] = summary.import_libraries
     elif want_libs and from_asm:

@@ -77,11 +77,10 @@ def save_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["id", "label", *matrix.schema.names])
-        for i, sample_id in enumerate(matrix.ids):
-            label = matrix.labels[i]
-            row = [sample_id, "" if label is None else str(label)]
-            row.extend(repr(float(v)) for v in matrix.values[i])
-            writer.writerow(row)
+        # csv writes a None label as an empty cell; tolist yields Python floats
+        values = np.asarray(matrix.values, dtype=np.float64)
+        for sample_id, label, row in zip(matrix.ids, matrix.labels, values):
+            writer.writerow([sample_id, label, *map(repr, row.tolist())])
 
 
 def load_matrix_csv(path: str | Path) -> FeatureMatrix:

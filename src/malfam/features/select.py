@@ -1,7 +1,6 @@
 """Importance-based dimension selection."""
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from pathlib import Path
 from collections.abc import Mapping, Sequence
@@ -10,6 +9,7 @@ import numpy as np
 
 from ..errors import MalfamError
 from ..forest import ForestParams, feature_importance, fit_forest
+from ..util import read_json, write_json
 from .schema import GROUP_ORDER
 
 SELECTION_VERSION = 1
@@ -48,16 +48,11 @@ def save_selection(selection: Mapping[str, Sequence[str]], path: str | Path) -> 
         "version": SELECTION_VERSION,
         "selection": {group: list(names) for group, names in selection.items()},
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    write_json(path, doc)
 
 
 def load_selection(path: str | Path) -> dict[str, list[str]]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise MalfamError(f"cannot read selection {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != SELECTION_VERSION:
-        raise MalfamError(f"unsupported selection format in {path}")
+    doc = read_json(path, "selection", MalfamError, SELECTION_VERSION)
     raw = doc.get("selection")
     if not isinstance(raw, dict):
         raise MalfamError(f"malformed selection {path}")

@@ -6,7 +6,6 @@ capped.  Ties break lexicographically so the cut is reproducible.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -14,6 +13,7 @@ from pathlib import Path
 from collections.abc import Sequence
 
 from ..errors import CorpusError
+from ..util import read_json, write_json
 from .extract import N_GRAM, digest_sample
 from .schema import (
     GROUP_API_4GRAM,
@@ -92,7 +92,7 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
         "api_grams": [list(g) for g in vocab.api_grams],
         "opcode_grams": [list(g) for g in vocab.opcode_grams],
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    write_json(path, doc)
 
 
 # json.loads yields exact lists and strs; the type sets keep these checks out
@@ -119,12 +119,7 @@ def _grams(doc: dict, key: str, path) -> tuple[tuple[str, ...], ...]:
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise CorpusError(f"cannot read vocabulary {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != VOCAB_VERSION:
-        raise CorpusError(f"unsupported vocabulary format in {path}")
+    doc = read_json(path, "vocabulary", CorpusError, VOCAB_VERSION)
     try:
         return Vocabulary(
             section_names=_strings(doc, "section_names", path),

@@ -21,18 +21,17 @@ resolve to the lowest dimension index, then the lowest threshold.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ModelError, TrainingError
 from .families import family_name
-from .util import mix_seed
+from .util import json_int, mix_seed, read_json, write_json
 
 MODEL_VERSION = 2
 
@@ -72,35 +71,26 @@ def _candidate_count(rule: int | str, n_dims: int) -> int:
 
 def params_to_dict(params: ForestParams) -> dict:
     """The one JSON form of ForestParams, shared by model, config and metrics files."""
-    return {
-        "n_trees": params.n_trees,
-        "max_depth": params.max_depth,
-        "min_samples_leaf": params.min_samples_leaf,
-        "features_per_split": params.features_per_split,
-        "bootstrap": params.bootstrap,
-        "seed": params.seed,
-    }
+    return asdict(params)
 
 
 def params_from_dict(doc: Mapping) -> ForestParams:
     """The inverse of `params_to_dict`; every key is required.
 
     Raises KeyError, TypeError or ValueError for a missing key or a value
-    of the wrong type: `bootstrap` must be a boolean, and `features_per_split`
-    a rule name or a number, never a boolean.
+    of the wrong type: `bootstrap` must be a boolean, `features_per_split`
+    a rule name or an integer, and every count an integer (see `json_int`).
     """
     rule = doc["features_per_split"]
-    if isinstance(rule, bool):
-        raise TypeError("features_per_split must be a rule name or a number, not a boolean")
     if not isinstance(doc["bootstrap"], bool):
         raise TypeError("bootstrap must be true or false")
     return ForestParams(
-        n_trees=int(doc["n_trees"]),
-        max_depth=None if doc["max_depth"] is None else int(doc["max_depth"]),
-        min_samples_leaf=int(doc["min_samples_leaf"]),
-        features_per_split=rule if isinstance(rule, str) else int(rule),
+        n_trees=json_int(doc["n_trees"], "n_trees"),
+        max_depth=None if doc["max_depth"] is None else json_int(doc["max_depth"], "max_depth"),
+        min_samples_leaf=json_int(doc["min_samples_leaf"], "min_samples_leaf"),
+        features_per_split=rule if isinstance(rule, str) else json_int(rule, "features_per_split"),
         bootstrap=doc["bootstrap"],
-        seed=int(doc["seed"]),
+        seed=json_int(doc["seed"], "seed"),
     )
 
 
@@ -508,8 +498,7 @@ def save_model(forest: RandomForest, schema, path: str | Path) -> None:
         "right": forest.right.tolist(),
         "counts": forest.counts.ravel().tolist(),
     }
-    text = json.dumps(doc, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_json(path, doc, indent=None)
 
 
 def load_model(path: str | Path, schema) -> RandomForest:
@@ -519,14 +508,7 @@ def load_model(path: str | Path, schema) -> RandomForest:
     range nor loop: every split names a schema column and both its children
     lie after it.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ModelError(f"cannot read model {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != MODEL_VERSION:
-        raise ModelError(
-            f"unsupported model format in {path}; retrain to write version {MODEL_VERSION}"
-        )
+    doc = read_json(path, "model", ModelError, MODEL_VERSION)
     digest = doc.get("schema_digest")
     if digest != schema.digest():
         raise ModelError(
@@ -535,7 +517,7 @@ def load_model(path: str | Path, schema) -> RandomForest:
         )
     try:
         params = params_from_dict(doc["params"])
-        classes = tuple(int(c) for c in doc["classes"])
+        classes = tuple(json_int(c, "class id") for c in doc["classes"])
         roots = np.asarray(doc["roots"], dtype=np.intp)
         feature = np.asarray(doc["feature"], dtype=np.intp)
         threshold = np.asarray(doc["threshold"], dtype=np.float64)

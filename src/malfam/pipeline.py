@@ -6,7 +6,6 @@ directly.  Every artifact written here is byte-stable for a fixed
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,7 +31,7 @@ from .forest import (
     params_to_dict,
     save_model,
 )
-from .util import mix_seed
+from .util import mix_seed, write_json
 
 log = logging.getLogger(__name__)
 
@@ -234,9 +233,7 @@ def save_train_dir(
         metrics_doc["grid"] = [
             {"params": params_to_dict(p), "cv_accuracy": a} for p, a in result.grid
         ]
-    (out / METRICS_FILE).write_text(
-        json.dumps(metrics_doc, indent=1) + "\n", encoding="utf-8"
-    )
+    write_json(out / METRICS_FILE, metrics_doc)
 
 
 @dataclass(frozen=True)

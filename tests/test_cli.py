@@ -437,7 +437,9 @@ def test_unreadable_config_is_a_data_error(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc", [{"selection": []}, {"caps": []}, {"forest": 3}])
+@pytest.mark.parametrize("doc", [
+    {"selection": []}, {"caps": []}, {"forest": 3}, {"forest": {"n_trees": 7.9}},
+])
 def test_config_of_wrong_shape_is_a_data_error(tmp_path, capsys, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

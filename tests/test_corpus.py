@@ -1,6 +1,7 @@
 """Corpus plumbing tests: label CSVs, scanning, splitting, manifest I/O."""
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -180,6 +181,36 @@ def test_load_manifest_rejects_garbage(tmp_path):
     bad.write_text('{"version": 1, "samples": [{"id": "x"}]}', encoding="utf-8")
     with pytest.raises(CorpusError):
         load_manifest(bad)
+
+
+@pytest.mark.parametrize("change", [
+    {"version": 99},
+    {"samples": [{"id": "x", "asm": "x.asm", "label": "3"}]},
+    {"samples": [{"id": "x", "asm": "x.asm", "label": True}]},
+    {"samples": [{"id": "x", "asm": "x.asm", "label": 10}]},
+    {"samples": [{"id": "x", "asm": "x.asm", "label": 2.5}]},
+    {"samples": [{"id": "", "asm": "x.asm", "label": 1}]},
+    {"samples": [{"id": 7, "asm": "x.asm", "label": 1}]},
+], ids=[
+    "version-99", "label-string", "label-bool", "label-not-a-family", "label-fraction",
+    "id-empty", "id-number",
+])
+def test_load_manifest_refuses_bad_fields(tmp_path, change):
+    doc = {"version": 1, "root": str(tmp_path), "samples": [], **change}
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(str(bad))):
+        load_manifest(bad)
+
+
+def test_load_manifest_keeps_integral_and_missing_labels(tmp_path):
+    doc = {"version": 1, "root": str(tmp_path), "samples": [
+        {"id": "a", "asm": "a.asm", "label": 3.0},
+        {"id": "b", "asm": "b.asm", "label": None},
+    ]}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert [s.label for s in load_manifest(path).samples] == [3, None]
 
 
 def test_sample_requires_some_artifact():

@@ -103,34 +103,32 @@ def test_file_size_unreadable_names_sample(tmp_path):
 # complexity
 # ---------------------------------------------------------------------------
 
-def test_complexity_repetitive_vs_random(tmp_path):
+def test_complexity_repetitive_vs_random():
     line = b".text:00401000 B8 01 00 00 00 mov eax, 1\n"
     repetitive = line * (1_048_576 // len(line) + 1)
     rng = np.random.default_rng(0)
     random_hex = rng.bytes(524_289).hex().upper().encode()[:1_048_576]
 
-    rep = feat_complexity(sample_with(tmp_path, "rep", asm=repetitive))
-    rnd = feat_complexity(sample_with(tmp_path, "rnd", asm=random_hex))
+    rep = feat_complexity(repetitive, None)
+    rnd = feat_complexity(random_hex, None)
     assert rep[2] > 20
     assert rnd[2] < 4
     assert rnd[2] < rep[2]
 
 
-def test_complexity_matches_compressor_oracle(tmp_path):
+def test_complexity_matches_compressor_oracle():
     payload = b"some listing body\n" * 37
-    sample = sample_with(tmp_path, asm=payload)
     expect_comp = len(zlib.compress(payload, 6))
-    got = feat_complexity(sample)
+    got = feat_complexity(payload, None)
     assert got[0] == len(payload)
     assert got[1] == expect_comp
     assert got[2] == len(payload) / expect_comp
     assert got[3:].tolist() == [0.0, 0.0, 0.0]  # no dump file
 
 
-def test_complexity_empty_file(tmp_path):
-    sample = sample_with(tmp_path, asm=b"")
+def test_complexity_empty_file():
     empty_stream = len(zlib.compress(b"", 6))
-    assert feat_complexity(sample)[:3].tolist() == [0.0, float(empty_stream), 0.0]
+    assert feat_complexity(b"", None)[:3].tolist() == [0.0, float(empty_stream), 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +566,9 @@ def reference_assemble(
         if group == GROUP_FILE_SIZE:
             full = feat_file_size(sample)
         elif group == GROUP_COMPLEXITY:
-            full = feat_complexity(sample)
+            full = feat_complexity(
+                *(p.read_bytes() if p else None for p in (sample.asm_path, sample.bytes_path))
+            )
         elif group == GROUP_SECTION_SIZE:
             full = feat_section_size(stats, vocab.section_names)
         elif group == GROUP_SECTION_PERM:

@@ -834,12 +834,16 @@ def set_right(doc, value):
     lambda d: d["params"].update(bootstrap="false"),
     lambda d: d["params"].update(features_per_split=True),
     lambda d: d.update(params=[]),
+    lambda d: d["params"].update(n_trees=d["params"]["n_trees"] + 0.5),
+    lambda d: d["params"].update(seed=True),
+    lambda d: d["classes"].__setitem__(0, True),
 ], ids=[
     "version-1", "dim-past-schema", "dim-below-leaf-mark", "child-out-of-range",
     "child-is-parent", "child-before-parent", "child-missing", "counts-too-wide",
     "counts-negative", "too-few-roots", "too-many-roots", "roots-decreasing",
     "short-threshold", "feature-not-int", "left-absent", "bootstrap-string",
-    "features-per-split-bool", "params-list",
+    "features-per-split-bool", "params-list", "n-trees-fraction", "seed-bool",
+    "class-id-bool",
 ])
 def test_model_rejects_malformed_node_arrays(tmp_path, corrupt):
     doc, schema = saved_model_doc(tmp_path)

@@ -1,6 +1,8 @@
 """Config plumbing and end-to-end pipeline tests (vocab -> selection -> forest)."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,13 @@ from malfam.config import (
     save_config,
     with_overrides,
 )
-from malfam.errors import MalfamError, ModelError, TrainingError
+from malfam.errors import CorpusError, MalfamError, ModelError, TrainingError
 from malfam.features import (
     build_vocab,
     build_schema,
     extract_matrix,
     load_selection,
+    load_vocab,
     save_selection,
     VocabCaps,
 )
@@ -27,7 +30,7 @@ from malfam.features.schema import (
     GROUP_SECTION_SIZE,
     group_of_dim,
 )
-from malfam.forest import ForestParams, predict_proba
+from malfam.forest import ForestParams, load_model, predict_proba
 from malfam.pipeline import (
     compute_selection,
     fit_pipeline,
@@ -36,7 +39,8 @@ from malfam.pipeline import (
     subset_columns,
     train_pipeline,
 )
-from malfam.corpus import stratified_split
+from malfam.corpus import load_manifest, stratified_split
+from malfam.util import json_int
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +98,15 @@ def test_config_rejects_bad_values():
     {"binary_ngrams": "false"},
     {"forest": {"bootstrap": "false"}},
     {"forest": {"features_per_split": True}},
+    {"selection": {"section_size": True}},
+    {"folds": 2.9},
+    {"forest": {"n_trees": 7.9}},
+    {"caps": {"sections": True}},
+    {"seed": "3"},
 ], ids=[
     "selection-list", "caps-list", "forest-number", "binary-ngrams-string",
-    "bootstrap-string", "features-per-split-bool",
+    "bootstrap-string", "features-per-split-bool", "selection-bool", "folds-fraction",
+    "n-trees-fraction", "caps-bool", "seed-string",
 ])
 def test_config_rejects_wrong_json_types(doc):
     with pytest.raises(MalfamError, match="invalid config"):
@@ -107,6 +117,32 @@ def test_config_reads_forest_params_like_the_model():
     config = config_from_dict({"forest": {"features_per_split": 5.0, "bootstrap": False}})
     assert config.forest == ForestParams(features_per_split=5, bootstrap=False)
     assert type(config_to_dict(config)["forest"]["features_per_split"]) is int
+    config = config_from_dict({"folds": 3.0, "caps": {"sections": 9.0}})
+    assert (config.folds, config.caps.sections) == (3, 9)
+    assert type(config.folds) is int and type(config.caps.sections) is int
+
+
+def test_json_int_takes_integral_numbers_only():
+    assert json_int(7, "n") == 7
+    assert json_int(-2.0, "n") == -2 and type(json_int(-2.0, "n")) is int
+    for value in (True, False, 7.9, "7", None, [7], math.inf, math.nan):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            json_int(value, "n")
+
+
+@pytest.mark.parametrize("what, error, load", [
+    ("config", MalfamError, load_config),
+    ("vocabulary", CorpusError, load_vocab),
+    ("selection", MalfamError, load_selection),
+    ("model", ModelError, lambda path: load_model(path, schema=None)),
+    ("manifest", CorpusError, load_manifest),
+])
+def test_loaders_refuse_a_top_level_array(tmp_path, what, error, load):
+    path = tmp_path / f"{what}.json"
+    path.write_text('[{"version": 1}]', encoding="utf-8")
+    with pytest.raises(MalfamError, match=f"malformed {what} .*: not a JSON object") as info:
+        load(path)
+    assert info.type is error
 
 
 def test_config_overrides_steer_both_seeds():
