@@ -304,10 +304,11 @@ def cmd_eval(ns: argparse.Namespace, config: RunConfig) -> int:
     bundle = load_model_dir(ns.model_dir)
     if ns.matrix:
         matrix = load_matrix_csv(ns.matrix)
-        if matrix.schema.digest() != bundle.schema.digest():
+        digest, expected = matrix.schema.digest(), bundle.schema.digest()
+        if digest != expected:
             raise ModelError(
                 f"matrix {ns.matrix} was extracted under a different schema "
-                f"(digest {matrix.schema.digest()} != {bundle.schema.digest()})"
+                f"(digest {digest} != {expected})"
             )
     else:
         manifest = _scan(ns.corpus, _find_labels(Path(ns.corpus), ns.labels, required=True))

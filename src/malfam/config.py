@@ -69,11 +69,31 @@ def _object(doc: Mapping, key: str, default: Mapping) -> Mapping:
     return value
 
 
+def _number(value, what: str) -> float:
+    """A JSON number field, never a boolean or a string."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"{what} must be a number, not {value!r}")
+
+
+def _string(value, what: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise TypeError(f"{what} must be a string, not {value!r}")
+
+
+def _strings(value, what: str) -> tuple[str, ...]:
+    if isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
+        return tuple(value)
+    raise TypeError(f"{what} must be a list of strings, not {value!r}")
+
+
 def config_from_dict(doc: Mapping) -> RunConfig:
     if not isinstance(doc, Mapping):
         raise MalfamError("config must be a JSON object")
-    if doc.get("version", CONFIG_VERSION) != CONFIG_VERSION:
-        raise MalfamError(f"unsupported config version {doc.get('version')!r}")
+    version = doc.get("version", CONFIG_VERSION)
+    if type(version) is not int or version != CONFIG_VERSION:
+        raise MalfamError(f"unsupported config version {version!r}")
     defaults = RunConfig()
     try:
         caps_doc = _object(doc, "caps", {})
@@ -88,15 +108,16 @@ def config_from_dict(doc: Mapping) -> RunConfig:
         if not isinstance(binary_ngrams, bool):
             raise TypeError("binary_ngrams must be true or false")
         return RunConfig(
-            groups=tuple(doc.get("groups", defaults.groups)),
+            groups=_strings(doc.get("groups", defaults.groups), "groups"),
             caps=caps,
             selection=selection,
-            train_fraction=float(doc.get("train_fraction", defaults.train_fraction)),
+            train_fraction=_number(doc.get("train_fraction", defaults.train_fraction),
+                                   "train_fraction"),
             folds=json_int(doc.get("folds", defaults.folds), "folds"),
             forest=forest,
             seed=json_int(doc.get("seed", defaults.seed), "seed"),
             threads=json_int(doc.get("threads", defaults.threads), "threads"),
-            prefer=str(doc.get("prefer", defaults.prefer)),
+            prefer=_string(doc.get("prefer", defaults.prefer), "prefer"),
             binary_ngrams=binary_ngrams,
         )
     except (TypeError, ValueError) as exc:

@@ -55,7 +55,6 @@ from .schema import (
     GROUP_SECTION_PERM,
     GROUP_SECTION_SIZE,
     PERM_ORDER,
-    group_dims,
 )
 
 N_GRAM = 4
@@ -356,9 +355,10 @@ class ColumnLookup:
 def compile_columns(schema: FeatureSchema, vocab) -> ColumnLookup:
     """Map every schema column to the vocabulary token or group position it reads.
 
-    A column is matched through its dimension name, as `group_dims` spells
-    it; when two tokens share a name the later one wins.  Raises ValueError
-    for a column that no token of the vocabulary names.
+    A column is matched through its dimension name, read from the same
+    `Vocabulary.dims` tuple the schema was built from; when two tokens share
+    a name the later one wins.  Raises ValueError for a column that no token
+    of the vocabulary names.
     """
     cols_of: dict[str, list[int]] = {}
     for col, group in enumerate(schema.groups):
@@ -367,7 +367,7 @@ def compile_columns(schema: FeatureSchema, vocab) -> ColumnLookup:
     dense = []
     token_cols: dict[str, dict] = {}
     for group in groups:
-        names = group_dims(group, vocab)
+        names = vocab.dims(group)
         token_field = _TOKEN_FIELDS.get(group)
         by_name = dict(zip(names, getattr(vocab, token_field) if token_field else range(len(names))))
         cols = cols_of[group]

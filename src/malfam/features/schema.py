@@ -1,16 +1,18 @@
 """Feature schema: dimension names, group layout, digest.
 
 Seven groups in a fixed order; every dimension name carries a group prefix so
-a matrix column maps back to its group without side tables.
+a matrix column maps back to its group without side tables.  `group_dims`
+spells a group's full names under a vocabulary; `Vocabulary.dims` keeps what
+it built, so a schema and the column lookup compiled for it read one tuple.
+The digest binds a model to its schema: BLAKE2b-64 over the names.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 import numpy as np
-
-from ..util import fnv1a64
 
 SCHEMA_VERSION = 1
 
@@ -95,8 +97,9 @@ class FeatureSchema:
         return len(self.names)
 
     def digest(self) -> str:
-        """64-bit FNV-1a over the dimension-name list, as 16 hex chars."""
-        return f"{fnv1a64(self.names):016x}"
+        """BLAKE2b-64 over each name's UTF-8 bytes followed by a NUL, as 16 hex chars."""
+        data = "\0".join((*self.names, "")).encode("utf-8")
+        return hashlib.blake2b(data, digest_size=8).hexdigest()
 
     def group_indices(self, group: str) -> np.ndarray:
         return np.flatnonzero(np.asarray(self.groups, dtype=object) == group)
@@ -153,7 +156,7 @@ def build_schema(
     for group in GROUP_ORDER:
         if group not in enabled:
             continue
-        dims = group_dims(group, vocab)
+        dims = vocab.dims(group)
         if selection and group in selection:
             chosen = tuple(selection[group])
             bad = set(chosen) - set(dims)

@@ -7,7 +7,7 @@ capped.  Ties break lexicographically so the cut is reproducible.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from collections.abc import Sequence
@@ -21,6 +21,7 @@ from .schema import (
     GROUP_OPCODE_4GRAM,
     GROUP_ORDER,
     GROUP_SECTION_SIZE,
+    group_dims,
 )
 
 # the groups whose dimensions a vocabulary names
@@ -51,6 +52,18 @@ class Vocabulary:
     api_grams: tuple[tuple[str, ...], ...] = ()
     opcode_grams: tuple[tuple[str, ...], ...] = ()
     version: int = VOCAB_VERSION
+    # group -> its full dimension names, filled by `dims`; two threads that
+    # miss together build equal tuples, and either may stay
+    _dims: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def dims(self, group: str) -> tuple[str, ...]:
+        """The group's full (pre-selection) dimension names, built on first use."""
+        names = self._dims.get(group)
+        if names is None:
+            names = self._dims[group] = group_dims(group, self)
+        return names
 
 
 def _top_k(freq: Counter, cap: int) -> list:
@@ -95,12 +108,24 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
     write_json(path, doc)
 
 
-# json.loads yields exact lists and strs; the type sets keep these checks out
-# of the interpreter loop, since a default vocabulary holds 40k gram tokens
+# json.loads yields exact lists and strs; the type sets and the one join keep
+# these checks out of the interpreter loop, since a default vocabulary holds
+# 40k gram tokens
+def _utf8(tokens, key: str, path) -> None:
+    """Refuse a token UTF-8 cannot encode (a lone surrogate such as "\\ud800")."""
+    try:
+        "".join(tokens).encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusError(
+            f"malformed vocabulary {path}: {key} holds a token that is not valid UTF-8"
+        ) from None
+
+
 def _strings(doc: dict, key: str, path) -> tuple[str, ...]:
     items = doc[key]
     if not (isinstance(items, list) and set(map(type, items)) <= {str}):
         raise CorpusError(f"malformed vocabulary {path}: {key} must be a list of strings")
+    _utf8(items, key, path)
     return tuple(items)
 
 
@@ -115,6 +140,7 @@ def _grams(doc: dict, key: str, path) -> tuple[tuple[str, ...], ...]:
         raise CorpusError(
             f"malformed vocabulary {path}: {key} must be a list of {N_GRAM}-string lists"
         )
+    _utf8(chain.from_iterable(items), key, path)
     return tuple(map(tuple, items))
 
 

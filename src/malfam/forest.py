@@ -33,7 +33,7 @@ from .errors import ModelError, TrainingError
 from .families import family_name
 from .util import json_int, mix_seed, read_json, write_json
 
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 FEATURE_RULES = ("sqrt", "third")
 
@@ -509,11 +509,11 @@ def load_model(path: str | Path, schema) -> RandomForest:
     lie after it.
     """
     doc = read_json(path, "model", ModelError, MODEL_VERSION)
-    digest = doc.get("schema_digest")
-    if digest != schema.digest():
+    digest, expected = doc.get("schema_digest"), schema.digest()
+    if digest != expected:
         raise ModelError(
             f"model {path} was trained on a different feature schema "
-            f"(digest {digest} != {schema.digest()})"
+            f"(digest {digest} != {expected})"
         )
     try:
         params = params_from_dict(doc["params"])

@@ -1,5 +1,5 @@
-"""Small shared helpers: stable hashing, seed derivation, canonical names,
-and the one JSON codec every artifact is read and written through."""
+"""Small shared helpers: seed derivation, canonical names, and the one JSON
+codec every artifact is read and written through."""
 from __future__ import annotations
 
 import json
@@ -14,8 +14,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 def fnv1a64(parts: Iterable[str | int]) -> int:
     """64-bit FNV-1a over the UTF-8 bytes of each part, NUL-separated.
 
-    Used both for the feature-schema digest and for deriving child RNG seeds;
-    must stay platform-stable, so no use of Python's salted hash().
+    The seed derivation behind `mix_seed`: every tree, fold, split and
+    synthetic id hangs off it, so it must stay platform-stable (no salted
+    hash()) and must not change.
     """
     h = _FNV_OFFSET
     for part in parts:

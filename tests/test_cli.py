@@ -358,6 +358,20 @@ def test_classify_rejects_malformed_vocabulary(cli_env, tmp_path, capsys):
     assert "error: malformed vocabulary" in capsys.readouterr().err
 
 
+def test_classify_rejects_vocabulary_token_that_is_not_utf8(cli_env, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(cli_env["model"], model)
+    doc = json.loads((model / "vocab.json").read_text(encoding="utf-8"))
+    doc["section_names"].append("\ud800x")  # a lone surrogate, written as an escape
+    (model / "vocab.json").write_text(json.dumps(doc), encoding="utf-8")
+    asm = sorted(cli_env["corpus"].glob("*.asm"))[0]
+    code = main(["classify", "--quiet", "--model-dir", str(model), str(asm)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed vocabulary")
+    assert "not valid UTF-8" in err
+
+
 @pytest.mark.parametrize("name", ["vocab.json", "config.json", "model.json", "selection.json"])
 def test_classify_undecodable_model_file_is_a_data_error(cli_env, tmp_path, capsys, name):
     model = tmp_path / "model"
@@ -439,6 +453,8 @@ def test_unreadable_config_is_a_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc", [
     {"selection": []}, {"caps": []}, {"forest": 3}, {"forest": {"n_trees": 7.9}},
+    {"train_fraction": "0.5"}, {"groups": {"file_size": 1, "complexity": 2}},
+    {"prefer": ["pe"]},
 ])
 def test_config_of_wrong_shape_is_a_data_error(tmp_path, capsys, doc):
     path = tmp_path / "config.json"
@@ -446,3 +462,12 @@ def test_config_of_wrong_shape_is_a_data_error(tmp_path, capsys, doc):
     code = main(["gen", "--synthetic", "--config", str(path), "--out", str(tmp_path / "c")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: invalid config")
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_config_version_must_be_an_exact_integer(tmp_path, capsys, version):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"version": version}), encoding="utf-8")
+    code = main(["gen", "--synthetic", "--config", str(path), "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: unsupported config version")

@@ -3,6 +3,7 @@ vocabulary ranking rules, schema arithmetic, and importance-based selection."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import zlib
@@ -353,6 +354,30 @@ def test_load_vocab_rejects_wrongly_typed_entries(tmp_path, key, value):
         load_vocab(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("section_names", ["text", "\ud800x"]),
+        ("libraries", ["\udfff"]),
+        ("api_grams", [["a", "b", "c", "\ud83d"]]),
+        ("opcode_grams", [["\udc00", "p", "q", "r"]]),
+    ],
+)
+def test_load_vocab_rejects_lone_surrogates(tmp_path, key, value):
+    doc = {"version": 1, "section_names": [], "libraries": [], "api_grams": [], "opcode_grams": []}
+    doc[key] = value
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # ASCII text with \uXXXX escapes
+    with pytest.raises(CorpusError, match=f"malformed vocabulary .*{key} .*not valid UTF-8"):
+        load_vocab(path)
+
+
+def test_load_vocab_keeps_non_ascii_tokens(tmp_path):
+    vocab = Vocabulary(section_names=("t\u00e9xt",), libraries=("\U0001f600",))
+    save_vocab(vocab, tmp_path / "vocab.json")
+    assert load_vocab(tmp_path / "vocab.json") == vocab
+
+
 # ---------------------------------------------------------------------------
 # schema arithmetic
 # ---------------------------------------------------------------------------
@@ -414,6 +439,19 @@ def test_schema_digest_tracks_names():
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
     assert len(a.digest()) == 16
+
+
+@pytest.mark.parametrize("names, groups", [
+    ((), ()),
+    (("fsz_asm",), (GROUP_FILE_SIZE,)),
+    (("fsz_asm", "lib_K\u00dcRNEL", "opc_a|b|c|d"),
+     (GROUP_FILE_SIZE, GROUP_IMPORT_LIB, GROUP_OPCODE_4GRAM)),
+], ids=["empty", "one-name", "non-ascii"])
+def test_schema_digest_is_blake2b_64_of_nul_terminated_names(names, groups):
+    stream = b"".join(name.encode("utf-8") + b"\x00" for name in names)
+    expected = hashlib.blake2b(stream, digest_size=8).hexdigest()
+    assert FeatureSchema(names, groups).digest() == expected
+    assert len(expected) == 16
 
 
 def test_schema_rejects_duplicate_names():

@@ -11,10 +11,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import malfam.features
 from malfam import forest as forest_module
+from malfam.config import RunConfig, save_config
 from malfam.errors import ModelError, TrainingError
-from malfam.features import Vocabulary, build_schema
+from malfam.features import Vocabulary, assemble, build_schema, save_vocab
+from malfam.features import extract as extract_module
+from malfam.features import schema as schema_module
+from malfam.features import vocab as vocab_module
+from malfam.features.schema import GROUP_ORDER
 from malfam.forest import (
+    MODEL_VERSION,
     ForestParams,
     Metrics,
     RandomForest,
@@ -32,6 +39,7 @@ from malfam.forest import (
     predict_proba,
     save_model,
 )
+from malfam.pipeline import CONFIG_FILE, MODEL_FILE, VOCAB_FILE, load_model_dir
 from malfam.util import mix_seed
 
 
@@ -852,6 +860,57 @@ def test_model_rejects_malformed_node_arrays(tmp_path, corrupt):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ModelError):
         load_model(path, schema)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_model_refuses_earlier_formats_for_retraining(tmp_path, version):
+    # version 2 stored an FNV-1a schema digest, version 1 nested trees
+    doc, schema = saved_model_doc(tmp_path)
+    assert doc["version"] == MODEL_VERSION == 3
+    doc["version"] = version
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(
+        ModelError,
+        match=f"unsupported model format in .*: version {version}, this build reads 3",
+    ):
+        load_model(path, schema)
+
+
+def test_model_dir_load_and_first_assemble_build_each_groups_names_once(
+    tmp_path, small_corpus, monkeypatch
+):
+    vocab = Vocabulary(
+        section_names=("text", "data"),
+        libraries=("KERNEL32", "USER32"),
+        api_grams=(("a", "b", "c", "d"),),
+        opcode_grams=(("push", "mov", "call", "ret"), ("mov", "call", "ret", "push")),
+    )
+    schema = build_schema(vocab)
+    rng = np.random.default_rng(21)
+    forest = fit_forest(
+        rng.normal(size=(30, len(schema))), rng.integers(1, 4, size=30),
+        ForestParams(n_trees=2, seed=3),
+    )
+    save_config(RunConfig(), tmp_path / CONFIG_FILE)
+    save_vocab(vocab, tmp_path / VOCAB_FILE)
+    save_model(forest, schema, tmp_path / MODEL_FILE)
+
+    built = []
+    original = schema_module.group_dims
+
+    def counting(group, vocab):
+        built.append(group)
+        return original(group, vocab)
+
+    # every binding a caller could reach the builder through
+    for module in (schema_module, vocab_module, extract_module, malfam.features):
+        monkeypatch.setattr(module, "group_dims", counting, raising=False)
+    monkeypatch.setattr(extract_module, "_last_lookup", None)
+    bundle = load_model_dir(tmp_path)
+    for sample in small_corpus.samples[:2]:
+        assemble(sample, bundle.schema, bundle.vocab)
+    assert sorted(built) == sorted(GROUP_ORDER)
 
 
 def test_deep_tree_round_trips_under_default_recursion_limit(tmp_path):

@@ -103,14 +103,30 @@ def test_config_rejects_bad_values():
     {"forest": {"n_trees": 7.9}},
     {"caps": {"sections": True}},
     {"seed": "3"},
+    {"train_fraction": "0.5"},
+    {"train_fraction": True},
+    {"train_fraction": None},
+    {"groups": {"file_size": 1, "complexity": 2}},
+    {"groups": "file_size"},
+    {"groups": ["file_size", 2]},
+    {"prefer": 1},
+    {"prefer": ["pe"]},
 ], ids=[
     "selection-list", "caps-list", "forest-number", "binary-ngrams-string",
     "bootstrap-string", "features-per-split-bool", "selection-bool", "folds-fraction",
-    "n-trees-fraction", "caps-bool", "seed-string",
+    "n-trees-fraction", "caps-bool", "seed-string", "train-fraction-string",
+    "train-fraction-bool", "train-fraction-null", "groups-object", "groups-string",
+    "groups-number-entry", "prefer-number", "prefer-list",
 ])
 def test_config_rejects_wrong_json_types(doc):
     with pytest.raises(MalfamError, match="invalid config"):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None, 2])
+def test_config_version_must_be_the_exact_integer(version):
+    with pytest.raises(MalfamError, match="unsupported config version"):
+        config_from_dict({"version": version})
 
 
 def test_config_reads_forest_params_like_the_model():
