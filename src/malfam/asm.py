@@ -15,11 +15,21 @@ is an uppercase hex pair or ``??``.  Data directives are printed lowercase
 and "DD" would be valid hex pairs.
 
 `scan_listing` is the one reader the feature pipeline uses: a single pass
-over ``text.splitlines()`` that matches each line once against one regex and
-folds it straight into the aggregates the features need (segments, dumped
-bytes per section, imports, the opcode and API streams, the failure count),
-so no per-line object is built and memory stays a small multiple of the text
-on multi-MB listings.  The line reader -- `parse_line`, and
+over ``text.splitlines()`` that folds each line straight into the aggregates
+the features need (segments, dumped bytes per section, imports, the opcode
+and API streams, the failure count), so no per-line object is built and
+memory stays a small multiple of the text on multi-MB listings.  Listings
+repeat the same line body (the text after the first space) over and over,
+with only the ``section:address`` head changing, so the scan parses each
+distinct body once: it matches a line against the one line regex, and when
+the matched address ends at the first space it remembers what the body
+gives the fold.  The rest of the match depends only on the text after the
+address, so a later line with that body and a head of the same shape (a
+section name without whitespace or ':', then 1-16 hex digits) takes the
+remembered entry and parses only its head.  Any other line goes through the
+regex.  The memo holds at most 4,096 bodies per call and is dropped when it
+fills while rarely answering, so a listing of distinct bodies costs little
+more than matching every line.  The line reader -- `parse_line`, and
 `parse_listing`/`load_listing` producing `AsmLine` objects -- parses the same
 grammar one line at a time; the tests fold its lines into a `ListingScan` of
 their own and require it to equal the scanner's.
@@ -54,6 +64,16 @@ _LINE_RE = re.compile(
     r"[^;]*(?:;(.*))?",
     re.DOTALL,
 )
+# what scan_listing checks a line's head against before it reuses a memoised
+# body: the section and address classes of _LINE_RE
+_SECTION_NAME_RE = re.compile(r"[^\s:]+")
+_HEX_DIGITS = "0123456789ABCDEFabcdef"
+# distinct line bodies scan_listing remembers per call, so memory stays
+# bounded: bodies past the cap are parsed, not remembered.  A memo that fills
+# having answered fewer than a quarter as many lines as it holds (a hit rate
+# under a fifth, about where the lookups cost what the hits save) is dropped
+# for the rest of the call.
+_BODY_MEMO_CAP = 4096
 
 _CALL_MNEMONICS = frozenset({"call", "jmp"})
 
@@ -244,8 +264,15 @@ class ListingScan:
 def scan_listing(text: str) -> ListingScan:
     """Read a whole listing in one pass, keeping only the aggregates.
 
-    Splits lines exactly as `parse_listing` does and matches each one once
-    against `_LINE_RE`.  Never raises.  The rules of the fold:
+    Splits lines exactly as `parse_listing` does and parses each distinct
+    line body once.  A line is split at its first space into head and body.
+    A body seen before, behind a head that is a section name without
+    whitespace or ':' and 1-16 hex digits, reuses the remembered entry: the
+    groups `_LINE_RE` takes after the address depend only on the text after
+    it, so the entry is the same whatever the head.  Every other line is
+    matched against `_LINE_RE`, and its entry is remembered when the
+    address ended at the first space, up to `_BODY_MEMO_CAP` bodies.  Never
+    raises.  The rules of the fold:
 
     - A segment spans its lowest address to the end of its farthest line (a
       line covers its byte count, at least 1).  Its permissions come from the
@@ -276,6 +303,13 @@ def scan_listing(text: str) -> ListingScan:
     failures = 0
     # raw mnemonic -> lowercase, so every repeat shares one string object
     lowered: dict[str, str] = {}
+    # line body (the text after the first space) -> what the fold takes from
+    # it: span, known bytes, lowercase mnemonic, call/jmp/extrn operands and
+    # comment, each stripped; None once dropped (see _BODY_MEMO_CAP)
+    memo: dict[str, tuple[int, int, str | None, str | None, str | None]] | None = {}
+    hits = 0  # lines the memo answered
+    # the last section name seen and its canonical form; only names that
+    # match [^\s:]+ are ever kept here
     raw_section = section = None
     # the segment being folded: name, start, end, declared perms, dumped bytes
     run_name: str | None = None
@@ -284,12 +318,50 @@ def scan_listing(text: str) -> ListingScan:
 
     match = _LINE_RE.match
     for line in text.splitlines():
-        m = match(line)
-        if m is None:
-            if line and not line.isspace():
-                failures += 1
-            continue
-        name, address, byte_run, mnemonic, operands, comment = m.groups()
+        entry = None
+        if memo is not None:
+            head, _, body = line.partition(" ")
+            entry = memo.get(body)
+            if entry is not None:
+                # a hit stands only if _LINE_RE would end the prefix at the
+                # first space: a section with no whitespace, then 1-16 hex digits
+                name, _, address = head.partition(":")
+                if (
+                    0 < len(address) <= 16
+                    and not address.strip(_HEX_DIGITS)
+                    and (name == raw_section or _SECTION_NAME_RE.fullmatch(name))
+                ):
+                    hits += 1
+                    span, known, low, operands, comment = entry
+                else:
+                    entry = None
+        if entry is None:
+            m = match(line)
+            if m is None:
+                if line and not line.isspace():
+                    failures += 1
+                continue
+            name, address, byte_run, mnemonic, operands, comment = m.groups()
+            if byte_run:
+                span = len(byte_run.split())
+                known = span - byte_run.count("??")
+            else:
+                span, known = 1, 0
+            low = None
+            if mnemonic is not None:
+                low = lowered.get(mnemonic)
+                if low is None:
+                    low = lowered[mnemonic] = mnemonic.lower()
+                operands = operands.strip() if low == "extrn" or low in _CALL_MNEMONICS else None
+            if comment is not None:
+                comment = comment.strip()
+            # the groups after the prefix depend only on the text after it,
+            # so a body whose prefix ended at the first space parses alike
+            # behind any head that passes the check above
+            if memo is not None and len(memo) < _BODY_MEMO_CAP and m.end(2) == len(head):
+                memo[body] = (span, known, low, operands, comment)
+                if len(memo) == _BODY_MEMO_CAP and 4 * hits < _BODY_MEMO_CAP:
+                    memo = None
         if name != raw_section:
             raw_section, section = name, canonical_section(name)
         if not section:
@@ -297,13 +369,7 @@ def scan_listing(text: str) -> ListingScan:
             continue
 
         address = int(address, 16)
-        if byte_run:
-            n_bytes = len(byte_run.split())
-            known = n_bytes - byte_run.count("??")
-            end = address + n_bytes
-        else:
-            known = 0
-            end = address + 1
+        end = address + span
         if section != run_name:
             if run_name is not None:
                 segments.append(_segment(run_name, run_start, run_end, run_perms))
@@ -316,23 +382,17 @@ def scan_listing(text: str) -> ListingScan:
                 run_end = end
             run_known += known
 
-        if comment is not None:
-            comment = comment.strip()
-            if comment:
-                if run_perms is None:
-                    run_perms = _declared_perms(comment)
-                libraries.add(_import_library(comment))
+        if comment:
+            if run_perms is None:
+                run_perms = _declared_perms(comment)
+            libraries.add(_import_library(comment))
 
-        if mnemonic is not None:
-            low = lowered.get(mnemonic)
-            if low is None:
-                low = lowered[mnemonic] = mnemonic.lower()
+        if low is not None:
             opcodes.append(low)
-            if low == "extrn" or low in _CALL_MNEMONICS:
-                operands = operands.strip()
-                if operands and low == "extrn":
+            if operands:
+                if low == "extrn":
                     symbols.add(_extern_symbol(operands))
-                elif operands:
+                else:
                     call_operands.append(operands)
 
     if run_name is not None:

@@ -361,7 +361,7 @@ def _paths_to_samples(paths: list[str]) -> list[Sample]:
 def cmd_classify(ns: argparse.Namespace, config: RunConfig) -> int:
     bundle = load_model_dir(ns.model_dir)
     samples = _paths_to_samples(ns.paths)
-    results: list[tuple[str, list[float]]] = []
+    results: list[tuple[str, list[float], int]] = []
     failed = 0
     for sample in samples:
         try:
@@ -371,24 +371,25 @@ def cmd_classify(ns: argparse.Namespace, config: RunConfig) -> int:
                 binary_ngrams=bundle.config.binary_ngrams,
             )
             probs = predict_proba(bundle.forest, vector.values)
-            results.append((sample.id, [float(p) for p in probs]))
+            results.append((sample.id, [float(p) for p in probs], vector.parse_failures))
         except MalfamError as exc:
             failed += 1
             print(f"error: {sample.id}: {exc}", file=sys.stderr)
     classes = bundle.forest.classes
     if ns.json:
         doc = []
-        for sample_id, probs in results:
+        for sample_id, probs, parse_failures in results:
             best = max(range(len(classes)), key=lambda i: (probs[i], -classes[i]))
             doc.append({
                 "id": sample_id,
                 "prediction": classes[best],
                 "family": family_name(classes[best]),
                 "probabilities": {str(c): probs[i] for i, c in enumerate(classes)},
+                "parse_failures": parse_failures,
             })
         print(json.dumps(doc, indent=1))
     else:
-        for block, (sample_id, probs) in enumerate(results):
+        for block, (sample_id, probs, _) in enumerate(results):
             if len(samples) > 1:
                 if block:
                     print()

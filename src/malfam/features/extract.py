@@ -423,8 +423,9 @@ def assemble(
         raise ExtractionError(f"vocabulary version {vocab.version} unsupported")
 
     lookup = _lookup_for(schema, vocab)
-    values = lookup.project(digest_sample(sample, lookup.groups, prefer), binary_ngrams)
+    digest = digest_sample(sample, lookup.groups, prefer)
+    values = lookup.project(digest, binary_ngrams)
     if not np.isfinite(values).all():
         bad = schema.names[int(np.flatnonzero(~np.isfinite(values))[0])]
         raise ExtractionError(f"sample {sample.id}: non-finite value in {bad}")
-    return FeatureVector(values=values)
+    return FeatureVector(values=values, parse_failures=digest.parse_failures)

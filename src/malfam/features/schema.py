@@ -8,11 +8,17 @@ The digest binds a model to its schema: BLAKE2b-64 over the names.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 import numpy as np
+
+try:
+    # the built-in module hashlib takes blake2b from; importing hashlib
+    # itself would also load OpenSSL's _hashlib, a few MB of resident memory
+    from _blake2 import blake2b
+except ImportError:  # pragma: no cover - interpreters built without _blake2
+    from hashlib import blake2b
 
 SCHEMA_VERSION = 1
 
@@ -99,7 +105,7 @@ class FeatureSchema:
     def digest(self) -> str:
         """BLAKE2b-64 over each name's UTF-8 bytes followed by a NUL, as 16 hex chars."""
         data = "\0".join((*self.names, "")).encode("utf-8")
-        return hashlib.blake2b(data, digest_size=8).hexdigest()
+        return blake2b(data, digest_size=8).hexdigest()
 
     def group_indices(self, group: str) -> np.ndarray:
         return np.flatnonzero(np.asarray(self.groups, dtype=object) == group)
@@ -114,6 +120,7 @@ class FeatureSchema:
 @dataclass(frozen=True)
 class FeatureVector:
     values: np.ndarray
+    parse_failures: int = 0  # listing lines that failed to parse; 0 when none was read
 
 
 def group_dims(group: str, vocab) -> tuple[str, ...]:

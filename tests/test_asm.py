@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from malfam import asm
 from malfam.asm import PARSE_FAILURE, AsmLine, parse_line, parse_listing, scan_listing
 from oracles import reference_scan
 
@@ -382,6 +383,100 @@ def test_scan_listing_matches_oracle_on_random_bytes():
         assert scan_listing(text) == reference_scan(parse_listing(text))
 
 
+# the body memo: a line's body (after its first space) is parsed once and
+# reused behind any head that passes the prefix check; these heads sit on
+# every side of that check, and the bodies repeat so most lines look one up
+MEMO_BODIES = [
+    "", " ", "55 push ebp", "AB ?? C3", "?? ?? ??", "?? db ?", "00 00 00 00 dd      0",
+    "DB db 0", "AB;x", "ab mov eax, 1", "AB C3 ; Segment permissions: Read/Write",
+    "; Imports from KERNEL32.dll", "; Segment permissions: Execute", ";", "\tpush ebp",
+    ".text:00401000 nop", "00401000 C3 retn", *FUZZ_STATEMENTS,
+]
+MEMO_LEADS = ["", "", "", "", " ", "\t", "\xa0", "\x1f"]
+MEMO_SECTIONS = [
+    ".text", ".text", ".text", ".data", ".idata", "text", ".TEXT", "", "...", ".", "a.b",
+    "CODE:x", "\xe9", "a\tb",
+]
+MEMO_ADDRESSES = [
+    "00401000", "00401004", "0040100a", "1", "f", "FFFFFFFFFFFFFFFF", "ffffffffffffffff",
+    "12345678901234567", "A\u0660", "0x1F", "0X1F", "1_0", "", "zz", "0040 ", "00:01",
+]
+MEMO_SEPARATORS = [" ", " ", " ", " ", "  ", "\t", "\xa0", "\x1f", " \t", "\t "]
+
+
+def memo_listing(rng: np.random.Generator) -> str:
+    def pick(options):
+        return options[int(rng.integers(0, len(options)))]
+
+    bodies = [pick(MEMO_BODIES) for _ in range(4)]
+    lines = []
+    for _ in range(int(rng.integers(1, 40))):
+        if rng.random() < 0.6:
+            head = f".text:{int(rng.integers(0x401000, 0x401040)):08X}"
+        else:
+            head = pick(MEMO_LEADS) + f"{pick(MEMO_SECTIONS)}:{pick(MEMO_ADDRESSES)}"
+        sep = " " if rng.random() < 0.6 else pick(MEMO_SEPARATORS)
+        lines.append(head + sep + pick(bodies))
+    return pick(FUZZ_BREAKS).join(lines)
+
+
+def test_scan_listing_body_memo_matches_oracle_under_fuzz():
+    rng = np.random.default_rng(4096)
+    for _ in range(3000):
+        text = memo_listing(rng)
+        assert scan_listing(text) == reference_scan(parse_listing(text))
+
+
+class CountingPattern:
+    """Stands in for asm._LINE_RE and counts the lines it is asked to match."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def match(self, line):
+        self.calls += 1
+        return self.pattern.match(line)
+
+
+def scan_counting_matches(monkeypatch, text: str) -> int:
+    counting = CountingPattern(asm._LINE_RE)
+    monkeypatch.setattr(asm, "_LINE_RE", counting)
+    try:
+        assert scan_listing(text) == reference_scan(parse_listing(text))
+    finally:
+        monkeypatch.undo()
+    return counting.calls
+
+
+def test_scan_listing_matches_each_distinct_body_once(monkeypatch):
+    bodies = ["55 push ebp", "8B EC mov ebp, esp", "?? ?? db ?", "; Imports from KERNEL32.dll",
+              "FF 15 00 F0 40 00 call ds:WriteFile", "extrn WriteFile:dword", "C3 retn"]
+    sections = [".text", ".data", ".idata"]
+    text = "\n".join(
+        f"{sections[i // 50]}:{0x401000 + i:08X} {bodies[i % len(bodies)]}" for i in range(150)
+    )
+    assert scan_counting_matches(monkeypatch, text) == len(bodies)
+    # a head the check refuses goes to the regex even when its body is known
+    refused = text + "\n\t.text:00401000 55 push ebp\n.text:0x1F 55 push ebp"
+    assert scan_counting_matches(monkeypatch, refused) == len(bodies) + 2
+
+
+def test_scan_listing_body_memo_is_capped(monkeypatch):
+    cap = asm._BODY_MEMO_CAP
+    # each body three times in a row: the memo fills answering two lines in
+    # three, so it is kept, and the bodies past the cap are matched every time
+    rows = [f".text:{i:08X} dd {i:X}h" for i in range(cap + 300) for _ in range(3)]
+    rows += [f".data:{i:08X} dd {i:X}h" for i in range(0, cap + 300, 7)]
+    text = "\n".join(rows)
+    past_cap = sum(1 for i in range(cap, cap + 300) for _ in range(4 if i % 7 == 0 else 3))
+    assert scan_counting_matches(monkeypatch, text) == cap + past_cap
+    # distinct bodies only: the memo fills without one hit and is dropped,
+    # so a body repeated after that is matched on every line
+    rows = [f".text:{i:08X} dd {i:X}h" for i in range(cap)] + [".text:00000000 dd 0h"] * 50
+    assert scan_counting_matches(monkeypatch, "\n".join(rows)) == cap + 50
+
+
 @pytest.fixture(scope="module")
 def joined_listing(small_corpus) -> str:
     """About 540 KB: every synthetic listing of the session corpus, end to end."""
@@ -395,15 +490,27 @@ def test_scan_listing_matches_oracle_on_joined_synthetic_listing(joined_listing)
     assert scan_listing(joined_listing) == reference_scan(parse_listing(joined_listing))
 
 
-def test_scan_listing_peak_memory_is_a_small_multiple_of_the_text(joined_listing):
-    # the per-line AsmLine objects of parse_listing peak near 11x the text;
-    # the scanner keeps only the line list and the streams
-    size = len(joined_listing.encode("utf-8"))
+def scan_peak_over_size(text: str) -> float:
+    """The scan's tracemalloc peak as a multiple of the text's UTF-8 size."""
+    size = len(text.encode("utf-8"))
     assert size >= 250_000
     tracemalloc.start()
     try:
-        scan_listing(joined_listing)
+        scan_listing(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * size
+    return peak / size
+
+
+def test_scan_listing_peak_memory_is_a_small_multiple_of_the_text(joined_listing):
+    # the per-line AsmLine objects of parse_listing peak near 11x the text;
+    # the scanner keeps only the line list and the streams
+    assert scan_peak_over_size(joined_listing) <= 8
+
+
+def test_scan_listing_peak_memory_stays_bounded_when_every_body_is_distinct():
+    # about 280 KB of short lines, none repeating its body: a memo holding
+    # every body would peak near 11x the text; the cap keeps it near 6x
+    text = "\n".join(f".text:{0x401000 + i:08X} dd {i:X}h" for i in range(12_000))
+    assert scan_peak_over_size(text) <= 8

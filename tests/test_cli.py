@@ -321,10 +321,23 @@ def test_classify_json_shape(cli_env, capsys):
     assert len(doc) == 1
     entry = doc[0]
     assert entry["id"] == asm.stem
-    assert set(entry) == {"id", "prediction", "family", "probabilities"}
+    assert set(entry) == {"id", "prediction", "family", "probabilities", "parse_failures"}
     assert set(entry["probabilities"]) == {str(c) for c in range(1, 10)}
     assert abs(sum(entry["probabilities"].values()) - 1.0) < 1e-9
     assert str(entry["prediction"]) in entry["probabilities"]
+    assert entry["parse_failures"] == 0  # the synthetic listings parse cleanly
+
+
+def test_classify_json_reports_parse_failures(cli_env, tmp_path, capsys):
+    good = sorted(cli_env["corpus"].glob("*.asm"))[0]
+    noisy = tmp_path / "noisy.asm"
+    noisy.write_bytes(good.read_bytes() + b"garbage line\n\xff\xfe not a listing\n.text:zz nop\n")
+    code = main(["classify", "--quiet", "--json",
+                 "--model-dir", str(cli_env["model"]), str(good), str(noisy)])
+    assert code == 0
+    doc = {entry["id"]: entry for entry in json.loads(capsys.readouterr().out)}
+    assert doc[good.stem]["parse_failures"] == 0
+    assert doc["noisy"]["parse_failures"] == 3
 
 
 def test_classify_missing_file_fails(cli_env, capsys):

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import json
+import os
+import subprocess
+import sys
 import zlib
 from collections import Counter
 from collections.abc import Mapping
@@ -13,6 +17,7 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
+import malfam
 from malfam.asm import ListingScan, load_listing
 from malfam.corpus import CorpusManifest, Sample, scan_corpus
 from malfam.errors import CorpusError, ExtractionError, TrainingError
@@ -454,6 +459,20 @@ def test_schema_digest_is_blake2b_64_of_nul_terminated_names(names, groups):
     assert len(expected) == 16
 
 
+@pytest.mark.skipif(importlib.util.find_spec("_blake2") is None,
+                    reason="interpreter built without _blake2")
+def test_importing_the_cli_leaves_openssl_hashlib_unloaded():
+    # the digest takes blake2b from the built-in _blake2; `import hashlib`
+    # would also load OpenSSL's _hashlib, a few MB of resident memory
+    src = os.path.dirname(os.path.dirname(malfam.__file__))
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    code = "import sys, malfam.cli; print('_hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_schema_rejects_duplicate_names():
     with pytest.raises(ValueError):
         FeatureSchema(names=("x", "x"), groups=(GROUP_FILE_SIZE, GROUP_FILE_SIZE))
@@ -557,6 +576,11 @@ def test_digest_counts_listing_parse_failures(tmp_path):
     # no listing read: the file-size group alone never opens it
     assert digest_sample(sample, (GROUP_FILE_SIZE,)).parse_failures == 0
     assert digest_sample(Sample(id="d", bytes_path=dump)).parse_failures == 0
+    # assemble carries the digest's count on the vector
+    vocab = Vocabulary(opcode_grams=(("a", "b", "c", "d"),))
+    for groups, failures in (((GROUP_OPCODE_4GRAM,), 2), ((GROUP_FILE_SIZE,), 0)):
+        vector = assemble(sample, build_schema(vocab, groups), vocab, prefer="asm")
+        assert vector.parse_failures == failures
 
 
 # ---------------------------------------------------------------------------
