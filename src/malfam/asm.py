@@ -29,7 +29,11 @@ section name without whitespace or ':', then 1-16 hex digits) takes the
 remembered entry and parses only its head.  Any other line goes through the
 regex.  The memo holds at most 4,096 bodies per call and is dropped when it
 fills while rarely answering, so a listing of distinct bodies costs little
-more than matching every line.  The line reader -- `parse_line`, and
+more than matching every line.  The cap counts entries, not bytes: each
+entry keeps its own copy of the body and of its comment, so a listing of
+up to 4,096 long distinct lines holds one to two extra copies of its text
+while it is scanned.  The memo keeps the first bodies it sees and never
+evicts one.  The line reader -- `parse_line`, and
 `parse_listing`/`load_listing` producing `AsmLine` objects -- parses the same
 grammar one line at a time; the tests fold its lines into a `ListingScan` of
 their own and require it to equal the scanner's.
@@ -43,8 +47,15 @@ from pathlib import Path
 
 from .util import canonical_library, canonical_section
 
-# section:address prefix; section names never contain whitespace or ':'
-_PREFIX_RE = re.compile(r"^\s*([^\s:]+):([0-9A-Fa-f]{1,16})(?=\s|$)")
+# A line's section:address head, the one definition of it: section names
+# never contain whitespace or ':', addresses are 1-16 hex digits.
+# _PREFIX_RE, _LINE_RE and scan_listing's memo check are built from these.
+_SECTION_NAME = r"[^\s:]+"
+_HEX_DIGITS = "0123456789ABCDEFabcdef"
+_MAX_ADDRESS_DIGITS = 16
+_HEAD = rf"({_SECTION_NAME}):([{_HEX_DIGITS}]{{1,{_MAX_ADDRESS_DIGITS}}})"
+# the head, after any leading whitespace and before whitespace or the end
+_PREFIX_RE = re.compile(r"\s*" + _HEAD + r"(?=\s|$)")
 _BYTE_TOKEN_RE = re.compile(r"^(?:[0-9A-F]{2}|\?\?)$")
 _TOKEN_RE = re.compile(r"\S+")
 _SEG_PERMS_RE = re.compile(r"^Segment permissions:\s*(.+?)\s*$", re.IGNORECASE)
@@ -58,18 +69,18 @@ _NAME_TOKEN_RE = re.compile(r"[A-Za-z0-9_@?$]+")
 # exactly when _PREFIX_RE does and the greedy byte run never gives a byte
 # back to the mnemonic: the groups are what parse_line would take apart.
 _LINE_RE = re.compile(
-    r"\s*([^\s:]+):([0-9A-Fa-f]{1,16})(?=\s|$)"
-    r"((?:\s+(?:[0-9A-F][0-9A-F]|\?\?)(?![^\s;]))*)"
+    _PREFIX_RE.pattern
+    + r"((?:\s+(?:[0-9A-F][0-9A-F]|\?\?)(?![^\s;]))*)"
     r"(?:\s+([^\s;]+)([^;]*))?"
     r"[^;]*(?:;(.*))?",
     re.DOTALL,
 )
-# what scan_listing checks a line's head against before it reuses a memoised
-# body: the section and address classes of _LINE_RE
-_SECTION_NAME_RE = re.compile(r"[^\s:]+")
-_HEX_DIGITS = "0123456789ABCDEFabcdef"
-# distinct line bodies scan_listing remembers per call, so memory stays
-# bounded: bodies past the cap are parsed, not remembered.  A memo that fills
+# scan_listing checks a section name against this before it reuses a
+# memoised body behind it
+_SECTION_NAME_RE = re.compile(_SECTION_NAME)
+# distinct line bodies scan_listing remembers per call, so the memo's size
+# is bounded in entries (each holds a copy of its body and comment, so not
+# in bytes): bodies past the cap are parsed, not remembered.  A memo that fills
 # having answered fewer than a quarter as many lines as it holds (a hit rate
 # under a fifth, about where the lookups cost what the hits save) is dropped
 # for the rest of the call.
@@ -271,7 +282,8 @@ def scan_listing(text: str) -> ListingScan:
     groups `_LINE_RE` takes after the address depend only on the text after
     it, so the entry is the same whatever the head.  Every other line is
     matched against `_LINE_RE`, and its entry is remembered when the
-    address ended at the first space, up to `_BODY_MEMO_CAP` bodies.  Never
+    address ended at the first space, up to `_BODY_MEMO_CAP` bodies (a
+    bound on entries; each keeps a copy of its body and comment).  Never
     raises.  The rules of the fold:
 
     - A segment spans its lowest address to the end of its farthest line (a
@@ -323,11 +335,14 @@ def scan_listing(text: str) -> ListingScan:
             head, _, body = line.partition(" ")
             entry = memo.get(body)
             if entry is not None:
-                # a hit stands only if _LINE_RE would end the prefix at the
-                # first space: a section with no whitespace, then 1-16 hex digits
+                # a hit stands only if the whole head is _HEAD, so _LINE_RE
+                # would end the address at the first space.  Checked with str
+                # methods, since a regex fullmatch of _HEAD here made the scan
+                # of large listings about 10% slower; raw_section only ever
+                # holds a name that matched _SECTION_NAME.
                 name, _, address = head.partition(":")
                 if (
-                    0 < len(address) <= 16
+                    0 < len(address) <= _MAX_ADDRESS_DIGITS
                     and not address.strip(_HEX_DIGITS)
                     and (name == raw_section or _SECTION_NAME_RE.fullmatch(name))
                 ):

@@ -462,6 +462,35 @@ def test_scan_listing_matches_each_distinct_body_once(monkeypatch):
     assert scan_counting_matches(monkeypatch, refused) == len(bodies) + 2
 
 
+HEAD_NAME_PIECES = [
+    ".text", "CODE", "", "_", "g", ".", "\u0660", "\xe9", "\t", "\xa0", "\x1f", ":",
+]
+HEAD_ADDRESS_PIECES = [
+    "", "0", "00401000", "f", "FFFF", "ab", "0x", "_", "g", "123456789", "\u0660", "\t", "\x1f",
+    ":",
+]
+
+
+def test_scan_listing_reuses_a_body_exactly_behind_a_head_of_the_grammar(monkeypatch):
+    # the memo's str-method head check against the one definition of the
+    # head, asm._HEAD: a known body behind a head it matches whole is a hit
+    # (no second regex match), behind any other head the line goes to the
+    # regex
+    rng = np.random.default_rng(16)
+
+    def pieces(options):
+        return "".join(options[i] for i in rng.choice(len(options), size=int(rng.integers(0, 4))))
+
+    hits = 0
+    for _ in range(1500):
+        head = pieces(HEAD_NAME_PIECES) + ":" + pieces(HEAD_ADDRESS_PIECES)
+        text = f".text:00401000 55 push ebp\n{head} 55 push ebp"
+        hit = re.fullmatch(asm._HEAD, head) is not None
+        hits += hit
+        assert scan_counting_matches(monkeypatch, text) == (1 if hit else 2), repr(head)
+    assert hits >= 50
+
+
 def test_scan_listing_body_memo_is_capped(monkeypatch):
     cap = asm._BODY_MEMO_CAP
     # each body three times in a row: the memo fills answering two lines in
@@ -513,4 +542,18 @@ def test_scan_listing_peak_memory_stays_bounded_when_every_body_is_distinct():
     # about 280 KB of short lines, none repeating its body: a memo holding
     # every body would peak near 11x the text; the cap keeps it near 6x
     text = "\n".join(f".text:{0x401000 + i:08X} dd {i:X}h" for i in range(12_000))
+    assert scan_peak_over_size(text) <= 8
+
+
+def test_scan_listing_peak_memory_stays_bounded_when_the_memo_holds_long_bodies():
+    # about 290 KB in 4,000 distinct lines with long comments, all under the
+    # cap: the memo keeps a copy of every body and of its comment (the cap
+    # counts entries, not bytes), which takes the peak from about 1.9x to
+    # about 5.8x the text
+    text = "\n".join(
+        f".text:{0x401000 + 4 * i:08X} 8B 45 08 mov eax, [ebp+arg_0]"
+        f" ; CODE XREF: sub_{0x402000 + 16 * i:X}+1Cj"
+        for i in range(4_000)
+    )
+    assert 4_000 < asm._BODY_MEMO_CAP
     assert scan_peak_over_size(text) <= 8
