@@ -538,22 +538,21 @@ def test_scan_listing_peak_memory_is_a_small_multiple_of_the_text(joined_listing
     assert scan_peak_over_size(joined_listing) <= 8
 
 
-def test_scan_listing_peak_memory_stays_bounded_when_every_body_is_distinct():
-    # about 280 KB of short lines, none repeating its body: a memo holding
-    # every body would peak near 11x the text; the cap keeps it near 6x
-    text = "\n".join(f".text:{0x401000 + i:08X} dd {i:X}h" for i in range(12_000))
-    assert scan_peak_over_size(text) <= 8
-
-
-def test_scan_listing_peak_memory_stays_bounded_when_the_memo_holds_long_bodies():
-    # about 290 KB in 4,000 distinct lines with long comments, all under the
-    # cap: the memo keeps a copy of every body and of its comment (the cap
-    # counts entries, not bytes), which takes the peak from about 1.9x to
-    # about 5.8x the text
-    text = "\n".join(
+# listings of about 280 KB whose bodies never repeat.  Short lines past the
+# cap: a memo holding every body would peak near 11x the text; the cap keeps
+# it near 6x.  4,000 long lines under the cap: the memo keeps a copy of every
+# body and of its comment (the cap counts entries, not bytes), which takes
+# the peak from about 1.9x to about 5.8x the text.
+DISTINCT_BODY_LISTINGS = {
+    "short-past-cap": "\n".join(f".text:{0x401000 + i:08X} dd {i:X}h" for i in range(12_000)),
+    "long-under-cap": "\n".join(
         f".text:{0x401000 + 4 * i:08X} 8B 45 08 mov eax, [ebp+arg_0]"
         f" ; CODE XREF: sub_{0x402000 + 16 * i:X}+1Cj"
         for i in range(4_000)
-    )
-    assert 4_000 < asm._BODY_MEMO_CAP
-    assert scan_peak_over_size(text) <= 8
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISTINCT_BODY_LISTINGS))
+def test_scan_listing_peak_memory_stays_bounded_when_every_body_is_distinct(name):
+    assert scan_peak_over_size(DISTINCT_BODY_LISTINGS[name]) <= 8
