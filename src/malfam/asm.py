@@ -29,11 +29,12 @@ section name without whitespace or ':', then 1-16 hex digits) takes the
 remembered entry and parses only its head.  Any other line goes through the
 regex.  The memo holds at most 4,096 bodies per call and is dropped when it
 fills while rarely answering, so a listing of distinct bodies costs little
-more than matching every line.  The cap counts entries, not bytes: each
-entry keeps its own copy of the body and of its comment, so a listing of
-up to 4,096 long distinct lines holds one to two extra copies of its text
-while it is scanned.  The memo keeps the first bodies it sees and never
-evicts one.  The line reader -- `parse_line`, and
+more than matching every line.  An entry keeps what a comment declares (a
+segment's permissions, an imported library), not the comment's text.  The
+cap counts entries, not bytes: each entry is keyed by its own copy of the
+body, so a listing of up to 4,096 long distinct lines holds about one
+extra copy of its text while it is scanned.  The memo keeps the first
+bodies it sees and never evicts one.  The line reader -- `parse_line`, and
 `parse_listing`/`load_listing` producing `AsmLine` objects -- parses the same
 grammar one line at a time; the tests fold its lines into a `ListingScan` of
 their own and require it to equal the scanner's.
@@ -79,8 +80,8 @@ _LINE_RE = re.compile(
 # memoised body behind it
 _SECTION_NAME_RE = re.compile(_SECTION_NAME)
 # distinct line bodies scan_listing remembers per call, so the memo's size
-# is bounded in entries (each holds a copy of its body and comment, so not
-# in bytes): bodies past the cap are parsed, not remembered.  A memo that fills
+# is bounded in entries (each is keyed by a copy of its body, so not in
+# bytes): bodies past the cap are parsed, not remembered.  A memo that fills
 # having answered fewer than a quarter as many lines as it holds (a hit rate
 # under a fifth, about where the lookups cost what the hits save) is dropped
 # for the rest of the call.
@@ -283,7 +284,8 @@ def scan_listing(text: str) -> ListingScan:
     it, so the entry is the same whatever the head.  Every other line is
     matched against `_LINE_RE`, and its entry is remembered when the
     address ended at the first space, up to `_BODY_MEMO_CAP` bodies (a
-    bound on entries; each keeps a copy of its body and comment).  Never
+    bound on entries; each is keyed by a copy of its body, and keeps what
+    its comment declares rather than the comment).  Never
     raises.  The rules of the fold:
 
     - A segment spans its lowest address to the end of its farthest line (a
@@ -316,9 +318,13 @@ def scan_listing(text: str) -> ListingScan:
     # raw mnemonic -> lowercase, so every repeat shares one string object
     lowered: dict[str, str] = {}
     # line body (the text after the first space) -> what the fold takes from
-    # it: span, known bytes, lowercase mnemonic, call/jmp/extrn operands and
-    # comment, each stripped; None once dropped (see _BODY_MEMO_CAP)
-    memo: dict[str, tuple[int, int, str | None, str | None, str | None]] | None = {}
+    # it: span, known bytes, lowercase mnemonic, call/jmp/extrn operands
+    # (stripped), and what its comment declares: the permissions of a
+    # 'Segment permissions:' banner (or None) and the canonical library of an
+    # 'Imports from' comment (or ""); None once dropped (see _BODY_MEMO_CAP)
+    memo: dict[
+        str, tuple[int, int, str | None, str | None, tuple[bool, bool, bool] | None, str]
+    ] | None = {}
     hits = 0  # lines the memo answered
     # the last section name seen and its canonical form; only names that
     # match [^\s:]+ are ever kept here
@@ -347,7 +353,7 @@ def scan_listing(text: str) -> ListingScan:
                     and (name == raw_section or _SECTION_NAME_RE.fullmatch(name))
                 ):
                     hits += 1
-                    span, known, low, operands, comment = entry
+                    span, known, low, operands, perms, library = entry
                 else:
                     entry = None
         if entry is None:
@@ -368,13 +374,19 @@ def scan_listing(text: str) -> ListingScan:
                 if low is None:
                     low = lowered[mnemonic] = mnemonic.lower()
                 operands = operands.strip() if low == "extrn" or low in _CALL_MNEMONICS else None
+            # a comment feeds the fold only through these two; any other
+            # comment declares nothing, so the text itself is not kept
+            perms, library = None, ""
             if comment is not None:
                 comment = comment.strip()
+                if comment:
+                    perms = _declared_perms(comment)
+                    library = _import_library(comment)
             # the groups after the prefix depend only on the text after it,
             # so a body whose prefix ended at the first space parses alike
             # behind any head that passes the check above
             if memo is not None and len(memo) < _BODY_MEMO_CAP and m.end(2) == len(head):
-                memo[body] = (span, known, low, operands, comment)
+                memo[body] = (span, known, low, operands, perms, library)
                 if len(memo) == _BODY_MEMO_CAP and 4 * hits < _BODY_MEMO_CAP:
                     memo = None
         if name != raw_section:
@@ -397,10 +409,10 @@ def scan_listing(text: str) -> ListingScan:
                 run_end = end
             run_known += known
 
-        if comment:
-            if run_perms is None:
-                run_perms = _declared_perms(comment)
-            libraries.add(_import_library(comment))
+        if run_perms is None:
+            run_perms = perms
+        if library:
+            libraries.add(library)
 
         if low is not None:
             opcodes.append(low)
@@ -413,7 +425,6 @@ def scan_listing(text: str) -> ListingScan:
     if run_name is not None:
         segments.append(_segment(run_name, run_start, run_end, run_perms))
         known_bytes[run_name] = known_bytes.get(run_name, 0) + run_known
-    libraries.discard("")
     symbols.discard("")
     api_symbols = frozenset(symbols)
     return ListingScan(

@@ -22,7 +22,11 @@ vocabulary.  `assemble` keeps the last lookup it compiled in a one-slot memo
 compared by identity on both the schema and the vocabulary object, so every
 caller that scores many samples against one model compiles once.
 
-`build_vocab` folds digests of its open-ended groups; `feat_ngrams`,
+`assemble` digests a sample and projects it; `project_digest` projects a
+digest taken earlier, so a training run that has digested its train samples
+for the vocabulary projects them without reading them again.  Both go
+through the same lookup and the same checks.  `build_vocab` folds digests of
+its open-ended groups; `feat_ngrams`,
 `feat_import_lib` and `group_dims` stay as the by-name reference for the
 projection.  The listing half is checked in the tests against one oracle,
 which folds the line reader's `AsmLine`s into the same `ListingScan` the
@@ -403,6 +407,44 @@ def _lookup_for(schema: FeatureSchema, vocab) -> ColumnLookup:
 # full vector
 # ---------------------------------------------------------------------------
 
+def _checked_lookup(schema: FeatureSchema, vocab) -> ColumnLookup:
+    from .vocab import VOCAB_VERSION  # local: vocab imports this module
+
+    if schema.version != SCHEMA_VERSION:
+        raise ExtractionError(f"schema version {schema.version} unsupported")
+    if getattr(vocab, "version", VOCAB_VERSION) != VOCAB_VERSION:
+        raise ExtractionError(f"vocabulary version {vocab.version} unsupported")
+    return _lookup_for(schema, vocab)
+
+
+def _vector(
+    lookup: ColumnLookup, sample_id: str, digest: SampleDigest, schema: FeatureSchema,
+    binary_ngrams: bool,
+) -> FeatureVector:
+    values = lookup.project(digest, binary_ngrams)
+    if not np.isfinite(values).all():
+        bad = schema.names[int(np.flatnonzero(~np.isfinite(values))[0])]
+        raise ExtractionError(f"sample {sample_id}: non-finite value in {bad}")
+    return FeatureVector(values=values, parse_failures=digest.parse_failures)
+
+
+def project_digest(
+    sample_id: str,
+    digest: SampleDigest,
+    schema: FeatureSchema,
+    vocab,
+    *,
+    binary_ngrams: bool = False,
+) -> FeatureVector:
+    """The feature vector of a digest already taken, in schema order.
+
+    The digest must hold every group of the schema; it may hold more.
+    Applies the same version and finiteness checks as `assemble`.
+    """
+    lookup = _checked_lookup(schema, vocab)
+    return _vector(lookup, sample_id, digest, schema, binary_ngrams)
+
+
 def assemble(
     sample: Sample,
     schema: FeatureSchema,
@@ -415,17 +457,6 @@ def assemble(
 
     Artifacts are parsed once even when several groups draw on them.
     """
-    from .vocab import VOCAB_VERSION  # local: vocab imports this module
-
-    if schema.version != SCHEMA_VERSION:
-        raise ExtractionError(f"schema version {schema.version} unsupported")
-    if getattr(vocab, "version", VOCAB_VERSION) != VOCAB_VERSION:
-        raise ExtractionError(f"vocabulary version {vocab.version} unsupported")
-
-    lookup = _lookup_for(schema, vocab)
+    lookup = _checked_lookup(schema, vocab)
     digest = digest_sample(sample, lookup.groups, prefer)
-    values = lookup.project(digest, binary_ngrams)
-    if not np.isfinite(values).all():
-        bad = schema.names[int(np.flatnonzero(~np.isfinite(values))[0])]
-        raise ExtractionError(f"sample {sample.id}: non-finite value in {bad}")
-    return FeatureVector(values=values, parse_failures=digest.parse_failures)
+    return _vector(lookup, sample.id, digest, schema, binary_ngrams)

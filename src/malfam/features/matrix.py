@@ -7,6 +7,8 @@ empty for unlabeled samples.
 from __future__ import annotations
 
 import csv
+from collections import deque
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +17,7 @@ import numpy as np
 
 from ..corpus import CorpusManifest
 from ..errors import CorpusError
-from .extract import assemble
+from .extract import SampleDigest, assemble, project_digest
 from .schema import FeatureSchema, group_of_dim
 
 
@@ -42,6 +44,70 @@ class FeatureMatrix:
         return self.values[keep], y
 
 
+def map_samples(fn: Callable, items: Sequence, threads: int = 1) -> Iterator:
+    """Yield fn(item) for each item in order, on up to `threads` worker threads.
+
+    At most two results per worker are computed ahead of the one yielded, so
+    a caller that folds and drops each result holds a bounded number of them.
+    """
+    if threads <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        try:
+            for item in items:
+                pending.append(pool.submit(fn, item))
+                if len(pending) > 2 * threads:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            # after an error, or when the caller stops early, the work
+            # not yet started is dropped rather than run to no use
+            for future in pending:
+                future.cancel()
+
+
+def project_matrix(
+    manifest: CorpusManifest,
+    digests: Sequence[SampleDigest | None],
+    schema: FeatureSchema,
+    vocab,
+    *,
+    prefer: str = "pe",
+    binary_ngrams: bool = False,
+    threads: int = 1,
+) -> FeatureMatrix:
+    """One row per sample in manifest order, from `digests` parallel to it.
+
+    A digest is projected as it stands; a None in its place digests that
+    sample afresh.  Row order never depends on threads.
+    """
+    samples = manifest.samples
+    if len(digests) != len(samples):
+        raise ValueError("digests must be parallel to the manifest's samples")
+
+    def one(i: int) -> np.ndarray:
+        digest = digests[i]
+        if digest is None:
+            return assemble(
+                samples[i], schema, vocab, prefer=prefer, binary_ngrams=binary_ngrams
+            ).values
+        return project_digest(
+            samples[i].id, digest, schema, vocab, binary_ngrams=binary_ngrams
+        ).values
+
+    rows = list(map_samples(one, range(len(samples)), threads))
+    values = np.vstack(rows) if rows else np.zeros((0, len(schema)))
+    return FeatureMatrix(
+        schema=schema,
+        ids=tuple(s.id for s in samples),
+        labels=tuple(s.label for s in samples),
+        values=values,
+    )
+
+
 def extract_matrix(
     manifest: CorpusManifest,
     schema: FeatureSchema,
@@ -52,35 +118,31 @@ def extract_matrix(
     threads: int = 1,
 ) -> FeatureMatrix:
     """Extract every sample in manifest order. Row order never depends on threads."""
-    samples = manifest.samples
-
-    def one(sample):
-        return assemble(
-            sample, schema, vocab, prefer=prefer, binary_ngrams=binary_ngrams
-        ).values
-
-    if threads > 1 and len(samples) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, samples))
-    else:
-        rows = [one(s) for s in samples]
-    values = np.vstack(rows) if rows else np.zeros((0, len(schema)))
-    return FeatureMatrix(
-        schema=schema,
-        ids=tuple(s.id for s in samples),
-        labels=tuple(s.label for s in samples),
-        values=values,
+    return project_matrix(
+        manifest,
+        [None] * len(manifest.samples),
+        schema,
+        vocab,
+        prefer=prefer,
+        binary_ngrams=binary_ngrams,
+        threads=threads,
     )
 
 
 def save_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "label", *matrix.schema.names])
-        # csv writes a None label as an empty cell; tolist yields Python floats
+        csv.writer(handle, lineterminator="\n").writerow(["id", "label", *matrix.schema.names])
+        # the id and label cells go through the csv writer (quoted as
+        # needed, a None label as an empty cell); the values are float reprs,
+        # which never need quoting, so they are joined directly
+        head = csv.writer(handle, lineterminator="")
         values = np.asarray(matrix.values, dtype=np.float64)
         for sample_id, label, row in zip(matrix.ids, matrix.labels, values):
-            writer.writerow([sample_id, label, *map(repr, row.tolist())])
+            head.writerow([sample_id, label])
+            if row.size:
+                handle.write(",")
+                handle.write(",".join(map(repr, row.tolist())))
+            handle.write("\n")
 
 
 def load_matrix_csv(path: str | Path) -> FeatureMatrix:

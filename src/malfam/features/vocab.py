@@ -10,11 +10,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from ..errors import CorpusError
 from ..util import read_json, write_json
-from .extract import N_GRAM, digest_sample
+from .extract import N_GRAM, SampleDigest, digest_sample
 from .schema import (
     GROUP_API_4GRAM,
     GROUP_IMPORT_LIB,
@@ -76,16 +76,27 @@ def build_vocab(
     caps: VocabCaps = VocabCaps(),
     groups: Sequence[str] = GROUP_ORDER,
     prefer: str = "pe",
+    *,
+    digests: Iterable[SampleDigest] | None = None,
 ) -> Vocabulary:
-    """Scan a manifest (the train split) and rank tokens by document frequency."""
+    """Scan a manifest (the train split) and rank tokens by document frequency.
+
+    `digests`, when given, holds one digest per manifest sample, taken for at
+    least the open groups among `groups`; it is folded in place of digesting
+    the samples.  A digest may hold more groups: section names are counted
+    only when `groups` asks for section sizes.
+    """
     asked = tuple(g for g in OPEN_GROUPS if g in groups)
+    if digests is None:
+        digests = (digest_sample(sample, asked, prefer) for sample in manifest.samples)
+    want_sections = GROUP_SECTION_SIZE in asked
     section_freq: Counter = Counter()
     library_freq: Counter = Counter()
     api_freq: Counter = Counter()
     opcode_freq: Counter = Counter()
-    for sample in manifest.samples:
-        digest = digest_sample(sample, asked, prefer)
-        section_freq.update(digest.sections.keys())
+    for digest in digests:
+        if want_sections:
+            section_freq.update(digest.sections.keys())
         library_freq.update(digest.libraries)
         api_freq.update(digest.api_grams.keys())
         opcode_freq.update(digest.opcode_grams.keys())

@@ -13,6 +13,9 @@ left and right of every cut come from one cumulative sum per class present,
 and the gain of every (cut, dim) pair is computed at once.  Memory is O(n*m)
 whatever the class count; no n x m x k one-hot tensor is built.  The counts
 are exact integers, so gains are the same floats a per-dim loop computes.
+Candidate dims that are constant on the node's rows are dropped from the
+block before the sort (in sparse gram groups most are): they are skipped,
+not redrawn, so the rng draws and the tree are what scoring them would give.
 
 Determinism contract: every tree draws from its own PCG64 generator seeded by
 mix_seed(seed, "tree", index), so refitting with the same seed reproduces the
@@ -141,6 +144,13 @@ def _best_split(X, row_idx, y_codes, n_classes, dims, min_leaf):
     total_sq = total @ total
     g_parent = 1.0 - total_sq / (n * n)
     block = X[row_idx[:, np.newaxis], dims]
+    # A dim constant on the node's rows has no cut, so it can never win;
+    # dropping it keeps the rest in order, and with them every gain and tie.
+    live = (block != block[0]).any(axis=0)
+    if not live.all():
+        if not live.any():
+            return None
+        block, dims = block[:, live], dims[live]
     # Counts at a cut where the value changes do not depend on how equal
     # values are ordered, so the sort need not be stable.
     order = block.argsort(axis=0)

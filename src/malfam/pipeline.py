@@ -7,6 +7,7 @@ directly.  Every artifact written here is byte-stable for a fixed
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -15,7 +16,14 @@ import numpy as np
 from .config import RunConfig, save_config, load_config
 from .corpus import CorpusManifest, save_manifest, stratified_split
 from .errors import ModelError, TrainingError
-from .features.matrix import FeatureMatrix, extract_matrix, save_matrix_csv
+from .features.extract import SampleDigest, digest_sample
+from .features.matrix import (
+    FeatureMatrix,
+    extract_matrix,
+    map_samples,
+    project_matrix,
+    save_matrix_csv,
+)
 from .features.schema import FeatureSchema, build_schema
 from .features.select import load_selection, save_selection, select_by_importance
 from .features.vocab import Vocabulary, build_vocab, load_vocab, save_vocab
@@ -44,6 +52,12 @@ TRAIN_MATRIX_FILE = "train_matrix.csv"
 TEST_MATRIX_FILE = "test_matrix.csv"
 TRAIN_MANIFEST_FILE = "train_manifest.json"
 TEST_MANIFEST_FILE = "test_manifest.json"
+
+# How many 4-gram entries (api and opcode counts together, the bulk of a
+# digest's memory, about 140 bytes each) of train digests one training run
+# holds between the vocabulary and the train matrix: about 70 MB.  A sample
+# whose digest would pass the bound is digested again for the matrix.
+HELD_DIGEST_GRAMS = 500_000
 
 
 @dataclass(frozen=True)
@@ -107,6 +121,40 @@ def compute_selection(matrix: FeatureMatrix, config: RunConfig) -> dict[str, lis
     return out
 
 
+def _vocab_and_digests(
+    train_man: CorpusManifest, config: RunConfig
+) -> tuple[Vocabulary, list[SampleDigest | None]]:
+    """Digest each train sample once for every group of the config and fold
+    the digests into the vocabulary.
+
+    Returns the vocabulary and the digests held for the train matrix, one
+    per sample in manifest order: None for a sample whose digest did not
+    fit under HELD_DIGEST_GRAMS.
+    """
+    held: list[SampleDigest | None] = []
+    room = HELD_DIGEST_GRAMS
+
+    def holding(digests: Iterator[SampleDigest]) -> Iterator[SampleDigest]:
+        nonlocal room
+        for digest in digests:
+            grams = len(digest.api_grams) + len(digest.opcode_grams)
+            keep = grams <= room
+            if keep:
+                room -= grams
+            held.append(digest if keep else None)
+            yield digest
+
+    digests = map_samples(
+        lambda sample: digest_sample(sample, config.groups, config.prefer),
+        train_man.samples,
+        config.threads,
+    )
+    vocab = build_vocab(
+        train_man, config.caps, config.groups, config.prefer, digests=holding(digests)
+    )
+    return vocab, held
+
+
 def fit_pipeline(
     train_man: CorpusManifest,
     test_man: CorpusManifest,
@@ -114,21 +162,27 @@ def fit_pipeline(
     *,
     grid: bool = False,
 ) -> TrainResult:
-    """Vocabulary, selection, and model all come from the train manifest only."""
+    """Vocabulary, selection, and model all come from the train manifest only.
+
+    Each train sample is digested once: the vocabulary and the full train
+    matrix are both made from that digest (see `_vocab_and_digests`).
+    """
     overlap = train_man.ids() & test_man.ids()
     if overlap:
         raise TrainingError(f"train/test manifests overlap: {sorted(overlap)[:3]}")
-    vocab = build_vocab(train_man, config.caps, config.groups, config.prefer)
+    vocab, held = _vocab_and_digests(train_man, config)
     full_schema = build_schema(vocab, config.groups)
     log.info("vocabulary built: %s", {g: n for g, n in full_schema.group_sizes().items()})
-    train_full = extract_matrix(
+    train_full = project_matrix(
         train_man,
+        held,
         full_schema,
         vocab,
         prefer=config.prefer,
         binary_ngrams=config.binary_ngrams,
         threads=config.threads,
     )
+    del held  # selection and the forest never need the digests
     selection = compute_selection(train_full, config)
     schema = build_schema(vocab, config.groups, selection or None)
     train_matrix = subset_columns(train_full, schema)

@@ -540,9 +540,10 @@ def test_scan_listing_peak_memory_is_a_small_multiple_of_the_text(joined_listing
 
 # listings of about 280 KB whose bodies never repeat.  Short lines past the
 # cap: a memo holding every body would peak near 11x the text; the cap keeps
-# it near 6x.  4,000 long lines under the cap: the memo keeps a copy of every
-# body and of its comment (the cap counts entries, not bytes), which takes
-# the peak from about 1.9x to about 5.8x the text.
+# it near 6x.  4,000 long lines under the cap: the memo keys each entry by a
+# copy of its body (the cap counts entries, not bytes) and keeps what the
+# comment declares, not its text, which takes the peak from about 1.9x to
+# about 4.3x the text.
 DISTINCT_BODY_LISTINGS = {
     "short-past-cap": "\n".join(f".text:{0x401000 + i:08X} dd {i:X}h" for i in range(12_000)),
     "long-under-cap": "\n".join(

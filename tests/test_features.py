@@ -2,9 +2,11 @@
 vocabulary ranking rules, schema arithmetic, and importance-based selection."""
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import itertools
 import json
 import os
@@ -22,6 +24,7 @@ from malfam.asm import ListingScan, load_listing
 from malfam.corpus import CorpusManifest, Sample, scan_corpus
 from malfam.errors import CorpusError, ExtractionError, TrainingError
 from malfam.features import (
+    FeatureMatrix,
     FeatureSchema,
     VocabCaps,
     Vocabulary,
@@ -44,6 +47,7 @@ from malfam.features import (
     select_by_importance,
 )
 from malfam.features import extract
+from malfam.features.matrix import map_samples
 from malfam.features.extract import (
     SectionStats,
     load_pe_summary,
@@ -894,6 +898,23 @@ def test_extract_matrix_thread_invariant(small_corpus):
     assert np.array_equal(one.values, four.values)
 
 
+def test_map_samples_keeps_order_and_stops_at_the_first_error():
+    assert list(map_samples(lambda i: i * i, range(200), threads=3)) == [i * i for i in range(200)]
+    started = []
+
+    def fail_at_three(i):
+        started.append(i)
+        if i == 3:
+            raise ValueError("sample 3")
+        return i
+
+    with pytest.raises(ValueError, match="sample 3"):
+        list(map_samples(fail_at_three, range(100), threads=2))
+    # items are submitted at most two per worker ahead of the one read, so
+    # no more than items 0..7 were ever handed to the pool
+    assert max(started) <= 7
+
+
 def test_matrix_csv_round_trip(tmp_path, small_corpus):
     vocab = build_vocab(small_corpus, VocabCaps(4, 4, 8, 8), prefer="asm")
     schema = build_schema(vocab)
@@ -905,6 +926,31 @@ def test_matrix_csv_round_trip(tmp_path, small_corpus):
     assert loaded.labels == matrix.labels
     assert loaded.schema.names == matrix.schema.names
     assert np.array_equal(loaded.values, matrix.values)
+
+
+def csv_writer_matrix_text(matrix: FeatureMatrix) -> str:
+    """The matrix as a csv writer writes every cell of every row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "label", *matrix.schema.names])
+    for sample_id, label, row in zip(matrix.ids, matrix.labels, matrix.values):
+        writer.writerow([sample_id, label, *map(repr, row.tolist())])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("width", [0, 1, 3])
+def test_matrix_csv_rows_equal_the_csv_writer(tmp_path, width):
+    names = ("plain", "odd,name", 'q"uote')[:width]
+    schema = FeatureSchema(names, ("g",) * width)
+    ids = ("plain", 'a,b"c\nd', "e\rf", " lead", "", '"')
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(len(ids), width)) * 10.0 ** rng.integers(-300, 300, size=(len(ids), width))
+    if width:
+        values[0, 0] = -0.0
+    matrix = FeatureMatrix(schema, ids, (3, None, 0, None, 12, 7), values)
+    path = tmp_path / "m.csv"
+    save_matrix_csv(matrix, path)
+    assert path.read_bytes().decode("utf-8") == csv_writer_matrix_text(matrix)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

@@ -269,6 +269,42 @@ def test_block_split_equals_per_dim_loop_bit_for_bit():
     assert found > 600 and tiny > 500  # the mix must exercise both outcomes
 
 
+def gram_like_nodes(seed: int, count: int):
+    """Split-search inputs shaped like the 4-gram groups: sparse non-negative
+    counts, so most candidate dims are constant (all zero, or one shared
+    count) on a node's rows, and about a sixth of the nodes have no live
+    candidate at all."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_total, d = int(rng.integers(2, 60)), int(rng.integers(5, 80))
+        k = int(rng.integers(2, 6))
+        X = np.where(rng.random((n_total, d)) < rng.uniform(0.01, 0.3),
+                     rng.integers(1, 6, size=(n_total, d)), 0).astype(np.float64)
+        X[:, rng.random(d) < 0.2] = float(rng.integers(0, 4))
+        y_codes = rng.integers(0, k, size=n_total).astype(np.intp)
+        rows = rng.integers(0, n_total, size=int(rng.integers(1, n_total + 1)))
+        dims = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+        if rng.random() < 0.15:
+            X[np.ix_(rows, dims)] = X[rows[0], dims]  # every candidate constant
+        yield X, rows, y_codes, k, dims, int(rng.integers(1, 4))
+
+
+def test_block_split_skipping_constant_dims_equals_per_dim_loop():
+    found = all_constant = mostly_constant = 0
+    for X, rows, y_codes, k, dims, min_leaf in gram_like_nodes(seed=2025, count=2000):
+        want = per_dim_best_split(X, rows, y_codes, k, dims, min_leaf)
+        got = forest_module._best_split(X, rows, y_codes, k, dims, min_leaf)
+        assert got == want, (rows, dims, min_leaf)
+        block = X[np.ix_(rows, dims)]
+        live = (block != block[0]).any(axis=0).sum()
+        found += want is not None
+        all_constant += live == 0
+        mostly_constant += 0 < live < dims.size / 2
+    # the mix must exercise splits, nodes with nothing live, and nodes where
+    # most candidates are dropped but some are left
+    assert found > 500 and all_constant > 250 and mostly_constant > 300
+
+
 def test_public_best_split_sorts_unsorted_and_duplicate_dims():
     rng = np.random.default_rng(77)
     for _ in range(300):
@@ -286,16 +322,28 @@ def test_public_best_split_sorts_unsorted_and_duplicate_dims():
         assert best_split(X, y, dims=np.unique(dims), min_samples_leaf=min_leaf) == want
 
 
-@pytest.mark.parametrize("params", [
-    ForestParams(n_trees=6, seed=3),
-    ForestParams(n_trees=6, seed=4, max_depth=3, min_samples_leaf=2),
-    ForestParams(n_trees=6, seed=5, features_per_split="third"),
-], ids=["default", "depth3-leaf2", "third"])
-def test_fit_forest_node_arrays_equal_per_dim_loop(monkeypatch, params):
+def small_dense_counts():
     rng = np.random.default_rng(31)
     X = rng.integers(0, 4, size=(70, 15)).astype(np.float64)
     X[:, 3] = 1.0
-    y = rng.integers(1, 6, size=70)
+    return X, rng.integers(1, 6, size=70)
+
+
+def wide_sparse_counts():
+    """Shaped like the 4-gram groups: most dims are zero on most rows."""
+    rng = np.random.default_rng(60)
+    X = np.where(rng.random((60, 2000)) < 0.03, rng.integers(1, 9, size=(60, 2000)), 0)
+    return X.astype(np.float64), rng.integers(1, 5, size=60)
+
+
+@pytest.mark.parametrize("data, params", [
+    (small_dense_counts, ForestParams(n_trees=6, seed=3)),
+    (small_dense_counts, ForestParams(n_trees=6, seed=4, max_depth=3, min_samples_leaf=2)),
+    (small_dense_counts, ForestParams(n_trees=6, seed=5, features_per_split="third")),
+    (wide_sparse_counts, ForestParams(n_trees=6, seed=9)),
+], ids=["default", "depth3-leaf2", "third", "wide-sparse"])
+def test_fit_forest_node_arrays_equal_per_dim_loop(monkeypatch, data, params):
+    X, y = data()
     block = fit_forest(X, y, params)
     monkeypatch.setattr(forest_module, "_best_split", per_dim_best_split)
     loop = fit_forest(X, y, params)

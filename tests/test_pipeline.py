@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,12 +27,18 @@ from malfam.features import (
     save_selection,
     VocabCaps,
 )
+from malfam.features import extract as extract_module
+from malfam.features import vocab as vocab_module
 from malfam.features.schema import (
     GROUP_COMPLEXITY,
+    GROUP_IMPORT_LIB,
+    GROUP_OPCODE_4GRAM,
+    GROUP_SECTION_PERM,
     GROUP_SECTION_SIZE,
     group_of_dim,
 )
 from malfam.forest import ForestParams, load_model, predict_proba
+from malfam import pipeline as pipeline_module
 from malfam.pipeline import (
     compute_selection,
     fit_pipeline,
@@ -236,6 +244,106 @@ def test_train_pipeline_end_to_end(small_corpus, fast_config):
     assert result.cv.per_fold is not None
     # grid off by default
     assert result.grid is None
+
+
+# ---------------------------------------------------------------------------
+# one digest per train sample
+# ---------------------------------------------------------------------------
+
+TRAIN_DIR_FILES = (
+    "config.json", "vocab.json", "selection.json", "model.json", "metrics.json",
+    "train_matrix.csv", "test_matrix.csv", "train_manifest.json", "test_manifest.json",
+)
+
+DIGEST_ONCE_CONFIGS = {
+    "three-dense-groups": RunConfig(
+        groups=(GROUP_COMPLEXITY, GROUP_SECTION_SIZE, GROUP_SECTION_PERM),
+        selection={GROUP_SECTION_SIZE: 25},
+        folds=2,
+        forest=ForestParams(n_trees=10, seed=0),
+    ),
+    # section permissions without section sizes: the shared digests hold
+    # sections, which the vocabulary must still leave out
+    "perms-libs-opcodes": RunConfig(
+        groups=(GROUP_SECTION_PERM, GROUP_IMPORT_LIB, GROUP_OPCODE_4GRAM),
+        caps=VocabCaps(8, 8, 40, 40),
+        selection={GROUP_OPCODE_4GRAM: 12},
+        folds=2,
+        forest=ForestParams(n_trees=10, seed=1),
+        seed=3,
+        binary_ngrams=True,
+    ),
+    "every-group": RunConfig(
+        caps=VocabCaps(8, 8, 40, 40),
+        folds=2,
+        forest=ForestParams(n_trees=10, seed=2),
+        seed=5,
+        prefer="asm",
+    ),
+}
+
+
+def saved_train_files(tmp_path, corpus, config) -> dict[str, bytes]:
+    result, train_man, test_man = train_pipeline(corpus, config)
+    out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    save_train_dir(out, result, train_man, test_man)
+    assert sorted(p.name for p in out.iterdir()) == sorted(TRAIN_DIR_FILES)
+    return {name: (out / name).read_bytes() for name in TRAIN_DIR_FILES}
+
+
+def count_digests(monkeypatch) -> Counter:
+    """Count digest_sample calls by sample id, at every binding that calls it."""
+    calls: Counter = Counter()
+    original = extract_module.digest_sample
+
+    def counted(sample, *args, **kwargs):
+        calls[sample.id] += 1
+        return original(sample, *args, **kwargs)
+
+    for module in (pipeline_module, vocab_module, extract_module):
+        monkeypatch.setattr(module, "digest_sample", counted)
+    return calls
+
+
+def test_train_pipeline_digests_each_sample_once(monkeypatch, small_corpus):
+    config = DIGEST_ONCE_CONFIGS["every-group"]
+    calls = count_digests(monkeypatch)
+    _, train_man, test_man = train_pipeline(small_corpus, config)
+    assert calls == Counter({s.id: 1 for s in small_corpus.samples})
+    assert len(train_man) > len(test_man) > 0
+
+
+def test_train_pipeline_digests_samples_past_the_hold_again(monkeypatch, small_corpus):
+    config = DIGEST_ONCE_CONFIGS["every-group"]
+    monkeypatch.setattr(pipeline_module, "HELD_DIGEST_GRAMS", 1000)
+    calls = count_digests(monkeypatch)
+    _, train_man, test_man = train_pipeline(small_corpus, config)
+    train_calls = Counter(calls[s.id] for s in train_man.samples)
+    assert set(train_calls) == {1, 2} and min(train_calls.values()) >= 2
+    assert all(calls[s.id] == 1 for s in test_man.samples)
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_ONCE_CONFIGS))
+def test_train_dir_equals_the_two_pass_build(tmp_path, monkeypatch, small_corpus, name):
+    config = DIGEST_ONCE_CONFIGS[name]
+    with monkeypatch.context() as two_pass:
+        # the vocabulary and the full train matrix each digest every train
+        # sample on their own, as they did before the digests were shared
+        two_pass.setattr(
+            pipeline_module, "build_vocab",
+            lambda manifest, caps, groups, prefer, *, digests: build_vocab(
+                manifest, caps, groups, prefer),
+        )
+        two_pass.setattr(
+            pipeline_module, "project_matrix",
+            lambda manifest, digests, schema, vocab, **options: extract_matrix(
+                manifest, schema, vocab, **options),
+        )
+        want = saved_train_files(tmp_path, small_corpus, config)
+    assert saved_train_files(tmp_path, small_corpus, config) == want
+    monkeypatch.setattr(pipeline_module, "HELD_DIGEST_GRAMS", 1000)
+    assert saved_train_files(tmp_path, small_corpus, config) == want
+    assert saved_train_files(tmp_path, small_corpus, replace(config, threads=2)) == want
 
 
 def test_saved_run_loads_and_predicts(trained_dir):
