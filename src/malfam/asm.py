@@ -354,6 +354,7 @@ def scan_listing(text: str) -> ListingScan:
                 ):
                     hits += 1
                     span, known, low, operands, perms, library = entry
+                    comment = None
                 else:
                     entry = None
         if entry is None:
@@ -374,18 +375,18 @@ def scan_listing(text: str) -> ListingScan:
                 if low is None:
                     low = lowered[mnemonic] = mnemonic.lower()
                 operands = operands.strip() if low == "extrn" or low in _CALL_MNEMONICS else None
-            # a comment feeds the fold only through these two; any other
-            # comment declares nothing, so the text itself is not kept
-            perms, library = None, ""
             if comment is not None:
-                comment = comment.strip()
-                if comment:
-                    perms = _declared_perms(comment)
-                    library = _import_library(comment)
+                comment = comment.strip() or None
+            perms, library = None, ""
             # the groups after the prefix depend only on the text after it,
             # so a body whose prefix ended at the first space parses alike
             # behind any head that passes the check above
             if memo is not None and len(memo) < _BODY_MEMO_CAP and m.end(2) == len(head):
+                # a comment feeds the fold only through these two; any
+                # other comment declares nothing, so its text is not kept
+                if comment is not None:
+                    perms, library = _declared_perms(comment), _import_library(comment)
+                    comment = None
                 memo[body] = (span, known, low, operands, perms, library)
                 if len(memo) == _BODY_MEMO_CAP and 4 * hits < _BODY_MEMO_CAP:
                     memo = None
@@ -409,6 +410,12 @@ def scan_listing(text: str) -> ListingScan:
                 run_end = end
             run_known += known
 
+        if comment is not None:
+            # a line parsed and not remembered: its comment is read here,
+            # and for permissions only while the segment has none
+            if run_perms is None:
+                perms = _declared_perms(comment)
+            library = _import_library(comment)
         if run_perms is None:
             run_perms = perms
         if library:

@@ -7,6 +7,7 @@ empty for unlabeled samples.
 from __future__ import annotations
 
 import csv
+import io
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -69,23 +70,26 @@ def map_samples(fn: Callable, items: Sequence, threads: int = 1) -> Iterator:
                 future.cancel()
 
 
-def project_matrix(
+def extract_matrix(
     manifest: CorpusManifest,
-    digests: Sequence[SampleDigest | None],
     schema: FeatureSchema,
     vocab,
     *,
     prefer: str = "pe",
     binary_ngrams: bool = False,
     threads: int = 1,
+    digests: Sequence[SampleDigest | None] | None = None,
 ) -> FeatureMatrix:
-    """One row per sample in manifest order, from `digests` parallel to it.
+    """Extract every sample in manifest order. Row order never depends on threads.
 
-    A digest is projected as it stands; a None in its place digests that
-    sample afresh.  Row order never depends on threads.
+    `digests`, when given, is parallel to the manifest's samples: a digest is
+    projected as it stands (it must hold every group of the schema), and a
+    None in its place digests that sample afresh.
     """
     samples = manifest.samples
-    if len(digests) != len(samples):
+    if digests is None:
+        digests = [None] * len(samples)
+    elif len(digests) != len(samples):
         raise ValueError("digests must be parallel to the manifest's samples")
 
     def one(i: int) -> np.ndarray:
@@ -108,37 +112,21 @@ def project_matrix(
     )
 
 
-def extract_matrix(
-    manifest: CorpusManifest,
-    schema: FeatureSchema,
-    vocab,
-    *,
-    prefer: str = "pe",
-    binary_ngrams: bool = False,
-    threads: int = 1,
-) -> FeatureMatrix:
-    """Extract every sample in manifest order. Row order never depends on threads."""
-    return project_matrix(
-        manifest,
-        [None] * len(manifest.samples),
-        schema,
-        vocab,
-        prefer=prefer,
-        binary_ngrams=binary_ngrams,
-        threads=threads,
-    )
-
-
 def save_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerow(["id", "label", *matrix.schema.names])
-        # the id and label cells go through the csv writer (quoted as
-        # needed, a None label as an empty cell); the values are float reprs,
-        # which never need quoting, so they are joined directly
-        head = csv.writer(handle, lineterminator="")
+        # the id and label cells are written by a csv writer of the same
+        # dialect (quoted as needed, a None label as an empty cell) into a
+        # buffer, less its line end; the values are float reprs, which never
+        # need quoting, so they are joined directly
+        buffer = io.StringIO()
+        head = csv.writer(buffer, lineterminator="\n")
         values = np.asarray(matrix.values, dtype=np.float64)
         for sample_id, label, row in zip(matrix.ids, matrix.labels, values):
+            buffer.seek(0)
+            buffer.truncate()
             head.writerow([sample_id, label])
+            handle.write(buffer.getvalue()[:-1])
             if row.size:
                 handle.write(",")
                 handle.write(",".join(map(repr, row.tolist())))

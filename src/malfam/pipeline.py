@@ -17,13 +17,7 @@ from .config import RunConfig, save_config, load_config
 from .corpus import CorpusManifest, save_manifest, stratified_split
 from .errors import ModelError, TrainingError
 from .features.extract import SampleDigest, digest_sample
-from .features.matrix import (
-    FeatureMatrix,
-    extract_matrix,
-    map_samples,
-    project_matrix,
-    save_matrix_csv,
-)
+from .features.matrix import FeatureMatrix, extract_matrix, map_samples, save_matrix_csv
 from .features.schema import FeatureSchema, build_schema
 from .features.select import load_selection, save_selection, select_by_importance
 from .features.vocab import Vocabulary, build_vocab, load_vocab, save_vocab
@@ -54,10 +48,12 @@ TRAIN_MANIFEST_FILE = "train_manifest.json"
 TEST_MANIFEST_FILE = "test_manifest.json"
 
 # How many 4-gram entries (api and opcode counts together, the bulk of a
-# digest's memory, about 140 bytes each) of train digests one training run
-# holds between the vocabulary and the train matrix: about 70 MB.  A sample
-# whose digest would pass the bound is digested again for the matrix.
-HELD_DIGEST_GRAMS = 500_000
+# digest's memory, about 137 bytes each under tracemalloc) of train digests
+# one training run holds between the vocabulary and the train matrix: about
+# 5.5 MB, under a tenth of a small training process (about 67 MB).  A sample
+# whose digest would pass the bound is digested again for the matrix.  108
+# synthetic 20 KB samples come to about 24,600 entries.
+HELD_DIGEST_GRAMS = 40_000
 
 
 @dataclass(frozen=True)
@@ -173,14 +169,14 @@ def fit_pipeline(
     vocab, held = _vocab_and_digests(train_man, config)
     full_schema = build_schema(vocab, config.groups)
     log.info("vocabulary built: %s", {g: n for g, n in full_schema.group_sizes().items()})
-    train_full = project_matrix(
+    train_full = extract_matrix(
         train_man,
-        held,
         full_schema,
         vocab,
         prefer=config.prefer,
         binary_ngrams=config.binary_ngrams,
         threads=config.threads,
+        digests=held,
     )
     del held  # selection and the forest never need the digests
     selection = compute_selection(train_full, config)

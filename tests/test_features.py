@@ -942,15 +942,28 @@ def csv_writer_matrix_text(matrix: FeatureMatrix) -> str:
 def test_matrix_csv_rows_equal_the_csv_writer(tmp_path, width):
     names = ("plain", "odd,name", 'q"uote')[:width]
     schema = FeatureSchema(names, ("g",) * width)
-    ids = ("plain", 'a,b"c\nd', "e\rf", " lead", "", '"')
+    # ids with a newline and nothing else the writer quotes for ("c\nd",
+    # "\n") must be quoted as the "\n"-terminated writer quotes them
+    ids = ("plain", 'a,b"c\nd', "c\nd", "\n", "e\rf", " lead", "", '"')
     rng = np.random.default_rng(5)
     values = rng.normal(size=(len(ids), width)) * 10.0 ** rng.integers(-300, 300, size=(len(ids), width))
     if width:
         values[0, 0] = -0.0
-    matrix = FeatureMatrix(schema, ids, (3, None, 0, None, 12, 7), values)
+    matrix = FeatureMatrix(schema, ids, (3, None, 0, 5, None, 12, 7, None), values)
     path = tmp_path / "m.csv"
     save_matrix_csv(matrix, path)
     assert path.read_bytes().decode("utf-8") == csv_writer_matrix_text(matrix)
+    # the ids the writer quotes read back whole ("e\rf" is left unquoted)
+    keep = [i for i, sample_id in enumerate(ids) if "\r" not in sample_id]
+    readable = FeatureMatrix(
+        FeatureSchema((), ()),
+        tuple(ids[i] for i in keep),
+        tuple(matrix.labels[i] for i in keep),
+        np.zeros((len(keep), 0)),
+    )
+    save_matrix_csv(readable, path)
+    loaded = load_matrix_csv(path)
+    assert (loaded.ids, loaded.labels) == (readable.ids, readable.labels)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

@@ -335,8 +335,8 @@ def test_train_dir_equals_the_two_pass_build(tmp_path, monkeypatch, small_corpus
                 manifest, caps, groups, prefer),
         )
         two_pass.setattr(
-            pipeline_module, "project_matrix",
-            lambda manifest, digests, schema, vocab, **options: extract_matrix(
+            pipeline_module, "extract_matrix",
+            lambda manifest, schema, vocab, *, digests=None, **options: extract_matrix(
                 manifest, schema, vocab, **options),
         )
         want = saved_train_files(tmp_path, small_corpus, config)
