@@ -19,7 +19,7 @@ import numpy as np
 from ..corpus import CorpusManifest
 from ..errors import CorpusError
 from .extract import SampleDigest, assemble, project_digest
-from .schema import FeatureSchema, group_of_dim
+from .schema import GROUP_ORDER, FeatureSchema, build_schema, group_of_dim
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,15 @@ class FeatureMatrix:
         return len(self.ids)
 
     def labeled(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows carrying a label, as (values, labels) arrays."""
+        """Rows carrying a label, as (values, labels) arrays.
+
+        When every row carries one, the values are the matrix's own array,
+        not a copy.
+        """
         keep = [i for i, lab in enumerate(self.labels) if lab is not None]
         y = np.array([self.labels[i] for i in keep], dtype=np.int64)
+        if len(keep) == len(self.labels):
+            return self.values, y
         return self.values[keep], y
 
 
@@ -79,31 +85,51 @@ def extract_matrix(
     binary_ngrams: bool = False,
     threads: int = 1,
     digests: Sequence[SampleDigest | None] | None = None,
+    also: FeatureMatrix | None = None,
 ) -> FeatureMatrix:
     """Extract every sample in manifest order. Row order never depends on threads.
 
     `digests`, when given, is parallel to the manifest's samples: a digest is
-    projected as it stands (it must hold every group of the schema), and a
-    None in its place digests that sample afresh.
+    projected as it stands (it must hold every group of the schema and of
+    `also`), and a None in its place digests that sample afresh.
+
+    `also`, when given, is a matrix of the same samples whose values are
+    filled in the same pass, each column from the dimension of the same name:
+    a sample is digested and projected once for both matrices.
     """
     samples = manifest.samples
     if digests is None:
         digests = [None] * len(samples)
     elif len(digests) != len(samples):
         raise ValueError("digests must be parallel to the manifest's samples")
+    source, take, also_take = schema, None, None
+    if also is not None:
+        if also.ids != tuple(s.id for s in samples):
+            raise ValueError("also must hold the manifest's samples in order")
+        # one projection holds every dimension of both matrices' groups
+        wanted = set(schema.groups) | set(also.schema.groups)
+        source = build_schema(vocab, [g for g in GROUP_ORDER if g in wanted])
+        position = {name: i for i, name in enumerate(source.names)}
+        take = np.array([position[name] for name in schema.names], dtype=np.intp)
+        also_take = np.array([position[name] for name in also.schema.names], dtype=np.intp)
 
     def one(i: int) -> np.ndarray:
         digest = digests[i]
         if digest is None:
             return assemble(
-                samples[i], schema, vocab, prefer=prefer, binary_ngrams=binary_ngrams
+                samples[i], source, vocab, prefer=prefer, binary_ngrams=binary_ngrams
             ).values
         return project_digest(
-            samples[i].id, digest, schema, vocab, binary_ngrams=binary_ngrams
+            samples[i].id, digest, source, vocab, binary_ngrams=binary_ngrams
         ).values
 
-    rows = list(map_samples(one, range(len(samples)), threads))
-    values = np.vstack(rows) if rows else np.zeros((0, len(schema)))
+    values = np.empty((len(samples), len(schema)))
+    for i, row in enumerate(map_samples(one, range(len(samples)), threads)):
+        if take is None:
+            values[i] = row
+        else:
+            values[i] = row[take]
+            also.values[i] = row[also_take]
     return FeatureMatrix(
         schema=schema,
         ids=tuple(s.id for s in samples),
@@ -114,19 +140,25 @@ def extract_matrix(
 
 def save_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle, lineterminator="\n").writerow(["id", "label", *matrix.schema.names])
-        # the id and label cells are written by a csv writer of the same
-        # dialect (quoted as needed, a None label as an empty cell) into a
+        # the header and each row's id and label cells are written by a csv
+        # writer (quoted as needed, a None label as an empty cell) into a
         # buffer, less its line end; the values are float reprs, which never
-        # need quoting, so they are joined directly
+        # need quoting, so they are joined directly.  The writer ends its
+        # lines with \r\n so that it quotes a cell holding a lone \r as well
+        # as one holding \n; the file's lines end with \n alone.
         buffer = io.StringIO()
-        head = csv.writer(buffer, lineterminator="\n")
-        values = np.asarray(matrix.values, dtype=np.float64)
-        for sample_id, label, row in zip(matrix.ids, matrix.labels, values):
+        writer = csv.writer(buffer, lineterminator="\r\n")
+
+        def cells(row: list) -> str:
             buffer.seek(0)
             buffer.truncate()
-            head.writerow([sample_id, label])
-            handle.write(buffer.getvalue()[:-1])
+            writer.writerow(row)
+            return buffer.getvalue()[:-2]
+
+        handle.write(cells(["id", "label", *matrix.schema.names]) + "\n")
+        values = np.asarray(matrix.values, dtype=np.float64)
+        for sample_id, label, row in zip(matrix.ids, matrix.labels, values):
+            handle.write(cells([sample_id, label]))
             if row.size:
                 handle.write(",")
                 handle.write(",".join(map(repr, row.tolist())))

@@ -186,8 +186,10 @@ def _best_split(X, row_idx, y_codes, n_classes, dims, min_leaf):
 
 def _require_finite(X: np.ndarray) -> None:
     # A NaN or inf value yields a NaN/inf threshold that sends every row to
-    # one side, so the same node would be split again without end.
-    if not np.isfinite(X).all():
+    # one side, so the same node would be split again without end.  min and
+    # max carry a NaN or an inf through, so a finite matrix is checked with
+    # no temporary the size of the matrix.
+    if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
         row, col = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"non-finite value {X[row, col]} at row {row}, column {col}")
 
@@ -210,15 +212,14 @@ def best_split(values, labels, dims=None, min_samples_leaf: int = 1):
     )
 
 
-def _fit_tree(X, y_codes, n_classes, params: ForestParams, rng) -> tuple[list, ...]:
-    """Grow one tree; returns its (feature, threshold, left, right, counts)
-    node lists in preorder, child indices local to the tree."""
-    n, d = X.shape
+def _fit_tree(X, rows, y_codes, n_classes, params: ForestParams, rng) -> tuple[list, ...]:
+    """Grow one tree on X[rows]; returns its (feature, threshold, left, right,
+    counts) node lists in preorder, child indices local to the tree."""
+    n, d = rows.size, X.shape[1]
     m = _candidate_count(params.features_per_split, d)
     if params.bootstrap:
-        rows = rng.integers(0, n, size=n)
-    else:
-        rows = np.arange(n)
+        # the draw picks positions in `rows`, as it would rows of X[rows]
+        rows = rows[rng.integers(0, n, size=n)]
     depth_cap = params.max_depth if params.max_depth is not None else math.inf
     min_leaf = params.min_samples_leaf
 
@@ -258,24 +259,51 @@ def _fit_tree(X, y_codes, n_classes, params: ForestParams, rng) -> tuple[list, .
     return feature, threshold, left, right, node_counts
 
 
-def fit_forest(values, labels, params: ForestParams = ForestParams(), threads: int = 1) -> RandomForest:
+def fit_forest(
+    values,
+    labels,
+    params: ForestParams = ForestParams(),
+    threads: int = 1,
+    rows=None,
+    *,
+    checked: bool = False,
+) -> RandomForest:
+    """Fit `params.n_trees` trees on (values, labels).
+
+    `rows`, when given, indexes the rows of `values` and `labels` to train
+    on, in order, so that a caller with one matrix fits on part of it
+    without copying that part: the forest equals, node for node, the one
+    fitted on `values[rows]`, `labels[rows]`, as each bootstrap draw picks
+    positions in `rows`.  `checked=True` skips the finiteness check of
+    `values`, for a caller that has made it on the same matrix.
+    """
     X = np.ascontiguousarray(values, dtype=np.float64)
     y = np.asarray(labels)
     if X.ndim != 2:
         raise ValueError("values must be 2-d")
     if y.shape != (X.shape[0],):
         raise ValueError("labels must align with rows")
-    _require_finite(X)
-    if X.shape[0] == 0:
+    if rows is None:
+        rows = np.arange(X.shape[0])
+    else:
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1 or ((rows < 0) | (rows >= X.shape[0])).any():
+            raise ValueError("rows must be a 1-d index into the rows of values")
+    if not checked:
+        _require_finite(X)
+    if rows.size == 0:
         raise TrainingError("cannot fit a forest on an empty training set")
-    classes = np.unique(y)
+    y_rows = y[rows]
+    classes = np.unique(y_rows)
     if classes.size < 2:
         raise TrainingError("training data holds a single class; nothing to separate")
-    y_codes = np.searchsorted(classes, y).astype(np.intp)
+    # codes of rows outside `rows` are never read
+    y_codes = np.zeros(X.shape[0], dtype=np.intp)
+    y_codes[rows] = np.searchsorted(classes, y_rows)
 
     def build(index: int):
         rng = np.random.Generator(np.random.PCG64(mix_seed(params.seed, "tree", index)))
-        return _fit_tree(X, y_codes, classes.size, params, rng)
+        return _fit_tree(X, rows, y_codes, classes.size, params, rng)
 
     if threads > 1 and params.n_trees > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -416,10 +444,14 @@ def cross_validate(
     seed: int = 0,
     threads: int = 1,
 ) -> Metrics:
-    """Stratified k-fold: shuffle within each class, deal round-robin to folds."""
+    """Stratified k-fold: shuffle within each class, deal round-robin to folds.
+
+    Each fold's forest is fitted on that fold's rows of the one matrix (see
+    `fit_forest`'s `rows`); only the held-out rows are copied, to score them.
+    """
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    X = np.asarray(values, dtype=np.float64)
+    X = np.ascontiguousarray(values, dtype=np.float64)
     y = np.asarray(labels)
     if y.shape[0] != X.shape[0]:
         raise ValueError("labels must align with rows")
@@ -440,13 +472,17 @@ def cross_validate(
         perm = rng.permutation(idx.size)
         fold_of[idx[perm]] = np.arange(idx.size) % folds
 
+    # every fold fits on rows of this one matrix, so it is checked once
+    _require_finite(X)
     accuracies: list[float] = []
     k = classes.size
     conf_total = np.zeros((k, k), dtype=np.int64)
     for fold in range(folds):
         held = fold_of == fold
         fold_params = replace(params, seed=mix_seed(seed, "fold", fold))
-        forest = fit_forest(X[~held], y[~held], fold_params, threads=threads)
+        forest = fit_forest(
+            X, y, fold_params, threads=threads, rows=np.flatnonzero(~held), checked=True
+        )
         metrics = evaluate(forest, X[held], y[held])
         accuracies.append(metrics.accuracy)
         conf_total += np.asarray(metrics.confusion, dtype=np.int64)

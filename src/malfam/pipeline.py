@@ -3,6 +3,14 @@
 The CLI is a thin argv wrapper over these functions; tests drive them
 directly.  Every artifact written here is byte-stable for a fixed
 (config, seed, corpus) triple.
+
+A train pass digests each train sample once for the vocabulary and holds
+those digests, up to HELD_DIGEST_GRAMS, for the train matrix; a sample past
+the bound is digested once more.  It then fills, in one pass, the train
+matrix in its selected layout and a matrix of the budgeted groups' dims,
+which is all that selection reads; the chosen columns are copied into the
+train matrix, the one dense copy of the train values that the fit and every
+CV fold read.  No pre-selection matrix of every group is built.
 """
 from __future__ import annotations
 
@@ -18,7 +26,7 @@ from .corpus import CorpusManifest, save_manifest, stratified_split
 from .errors import ModelError, TrainingError
 from .features.extract import SampleDigest, digest_sample
 from .features.matrix import FeatureMatrix, extract_matrix, map_samples, save_matrix_csv
-from .features.schema import FeatureSchema, build_schema
+from .features.schema import GROUP_ORDER, FeatureSchema, build_schema
 from .features.select import load_selection, save_selection, select_by_importance
 from .features.vocab import Vocabulary, build_vocab, load_vocab, save_vocab
 from .forest import (
@@ -50,9 +58,10 @@ TEST_MANIFEST_FILE = "test_manifest.json"
 # How many 4-gram entries (api and opcode counts together, the bulk of a
 # digest's memory, about 137 bytes each under tracemalloc) of train digests
 # one training run holds between the vocabulary and the train matrix: about
-# 5.5 MB, under a tenth of a small training process (about 67 MB).  A sample
-# whose digest would pass the bound is digested again for the matrix.  108
-# synthetic 20 KB samples come to about 24,600 entries.
+# 5.5 MB, a tenth of a small training process (a 108-sample pass with 50
+# trees peaks near 57 MB resident).  A sample whose digest would pass the
+# bound is digested once more, for the train matrix and selection together.
+# 108 synthetic 20 KB samples come to about 24,600 entries.
 HELD_DIGEST_GRAMS = 40_000
 
 
@@ -69,21 +78,6 @@ class TrainResult:
     holdout: Metrics
     cv: Metrics
     grid: list[tuple[ForestParams, float]] | None = None
-
-
-def subset_columns(matrix: FeatureMatrix, schema: FeatureSchema) -> FeatureMatrix:
-    """Reproject a matrix onto a schema whose dims are a subset of its columns."""
-    position = {name: i for i, name in enumerate(matrix.schema.names)}
-    try:
-        cols = [position[name] for name in schema.names]
-    except KeyError as exc:
-        raise ValueError(f"matrix lacks dimension {exc.args[0]!r}") from exc
-    return FeatureMatrix(
-        schema=schema,
-        ids=matrix.ids,
-        labels=matrix.labels,
-        values=np.ascontiguousarray(matrix.values[:, cols]),
-    )
 
 
 def compute_selection(matrix: FeatureMatrix, config: RunConfig) -> dict[str, list[str]]:
@@ -148,7 +142,33 @@ def _vocab_and_digests(
     vocab = build_vocab(
         train_man, config.caps, config.groups, config.prefer, digests=holding(digests)
     )
+    again = held.count(None)
+    log.info(
+        "train digests: %d of %d samples held (%d gram entries, bound %d), %d digested again",
+        len(held) - again, len(held), HELD_DIGEST_GRAMS - room, HELD_DIGEST_GRAMS, again,
+    )
     return vocab, held
+
+
+def _selected_layout(
+    vocab: Vocabulary, config: RunConfig
+) -> tuple[FeatureSchema, FeatureSchema]:
+    """The train matrix's schema before selection, and the schema selection reads.
+
+    The first has the selected layout: a budgeted group takes min(budget,
+    group size) columns, holding its first dims until selection has chosen
+    them.  The second holds every dim of the budgeted groups, all that
+    `compute_selection` reads.
+    """
+    budgets = {
+        group: min(k, len(vocab.dims(group)))
+        for group, k in config.active_selection().items()
+        if vocab.dims(group)
+    }
+    layout = build_schema(
+        vocab, config.groups, {group: vocab.dims(group)[:k] for group, k in budgets.items()}
+    )
+    return layout, build_schema(vocab, tuple(budgets))
 
 
 def fit_pipeline(
@@ -160,28 +180,46 @@ def fit_pipeline(
 ) -> TrainResult:
     """Vocabulary, selection, and model all come from the train manifest only.
 
-    Each train sample is digested once: the vocabulary and the full train
-    matrix are both made from that digest (see `_vocab_and_digests`).
+    Each train sample is digested once: the vocabulary and the train matrix
+    are both made from that digest (see `_vocab_and_digests`).  The train
+    matrix is the one dense copy of the train values: it is allocated in
+    its selected layout and filled in the same pass as the matrix of the
+    budgeted groups that selection reads, whose chosen columns are copied
+    into it after selection; the fit and every CV fold read it in place.
     """
     overlap = train_man.ids() & test_man.ids()
     if overlap:
         raise TrainingError(f"train/test manifests overlap: {sorted(overlap)[:3]}")
     vocab, held = _vocab_and_digests(train_man, config)
-    full_schema = build_schema(vocab, config.groups)
-    log.info("vocabulary built: %s", {g: n for g, n in full_schema.group_sizes().items()})
-    train_full = extract_matrix(
+    log.info("vocabulary built: %s",
+             {g: len(vocab.dims(g)) for g in GROUP_ORDER if g in config.groups and vocab.dims(g)})
+    layout, select_schema = _selected_layout(vocab, config)
+    to_select = FeatureMatrix(
+        schema=select_schema,
+        ids=tuple(s.id for s in train_man.samples),
+        labels=tuple(s.label for s in train_man.samples),
+        values=np.empty((len(train_man), len(select_schema))),
+    )
+    staged = extract_matrix(
         train_man,
-        full_schema,
+        layout,
         vocab,
         prefer=config.prefer,
         binary_ngrams=config.binary_ngrams,
         threads=config.threads,
         digests=held,
+        also=to_select,
     )
     del held  # selection and the forest never need the digests
-    selection = compute_selection(train_full, config)
+    selection = compute_selection(to_select, config)
     schema = build_schema(vocab, config.groups, selection or None)
-    train_matrix = subset_columns(train_full, schema)
+    column = {name: i for i, name in enumerate(select_schema.names)}
+    for group, names in selection.items():
+        staged.values[:, schema.group_indices(group)] = (
+            to_select.values[:, [column[name] for name in names]]
+        )
+    del to_select
+    train_matrix = replace(staged, schema=schema)
     test_matrix = extract_matrix(
         test_man,
         schema,

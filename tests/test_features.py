@@ -929,7 +929,7 @@ def test_matrix_csv_round_trip(tmp_path, small_corpus):
 
 
 def csv_writer_matrix_text(matrix: FeatureMatrix) -> str:
-    """The matrix as a csv writer writes every cell of every row."""
+    """The matrix as a "\n"-terminated csv writer writes every cell of every row."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id", "label", *matrix.schema.names])
@@ -938,32 +938,109 @@ def csv_writer_matrix_text(matrix: FeatureMatrix) -> str:
     return out.getvalue()
 
 
+def quoted_matrix_text(matrix: FeatureMatrix) -> str:
+    """The matrix with a cell quoted exactly when it holds `,`, `"`, `\r` or `\n`."""
+    def cell(text: str) -> str:
+        if any(c in text for c in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    lines = [",".join(map(cell, ("id", "label", *matrix.schema.names)))]
+    for sample_id, label, row in zip(matrix.ids, matrix.labels, matrix.values):
+        label_cell = "" if label is None else str(label)
+        lines.append(",".join([cell(sample_id), label_cell, *map(repr, row.tolist())]))
+    return "".join(line + "\n" for line in lines)
+
+
+def subset_rows(matrix: FeatureMatrix, keep: list[int]) -> FeatureMatrix:
+    return FeatureMatrix(
+        matrix.schema,
+        tuple(matrix.ids[i] for i in keep),
+        tuple(matrix.labels[i] for i in keep),
+        matrix.values[keep],
+    )
+
+
 @pytest.mark.parametrize("width", [0, 1, 3])
 def test_matrix_csv_rows_equal_the_csv_writer(tmp_path, width):
     names = ("plain", "odd,name", 'q"uote')[:width]
     schema = FeatureSchema(names, ("g",) * width)
     # ids with a newline and nothing else the writer quotes for ("c\nd",
-    # "\n") must be quoted as the "\n"-terminated writer quotes them
-    ids = ("plain", 'a,b"c\nd', "c\nd", "\n", "e\rf", " lead", "", '"')
+    # "\n") must be quoted as the "\n"-terminated writer quotes them; an id
+    # holding a lone "\r", which that writer leaves bare, is quoted too
+    ids = ("plain", 'a,b"c\nd', "c\nd", "\n", "e\rf", " lead", "", '"', "\r")
     rng = np.random.default_rng(5)
     values = rng.normal(size=(len(ids), width)) * 10.0 ** rng.integers(-300, 300, size=(len(ids), width))
     if width:
         values[0, 0] = -0.0
-    matrix = FeatureMatrix(schema, ids, (3, None, 0, 5, None, 12, 7, None), values)
+    matrix = FeatureMatrix(schema, ids, (3, None, 0, 5, None, 12, 7, None, 1), values)
     path = tmp_path / "m.csv"
     save_matrix_csv(matrix, path)
-    assert path.read_bytes().decode("utf-8") == csv_writer_matrix_text(matrix)
-    # the ids the writer quotes read back whole ("e\rf" is left unquoted)
-    keep = [i for i, sample_id in enumerate(ids) if "\r" not in sample_id]
-    readable = FeatureMatrix(
-        FeatureSchema((), ()),
-        tuple(ids[i] for i in keep),
-        tuple(matrix.labels[i] for i in keep),
-        np.zeros((len(keep), 0)),
-    )
+    assert path.read_bytes().decode("utf-8") == quoted_matrix_text(matrix)
+    # every id without a "\r" is written as the csv writer writes it
+    plain = subset_rows(matrix, [i for i, sample_id in enumerate(ids) if "\r" not in sample_id])
+    save_matrix_csv(plain, path)
+    assert path.read_bytes().decode("utf-8") == csv_writer_matrix_text(plain)
+    # every id reads back whole (the names above carry no group prefix, so
+    # the round trip drops the values)
+    readable = FeatureMatrix(FeatureSchema((), ()), ids, matrix.labels, np.zeros((len(ids), 0)))
     save_matrix_csv(readable, path)
     loaded = load_matrix_csv(path)
     assert (loaded.ids, loaded.labels) == (readable.ids, readable.labels)
+
+
+@pytest.mark.parametrize("sample_id", ["a\rb", "\r", "a\r\nb", "a\n\rb", "\rlead", "trail\r"])
+def test_matrix_csv_round_trips_an_id_with_a_carriage_return(tmp_path, sample_id):
+    schema = FeatureSchema(("fsz_asm",), ("file_size",))
+    matrix = FeatureMatrix(schema, (sample_id, "next"), (4, None), np.array([[1.5], [2.0]]))
+    path = tmp_path / "m.csv"
+    save_matrix_csv(matrix, path)
+    loaded = load_matrix_csv(path)
+    assert (loaded.ids, loaded.labels) == (matrix.ids, matrix.labels)
+    assert np.array_equal(loaded.values, matrix.values)
+
+
+def test_labeled_shares_the_values_exactly_when_every_row_is_labeled():
+    schema = FeatureSchema(("fsz_asm", "fsz_bytes"), ("file_size",) * 2)
+    values = np.arange(6, dtype=np.float64).reshape(3, 2)
+    full = FeatureMatrix(schema, ("a", "b", "c"), (1, 2, 1), values)
+    got, labels = full.labeled()
+    assert got is values and labels.tolist() == [1, 2, 1]
+    part = FeatureMatrix(schema, ("a", "b", "c"), (1, None, 1), values)
+    got, labels = part.labeled()
+    assert not np.shares_memory(got, values)
+    assert np.array_equal(got, values[[0, 2]]) and labels.tolist() == [1, 1]
+
+
+def test_extract_matrix_fills_also_from_the_same_pass(small_corpus, monkeypatch):
+    vocab = build_vocab(small_corpus, VocabCaps(6, 6, 12, 12), prefer="asm")
+    full = extract_matrix(small_corpus, build_schema(vocab), vocab, prefer="asm")
+    narrow = build_schema(vocab, selection={
+        GROUP_SECTION_SIZE: vocab.dims(GROUP_SECTION_SIZE)[::-2],
+        GROUP_OPCODE_4GRAM: vocab.dims(GROUP_OPCODE_4GRAM)[3:5],
+    })
+    aside = build_schema(vocab, (GROUP_SECTION_SIZE, GROUP_API_4GRAM))
+    also = FeatureMatrix(
+        aside,
+        tuple(s.id for s in small_corpus.samples),
+        tuple(s.label for s in small_corpus.samples),
+        np.full((len(small_corpus), len(aside)), np.nan),
+    )
+    calls = Counter()
+    real_digest = extract.digest_sample
+
+    def counted(sample, *args, **kwargs):
+        calls[sample.id] += 1
+        return real_digest(sample, *args, **kwargs)
+
+    monkeypatch.setattr(extract, "digest_sample", counted)
+    got = extract_matrix(small_corpus, narrow, vocab, prefer="asm", threads=2, also=also)
+    assert calls == Counter({s.id: 1 for s in small_corpus.samples})
+    for matrix in (got, also):
+        cols = [full.schema.names.index(name) for name in matrix.schema.names]
+        assert np.array_equal(matrix.values, full.values[:, cols])
+    with pytest.raises(ValueError, match="also must hold"):
+        extract_matrix(small_corpus, narrow, vocab, prefer="asm", also=subset_rows(also, [0, 1]))
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

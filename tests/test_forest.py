@@ -41,6 +41,7 @@ from malfam.forest import (
 )
 from malfam.pipeline import CONFIG_FILE, MODEL_FILE, VOCAB_FILE, load_model_dir
 from malfam.util import mix_seed
+from oracles import copying_cross_validate
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +351,45 @@ def test_fit_forest_node_arrays_equal_per_dim_loop(monkeypatch, data, params):
     assert block.feature.size > 6 * 5  # deep enough to compare many splits
     for name in ("feature", "threshold", "left", "right", "counts", "roots"):
         assert np.array_equal(getattr(block, name), getattr(loop, name)), name
+
+
+def assert_same_nodes(a: RandomForest, b: RandomForest) -> None:
+    assert (a.classes, a.n_features, a.params) == (b.classes, b.n_features, b.params)
+    for name in ("feature", "threshold", "left", "right", "counts", "roots"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("params, threads", [
+    (ForestParams(n_trees=6, seed=3), 1),
+    (ForestParams(n_trees=6, seed=4, bootstrap=False), 1),
+    (ForestParams(n_trees=6, seed=5, max_depth=3), 1),
+    (ForestParams(n_trees=6, seed=6, min_samples_leaf=2, features_per_split="third"), 1),
+    (ForestParams(n_trees=6, seed=7), 2),
+    (ForestParams(n_trees=6, seed=8, bootstrap=False, min_samples_leaf=2), 2),
+], ids=["bootstrap", "no-bootstrap", "depth3", "leaf2-third", "threads2", "no-bootstrap-leaf2-threads2"])
+def test_fit_forest_on_rows_equals_fitting_on_their_copy(params, threads):
+    X, y = small_dense_counts()
+    # an unsorted subset with a repeat; a class of only the rows left out
+    rows = np.random.default_rng(12).permutation(70)[:45]
+    rows[7] = rows[3]
+    y = y.copy()
+    y[np.setdiff1d(np.arange(70), rows)[:4]] = 9
+    got = fit_forest(X, y, params, threads=threads, rows=rows)
+    want = fit_forest(X[rows], y[rows], params, threads=threads)
+    assert want.feature.size > 6 * 5  # deep enough to compare many splits
+    assert_same_nodes(got, want)
+    assert_same_nodes(fit_forest(X, y, params, rows=np.arange(70)), fit_forest(X, y, params))
+
+
+def test_fit_forest_rejects_rows_outside_the_matrix():
+    X, y = small_dense_counts()
+    for rows in (np.array([0, 70]), np.array([-1, 2]), np.array([[0, 1]])):
+        with pytest.raises(ValueError, match="rows must be"):
+            fit_forest(X, y, ForestParams(n_trees=2), rows=rows)
+    with pytest.raises(TrainingError, match="empty"):
+        fit_forest(X, y, ForestParams(n_trees=2), rows=np.array([], dtype=np.intp))
+    with pytest.raises(TrainingError, match="single class"):
+        fit_forest(X, y, ForestParams(n_trees=2), rows=np.flatnonzero(y == y[0]))
 
 
 def test_block_split_memory_is_linear_in_the_block():
@@ -720,9 +760,10 @@ def test_cross_validate_folds_match_round_robin_dealing(monkeypatch):
     held_out = []
     real_fit = forest_module.fit_forest
 
-    def spy(values, labels, params, threads=1):
-        held_out.append(sorted(set(range(y.size)) - {int(v) for v in values[:, 0]}))
-        return real_fit(values, labels, params, threads=threads)
+    def spy(values, labels, params, threads=1, rows=None, **kwargs):
+        trained = values if rows is None else values[rows]
+        held_out.append(sorted(set(range(y.size)) - {int(v) for v in trained[:, 0]}))
+        return real_fit(values, labels, params, threads=threads, rows=rows, **kwargs)
 
     monkeypatch.setattr(forest_module, "fit_forest", spy)
     cross_validate(X, y, ForestParams(n_trees=2, seed=0), folds=4, seed=9)
@@ -734,6 +775,40 @@ def test_cross_validate_folds_match_round_robin_dealing(monkeypatch):
         for position, j in enumerate(perm):
             expected[position % 4].append(int(idx[j]))
     assert held_out == [sorted(fold) for fold in expected]
+
+
+@pytest.mark.parametrize("folds, params", [
+    (3, ForestParams(n_trees=6, seed=4)),
+    (4, ForestParams(n_trees=5, seed=8, bootstrap=False, max_depth=3, min_samples_leaf=2)),
+], ids=["bootstrap", "no-bootstrap-depth3-leaf2"])
+def test_cross_validate_equals_fitting_each_fold_on_a_copy(monkeypatch, folds, params):
+    X, y = small_dense_counts()
+    fitted_on = []
+    real_fit = forest_module.fit_forest
+
+    def spy(values, *args, **kwargs):
+        fitted_on.append(values)
+        return real_fit(values, *args, **kwargs)
+
+    monkeypatch.setattr(forest_module, "fit_forest", spy)
+    got = cross_validate(X, y, params, folds=folds, seed=21, threads=2)
+    assert len(fitted_on) == folds and all(values is X for values in fitted_on)
+    want = copying_cross_validate(X, y, params, folds=folds, seed=21)
+    assert got.per_fold == want.per_fold
+    assert got.confusion == want.confusion
+    assert (got.accuracy, got.classes) == (want.accuracy, want.classes)
+
+
+def test_cross_validate_checks_the_matrix_once(monkeypatch):
+    X, y = small_dense_counts()
+    checked = []
+    real_check = forest_module._require_finite
+    monkeypatch.setattr(forest_module, "_require_finite", lambda X: checked.append(X) or real_check(X))
+    cross_validate(X, y, ForestParams(n_trees=2, seed=0), folds=3, seed=0)
+    assert len(checked) == 1
+    X[5, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite value nan at row 5, column 2"):
+        cross_validate(X, y, ForestParams(n_trees=2, seed=0, max_depth=40), folds=3, seed=0)
 
 
 def test_cross_validate_separable_data_is_perfect():

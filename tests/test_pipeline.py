@@ -1,7 +1,9 @@
 """Config plumbing and end-to-end pipeline tests (vocab -> selection -> forest)."""
 from __future__ import annotations
 
+import logging
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -44,11 +46,12 @@ from malfam.pipeline import (
     fit_pipeline,
     load_model_dir,
     save_train_dir,
-    subset_columns,
     train_pipeline,
 )
 from malfam.corpus import load_manifest, stratified_split
+from malfam.synth import gen_synthetic
 from malfam.util import json_int
+from oracles import subset_columns
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +324,67 @@ def test_train_pipeline_digests_samples_past_the_hold_again(monkeypatch, small_c
     train_calls = Counter(calls[s.id] for s in train_man.samples)
     assert set(train_calls) == {1, 2} and min(train_calls.values()) >= 2
     assert all(calls[s.id] == 1 for s in test_man.samples)
+
+
+def test_a_gram_budget_digests_samples_past_the_hold_twice_at_most(monkeypatch, small_corpus):
+    # the budget is on a gram group, so selection reads columns that only a
+    # fresh digest of a sample past the hold can give; that digest must
+    # serve the train matrix too
+    monkeypatch.setattr(pipeline_module, "HELD_DIGEST_GRAMS", 1000)
+    calls = count_digests(monkeypatch)
+    _, train_man, test_man = train_pipeline(small_corpus, DIGEST_ONCE_CONFIGS["perms-libs-opcodes"])
+    train_calls = Counter(calls[s.id] for s in train_man.samples)
+    assert set(train_calls) == {1, 2} and min(train_calls.values()) >= 2
+    assert all(calls[s.id] == 1 for s in test_man.samples)
+
+
+def test_fit_pipeline_logs_what_the_train_digests_hold(monkeypatch, caplog, small_corpus):
+    monkeypatch.setattr(pipeline_module, "HELD_DIGEST_GRAMS", 1000)
+    calls = count_digests(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="malfam.pipeline"):
+        _, train_man, _ = train_pipeline(small_corpus, DIGEST_ONCE_CONFIGS["every-group"])
+    again = sum(calls[s.id] == 2 for s in train_man.samples)
+    held = len(train_man) - again
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("train digests")]
+    assert len(lines) == 1
+    words = lines[0].split()
+    assert words[2:7] == [str(held), "of", str(len(train_man)), "samples", "held"]
+    grams = int(words[7].lstrip("("))
+    assert 0 < grams <= 1000 and words[-3:] == [str(again), "digested", "again"]
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_ONCE_CONFIGS))
+def test_train_matrix_equals_the_selected_columns_of_the_full_matrix(
+    monkeypatch, small_corpus, name
+):
+    config = DIGEST_ONCE_CONFIGS[name]
+    monkeypatch.setattr(pipeline_module, "HELD_DIGEST_GRAMS", 1000)
+    result, train_man, _ = train_pipeline(small_corpus, config)
+    full = extract_matrix(
+        train_man, build_schema(result.vocab, config.groups), result.vocab,
+        prefer=config.prefer, binary_ngrams=config.binary_ngrams,
+    )
+    want = subset_columns(full, result.schema)
+    assert result.selection  # every config budgets a group
+    assert (result.train_matrix.schema, result.train_matrix.ids) == (want.schema, want.ids)
+    assert result.train_matrix.labels == want.labels
+    assert np.array_equal(result.train_matrix.values, want.values)
+    assert compute_selection(full, config) == result.selection
+
+
+def test_train_pass_peak_memory_is_bounded_by_the_train_matrix(tmp_path):
+    corpus = gen_synthetic(12, 301, tmp_path / "corpus")
+    config = RunConfig(folds=3, forest=ForestParams(n_trees=10))
+    train_pipeline(corpus, config)  # first-call allocations (imports, caches) stay out
+    tracemalloc.start()
+    try:
+        result, _, _ = train_pipeline(corpus, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the train matrix, the digests held beside it and the CV's held-out
+    # copies; every further dense copy of the matrix adds 1x
+    assert peak <= 3 * result.train_matrix.values.nbytes
 
 
 @pytest.mark.parametrize("name", sorted(DIGEST_ONCE_CONFIGS))
