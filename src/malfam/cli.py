@@ -19,7 +19,7 @@ from .corpus import CorpusManifest, Sample, load_labels, scan_corpus
 from .errors import CorpusError, MalfamError, ModelError
 from .families import family_name
 from .features.matrix import extract_matrix, load_matrix_csv, save_matrix_csv
-from .features.schema import GROUP_ORDER, build_schema
+from .features.schema import GROUP_ORDER, FeatureVector, build_schema
 from .features.select import load_selection, save_selection
 from .features.vocab import build_vocab, load_vocab, save_vocab
 from .features.extract import assemble
@@ -361,7 +361,7 @@ def _paths_to_samples(paths: list[str]) -> list[Sample]:
 def cmd_classify(ns: argparse.Namespace, config: RunConfig) -> int:
     bundle = load_model_dir(ns.model_dir)
     samples = _paths_to_samples(ns.paths)
-    results: list[tuple[str, list[float], int]] = []
+    results: list[tuple[str, list[float], FeatureVector]] = []
     failed = 0
     for sample in samples:
         try:
@@ -371,21 +371,24 @@ def cmd_classify(ns: argparse.Namespace, config: RunConfig) -> int:
                 binary_ngrams=bundle.config.binary_ngrams,
             )
             probs = predict_proba(bundle.forest, vector.values)
-            results.append((sample.id, [float(p) for p in probs], vector.parse_failures))
+            results.append((sample.id, [float(p) for p in probs], vector))
+            if not vector.values.any():
+                print(f"warning: {sample.id}: all-zero feature vector", file=sys.stderr)
         except MalfamError as exc:
             failed += 1
             print(f"error: {sample.id}: {exc}", file=sys.stderr)
     classes = bundle.forest.classes
     if ns.json:
         doc = []
-        for sample_id, probs, parse_failures in results:
+        for sample_id, probs, vector in results:
             best = max(range(len(classes)), key=lambda i: (probs[i], -classes[i]))
             doc.append({
                 "id": sample_id,
                 "prediction": classes[best],
                 "family": family_name(classes[best]),
                 "probabilities": {str(c): probs[i] for i, c in enumerate(classes)},
-                "parse_failures": parse_failures,
+                "parse_failures": vector.parse_failures,
+                "imports_degraded": vector.imports_degraded,
             })
         print(json.dumps(doc, indent=1))
     else:

@@ -249,6 +249,7 @@ class SampleDigest:
     api_grams: Counter = field(default_factory=Counter)
     opcode_grams: Counter = field(default_factory=Counter)
     parse_failures: int = 0  # listing lines that failed to parse; 0 when none was read
+    imports_degraded: bool = False  # the PE's imports were unreadable; False when none was read
 
 
 def digest_sample(
@@ -286,6 +287,8 @@ def digest_sample(
 
     if scan is not None:
         found["parse_failures"] = scan.parse_failures
+    if summary is not None:
+        found["imports_degraded"] = summary.imports_degraded
     if want_sections and summary is not None:
         found["sections"] = section_stats_from_pe(summary)
     elif want_sections and from_asm:
@@ -425,7 +428,11 @@ def _vector(
     if not np.isfinite(values).all():
         bad = schema.names[int(np.flatnonzero(~np.isfinite(values))[0])]
         raise ExtractionError(f"sample {sample_id}: non-finite value in {bad}")
-    return FeatureVector(values=values, parse_failures=digest.parse_failures)
+    return FeatureVector(
+        values=values,
+        parse_failures=digest.parse_failures,
+        imports_degraded=digest.imports_degraded,
+    )
 
 
 def project_digest(

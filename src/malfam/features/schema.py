@@ -121,6 +121,7 @@ class FeatureSchema:
 class FeatureVector:
     values: np.ndarray
     parse_failures: int = 0  # listing lines that failed to parse; 0 when none was read
+    imports_degraded: bool = False  # the PE's imports were unreadable; False when none was read
 
 
 def group_dims(group: str, vocab) -> tuple[str, ...]:

@@ -7,20 +7,28 @@ for every node.  Nodes are stored in preorder, left child first, and trees are
 concatenated in index order; ``roots[t]`` is the first node of tree t.  Fit,
 predict, importance and ``model.json`` all read and write these arrays.
 
-Split search scores all candidate dims of a node as one n x m block (n rows at
-the node, m candidate dims): each column is sorted, the squared class counts
-left and right of every cut come from one cumulative sum per class present,
-and the gain of every (cut, dim) pair is computed at once.  Memory is O(n*m)
-whatever the class count; no n x m x k one-hot tensor is built.  The counts
-are exact integers, so gains are the same floats a per-dim loop computes.
-Candidate dims that are constant on the node's rows are dropped from the
-block before the sort (in sparse gram groups most are): they are skipped,
-not redrawn, so the rng draws and the tree are what scoring them would give.
+The trees of a forest grow in lockstep.  Each keeps its own generator and
+preorder stack; at each step, the next node of every unfinished tree that
+needs a split is scored in one batched search, in chunks of at most
+CHUNK_CELLS cells (a cell is one row of a node at one candidate dim).  The
+search gathers each (node, dim) segment's values, packs segment, value rank
+and class into one integer key per cell and sorts the keys, so each segment
+is in value order.  The class counts of every run of equal values come from
+one bincount, and a cumulative sum over the runs gives the counts left of
+every cut where the value changes; only those cuts are scored.  Memory is
+O(chunk * k) for the run counts, whatever the number of trees; no one-hot
+tensor is built.  The counts are exact integers and the gain expression is
+that of a per-dim loop, so gains are the same floats and ties resolve the
+same way.  Candidate dims that are constant on a node's rows are dropped
+before the sort (in sparse gram groups most are): they are skipped, not
+redrawn, so the rng draws and the tree are what scoring them would give.
 
 Determinism contract: every tree draws from its own PCG64 generator seeded by
 mix_seed(seed, "tree", index), so refitting with the same seed reproduces the
-forest node for node regardless of thread count.  Ties in the split search
-resolve to the lowest dimension index, then the lowest threshold.
+forest node for node regardless of thread count: each thread grows a
+contiguous slice of the tree indices, and the slices are joined in tree
+order.  Ties in the split search resolve to the lowest dimension index, then
+the lowest threshold.
 """
 from __future__ import annotations
 
@@ -126,62 +134,164 @@ def gini(counts) -> float:
     return float(1.0 - p @ p)
 
 
+# Cells (node rows x candidate dims) that one batched split search gathers
+# at most; a node with more is searched a slice of its dims at a time.
+CHUNK_CELLS = 32_768
+
+
 def _best_split(X, row_idx, y_codes, n_classes, dims, min_leaf):
     """Exact best (dim, threshold, gain) over candidate dims, or None.
 
     Thresholds are midpoints between consecutive distinct sorted values.  The
     winner takes the strictly largest gain, which must be > 0; on a tie the
     dim listed first wins, and within a dim the lowest threshold.  Callers
-    pass dims sorted, so the first listed is the lowest index.
+    pass dims sorted, so the first listed is the lowest index.  This is the
+    one-node case of `_best_splits`.
     """
-    n = row_idx.size
     dims = np.asarray(dims, dtype=np.intp)
-    lo, hi = min_leaf - 1, n - min_leaf  # cut i puts sorted rows 0..i on the left
-    if dims.size == 0 or hi <= lo:
-        return None
-    sub_y = y_codes[row_idx]
-    total = np.bincount(sub_y, minlength=n_classes)
-    total_sq = total @ total
-    g_parent = 1.0 - total_sq / (n * n)
-    block = X[row_idx[:, np.newaxis], dims]
-    # A dim constant on the node's rows has no cut, so it can never win;
+    return _best_splits(X, y_codes, n_classes, [(row_idx, dims)], min_leaf)[0]
+
+
+def _best_splits(X, y_codes, n_classes, nodes, min_leaf) -> list:
+    """`_best_split` of every (row_idx, dims) pair in `nodes`.
+
+    The nodes are scored in chunks of at most CHUNK_CELLS cells: whole nodes
+    where they fit, slices of a node's dims where one does not.  A slice
+    replaces an earlier slice's split of its node only with a strictly larger
+    gain, so the tie rules hold across slices.
+    """
+    best: list = [None] * len(nodes)
+    chunk: list[tuple[int, np.ndarray, np.ndarray]] = []
+    cells = 0
+
+    def flush() -> None:
+        for (j, _, _), found in zip(chunk, _search_chunk(X, y_codes, n_classes, chunk, min_leaf)):
+            if found is not None and (best[j] is None or found[2] > best[j][2]):
+                best[j] = found
+
+    for j, (row_idx, dims) in enumerate(nodes):
+        n = row_idx.size
+        if n < 2 * min_leaf:  # no cut leaves min_leaf rows on both sides
+            continue
+        step = max(1, CHUNK_CELLS // n)
+        for start in range(0, dims.size, step):
+            part = dims[start:start + step]
+            if chunk and cells + n * part.size > CHUNK_CELLS:
+                flush()
+                chunk, cells = [], 0
+            chunk.append((j, row_idx, part))
+            cells += n * part.size
+    if chunk:
+        flush()
+    return best
+
+
+def _search_chunk(X, y_codes, n_classes, pieces, min_leaf) -> list:
+    """Best split of each (_, row_idx, dims) piece, or None, scored at once.
+
+    The cells of each (piece, dim) segment are sorted by value.  One bincount
+    gives the class counts of every run of equal values, and a cumulative sum
+    over the runs gives the counts left of every cut where the value
+    changes.  The counts are exact integers and the gain is the per-dim
+    loop's expression term for term, so every gain is the float it computes.
+    """
+    k = n_classes
+    seg_dim = np.concatenate([dims for _, _, dims in pieces])
+    seg_piece = np.repeat(np.arange(len(pieces)), [dims.size for _, _, dims in pieces])
+    seg_n = np.array([rows.size for _, rows, _ in pieces], dtype=np.intp)[seg_piece]
+    seg_start = np.cumsum(seg_n) - seg_n
+    # segment after segment, each holding its piece's rows in order
+    stride = X.shape[1]
+    vals = X.take(np.concatenate(
+        [np.add.outer(dims, rows * stride).ravel() for _, rows, dims in pieces]
+    ))
+    cls = np.concatenate(
+        [y_codes[rows][np.newaxis].repeat(dims.size, axis=0).ravel() for _, rows, dims in pieces]
+    )
+    # A dim constant on its piece's rows has no cut, so it can never win;
     # dropping it keeps the rest in order, and with them every gain and tie.
-    live = (block != block[0]).any(axis=0)
+    live = np.logical_or.reduceat(vals != np.repeat(vals[seg_start], seg_n), seg_start)
     if not live.all():
         if not live.any():
-            return None
-        block, dims = block[:, live], dims[live]
-    # Counts at a cut where the value changes do not depend on how equal
-    # values are ordered, so the sort need not be stable.
-    order = block.argsort(axis=0)
-    sorted_vals = block[order, np.arange(dims.size)]
-    ys = sub_y[order[:hi]]
-    del block, order
-    valid = sorted_vals[lo + 1:hi + 1] != sorted_vals[lo:hi]
-    n_left = np.arange(lo + 1, hi + 1)[:, np.newaxis]
+            return [None] * len(pieces)
+        keep = np.repeat(live, seg_n)
+        vals, cls = vals[keep], cls[keep]
+        seg_dim, seg_piece, seg_n = seg_dim[live], seg_piece[live], seg_n[live]
+        seg_start = np.cumsum(seg_n) - seg_n
+    cell_seg = np.repeat(np.arange(seg_n.size), seg_n)
+    # Each cell's (segment, value, class) packs into one integer key, the
+    # value as its rank among the chunk's distinct values, so that a plain
+    # sort of the keys (no argsort) orders every segment by value.  A key is
+    # below cells^2 * classes, far inside int64 for a chunk that fits in memory.
+    distinct = np.unique(vals)
+    key = cell_seg * distinct.size + np.searchsorted(distinct, vals)
+    key *= k
+    key += cls
+    key.sort()
+    del vals, cls
+    seg_rank, ys = np.divmod(key, k)
+    del key
+    run_head = _heads(seg_rank)  # first cell of each run of equal values
+    run = np.cumsum(run_head) - 1
+    run_start = np.flatnonzero(run_head)
+    # cum[r] holds the class counts of runs 0..r-1 of the whole chunk
+    cum = np.zeros((run_start.size + 1, k), dtype=np.int64)
+    np.cumsum(
+        np.bincount(run * k + ys, minlength=run_start.size * k).reshape(-1, k),
+        axis=0, out=cum[1:],
+    )
+    del run_head, ys
+    seg_head = np.zeros(seg_rank.size, dtype=bool)
+    seg_head[seg_start] = True
+    # A cut follows each run whose successor starts in the same segment; its
+    # last row is the last row on the left.
+    cut_end = run_start[1:][~seg_head[run_start[1:]]] - 1
+    seg = cell_seg[cut_end]
+    n = seg_n[seg]
+    n_left = cut_end + 1 - seg_start[seg]
+    feasible = (n_left >= min_leaf) & (n_left <= n - min_leaf)
+    cut_end, seg, n, n_left = cut_end[feasible], seg[feasible], n[feasible], n_left[feasible]
     n_right = n - n_left
-    # Sums of squared class counts left and right of every cut, kept in
-    # integers so they are exact whatever the order of summation.  One cumsum
-    # per class present; the right side follows from
-    # sum_c (T_c - L_c)^2 = sum_c T_c^2 - 2 sum_c T_c L_c + sum_c L_c^2.
-    left_sq = np.zeros(valid.shape, dtype=np.int64)
-    for c in np.flatnonzero(total):
-        left_c = (ys == c).cumsum(axis=0)[lo:]
-        left_sq += left_c * left_c
-    right_sq = total_sq - 2 * total[ys].cumsum(axis=0)[lo:] + left_sq
-    del ys
+    # Sums of squared class counts of both sides, kept in integers so they
+    # are exact whatever the order of summation.
+    seg_base = cum[run[seg_start]]
+    total = cum[run[seg_start + seg_n - 1] + 1] - seg_base
+    left = cum[run[cut_end] + 1] - seg_base[seg]
+    right = total[seg] - left
+    total_sq = (total * total).sum(axis=1)[seg]
+    left_sq = (left * left).sum(axis=1)
+    right_sq = (right * right).sum(axis=1)
+    g_parent = 1.0 - total_sq / (n * n)
     g_left = 1.0 - left_sq / (n_left * n_left)
     g_right = 1.0 - right_sq / (n_right * n_right)
     gain = g_parent - (n_left / n) * g_left - (n_right / n) * g_right
-    gain = np.where(valid, gain, -np.inf)
-    cut = gain.argmax(axis=0)  # first max = lowest threshold
-    per_dim = gain[cut, np.arange(dims.size)]
-    j = int(per_dim.argmax())  # first max = dim listed first
-    if not per_dim[j] > 0.0:
-        return None
-    row = lo + cut[j]
-    threshold = (sorted_vals[row, j] + sorted_vals[row + 1, j]) / 2.0
-    return (int(dims[j]), float(threshold), float(per_dim[j]))
+    # The first of a piece's largest positive gains wins: its cuts are
+    # listed by dim, then by threshold, so this is the lowest of both.
+    positive = np.flatnonzero(gain > 0.0)
+    found: list = [None] * len(pieces)
+    if positive.size == 0:
+        return found
+    gain, piece = gain[positive], seg_piece[seg[positive]]
+    first = _heads(piece)
+    piece_max = np.maximum.reduceat(gain, np.flatnonzero(first))
+    hit = np.flatnonzero(gain == piece_max[np.cumsum(first) - 1])
+    win = hit[_heads(piece[hit])]
+    cut = positive[win]
+    end = cut_end[cut]
+    thresholds = (distinct[seg_rank[end] % distinct.size]
+                  + distinct[seg_rank[end + 1] % distinct.size]) / 2.0
+    for p, dim, thr, g in zip(piece[win].tolist(), seg_dim[seg[cut]].tolist(),
+                              thresholds.tolist(), gain[win].tolist()):
+        found[p] = (dim, thr, g)
+    return found
+
+
+def _heads(a: np.ndarray) -> np.ndarray:
+    """True at 0 and wherever an entry differs from the one before it."""
+    head = np.empty(a.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    return head
 
 
 def _require_finite(X: np.ndarray) -> None:
@@ -196,7 +306,7 @@ def _require_finite(X: np.ndarray) -> None:
 
 def best_split(values, labels, dims=None, min_samples_leaf: int = 1):
     """Public split search over arbitrary labels; see _best_split for rules."""
-    X = np.asarray(values, dtype=np.float64)
+    X = np.ascontiguousarray(values, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("values must be 2-d")
     _require_finite(X)
@@ -212,51 +322,65 @@ def best_split(values, labels, dims=None, min_samples_leaf: int = 1):
     )
 
 
-def _fit_tree(X, rows, y_codes, n_classes, params: ForestParams, rng) -> tuple[list, ...]:
-    """Grow one tree on X[rows]; returns its (feature, threshold, left, right,
-    counts) node lists in preorder, child indices local to the tree."""
+def _grow_trees(X, rows, y_codes, n_classes, params: ForestParams, trees: range) -> list:
+    """Grow trees `trees` of the forest on X[rows] in lockstep.
+
+    Each tree pops nodes off its own preorder stack (left child first) and
+    settles leaves at once.  When every unfinished tree has reached a node to
+    split, those nodes are scored by one `_best_splits` call and their
+    children pushed.  A tree's rng draws and node order are those of growing
+    it alone.  Returns each tree's (feature, threshold, left, right, counts)
+    node lists in preorder, child indices local to the tree.
+    """
     n, d = rows.size, X.shape[1]
     m = _candidate_count(params.features_per_split, d)
-    if params.bootstrap:
-        # the draw picks positions in `rows`, as it would rows of X[rows]
-        rows = rows[rng.integers(0, n, size=n)]
     depth_cap = params.max_depth if params.max_depth is not None else math.inf
     min_leaf = params.min_samples_leaf
-
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    node_counts: list[np.ndarray] = []
-    # preorder with an explicit stack (left child first) so rng draws do not
-    # depend on the recursion limit
-    stack: list[tuple[np.ndarray, int, int, list[int] | None]] = [(rows, 0, -1, None)]
-    while stack:
-        idx, depth, parent, links = stack.pop()
-        node = len(feature)
-        if links is not None:
-            links[parent] = node
-        counts = np.bincount(y_codes[idx], minlength=n_classes)
-        node_counts.append(counts)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        pure = counts.max() == idx.size
-        if pure or depth >= depth_cap or idx.size < 2 * min_leaf:
-            continue
-        dims = np.sort(rng.choice(d, size=m, replace=False))
-        found = _best_split(X, idx, y_codes, n_classes, dims, min_leaf)
-        if found is None:
-            continue
-        dim, thr, _ = found
-        feature[node] = dim
-        threshold[node] = thr
-        left_mask = X[idx, dim] <= thr
-        # push right first so the left branch is grown next
-        stack.append((idx[~left_mask], depth + 1, node, right))
-        stack.append((idx[left_mask], depth + 1, node, left))
-    return feature, threshold, left, right, node_counts
+    rngs, stacks, grown = [], [], []
+    for index in trees:
+        rng = np.random.Generator(np.random.PCG64(mix_seed(params.seed, "tree", index)))
+        # the draw picks positions in `rows`, as it would rows of X[rows]
+        tree_rows = rows[rng.integers(0, n, size=n)] if params.bootstrap else rows
+        rngs.append(rng)
+        stacks.append([(tree_rows, 0, -1, None)])
+        grown.append(([], [], [], [], []))
+    waiting = list(range(len(rngs)))
+    while waiting:
+        pending, nodes = [], []  # (tree, node, depth) and (rows, dims) of each node to split
+        for t in waiting:
+            feature, threshold, left, right, node_counts = grown[t]
+            stack = stacks[t]
+            while stack:
+                idx, depth, parent, links = stack.pop()
+                node = len(feature)
+                if links is not None:
+                    links[parent] = node
+                counts = np.bincount(y_codes[idx], minlength=n_classes)
+                node_counts.append(counts)
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                pure = np.count_nonzero(counts) <= 1
+                if pure or depth >= depth_cap or idx.size < 2 * min_leaf:
+                    continue
+                pending.append((t, node, depth))
+                nodes.append((idx, np.sort(rngs[t].choice(d, size=m, replace=False))))
+                break
+        found_all = _best_splits(X, y_codes, n_classes, nodes, min_leaf)
+        for (t, node, depth), (idx, _), found in zip(pending, nodes, found_all):
+            if found is None:
+                continue
+            feature, threshold, left, right, _ = grown[t]
+            dim, thr, _ = found
+            feature[node] = dim
+            threshold[node] = thr
+            left_mask = X[idx, dim] <= thr
+            # push right first so the left branch is grown next
+            stacks[t].append((idx[~left_mask], depth + 1, node, right))
+            stacks[t].append((idx[left_mask], depth + 1, node, left))
+        waiting = [t for t, _, _ in pending]
+    return grown
 
 
 def fit_forest(
@@ -301,15 +425,18 @@ def fit_forest(
     y_codes = np.zeros(X.shape[0], dtype=np.intp)
     y_codes[rows] = np.searchsorted(classes, y_rows)
 
-    def build(index: int):
-        rng = np.random.Generator(np.random.PCG64(mix_seed(params.seed, "tree", index)))
-        return _fit_tree(X, rows, y_codes, classes.size, params, rng)
+    def grow(trees: range) -> list:
+        return _grow_trees(X, rows, y_codes, classes.size, params, trees)
 
-    if threads > 1 and params.n_trees > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, range(params.n_trees)))
+    workers = min(threads, params.n_trees)
+    if workers > 1:
+        # one contiguous slice of tree indices per thread, joined in tree order
+        bounds = [params.n_trees * w // workers for w in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            slices = list(pool.map(grow, [range(a, b) for a, b in zip(bounds, bounds[1:])]))
+        trees = [tree for grown in slices for tree in grown]
     else:
-        trees = [build(t) for t in range(params.n_trees)]
+        trees = grow(range(params.n_trees))
     feature, threshold, left, right, counts = (np.concatenate(field) for field in zip(*trees))
     sizes = [len(tree[0]) for tree in trees]
     roots = np.cumsum([0] + sizes[:-1])

@@ -9,9 +9,14 @@ with the scanner; the hand-counted tests in `test_asm.py` pin those.
 `subset_columns` reprojects a full matrix onto a selected schema by copying
 columns, as the train pass once did; `copying_cross_validate` fits each fold
 on a copy of its rows.
+
+`node_by_node_forest` grows a forest one tree and one node at a time, calling
+a given split search once per node, as `fit_forest` did before it grew all
+trees in lockstep.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from itertools import groupby
 
@@ -29,7 +34,7 @@ from malfam.asm import (
 )
 from malfam.features.matrix import FeatureMatrix
 from malfam.features.schema import FeatureSchema
-from malfam.forest import Metrics, evaluate, fit_forest
+from malfam.forest import ForestParams, Metrics, RandomForest, _candidate_count, evaluate, fit_forest
 from malfam.util import mix_seed
 
 
@@ -101,4 +106,75 @@ def copying_cross_validate(X, y, params, folds: int, seed: int) -> Metrics:
         classes=tuple(int(c) for c in classes),
         confusion=tuple(tuple(int(v) for v in row) for row in confusion),
         per_fold=tuple(accuracies),
+    )
+
+
+def _node_by_node_tree(X, rows, y_codes, n_classes, params: ForestParams, rng, split):
+    """Grow one tree on X[rows]; returns its (feature, threshold, left, right,
+    counts) node lists in preorder, child indices local to the tree."""
+    n, d = rows.size, X.shape[1]
+    m = _candidate_count(params.features_per_split, d)
+    if params.bootstrap:
+        rows = rows[rng.integers(0, n, size=n)]
+    depth_cap = params.max_depth if params.max_depth is not None else math.inf
+    min_leaf = params.min_samples_leaf
+    feature, threshold, left, right, node_counts = [], [], [], [], []
+    stack = [(rows, 0, -1, None)]
+    while stack:
+        idx, depth, parent, links = stack.pop()
+        node = len(feature)
+        if links is not None:
+            links[parent] = node
+        counts = np.bincount(y_codes[idx], minlength=n_classes)
+        node_counts.append(counts)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        pure = counts.max() == idx.size
+        if pure or depth >= depth_cap or idx.size < 2 * min_leaf:
+            continue
+        dims = np.sort(rng.choice(d, size=m, replace=False))
+        found = split(X, idx, y_codes, n_classes, dims, min_leaf)
+        if found is None:
+            continue
+        dim, thr, _ = found
+        feature[node] = dim
+        threshold[node] = thr
+        left_mask = X[idx, dim] <= thr
+        stack.append((idx[~left_mask], depth + 1, node, right))
+        stack.append((idx[left_mask], depth + 1, node, left))
+    return feature, threshold, left, right, node_counts
+
+
+def node_by_node_forest(values, labels, params: ForestParams, split, rows=None) -> RandomForest:
+    """`fit_forest` grown tree after tree, node after node, with `split`
+    (called as `forest._best_split` is) scoring each node on its own."""
+    X = np.ascontiguousarray(values, dtype=np.float64)
+    y = np.asarray(labels)
+    rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+    classes = np.unique(y[rows])
+    y_codes = np.zeros(X.shape[0], dtype=np.intp)
+    y_codes[rows] = np.searchsorted(classes, y[rows])
+    trees = [
+        _node_by_node_tree(
+            X, rows, y_codes, classes.size, params,
+            np.random.Generator(np.random.PCG64(mix_seed(params.seed, "tree", t))), split,
+        )
+        for t in range(params.n_trees)
+    ]
+    feature, threshold, left, right, counts = (np.concatenate(field) for field in zip(*trees))
+    sizes = [len(tree[0]) for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    offset = np.repeat(roots, sizes)
+    return RandomForest(
+        params=params,
+        classes=tuple(int(c) for c in classes),
+        n_features=X.shape[1],
+        feature=feature,
+        threshold=threshold,
+        left=np.where(left >= 0, left + offset, -1),
+        right=np.where(right >= 0, right + offset, -1),
+        counts=counts,
+        roots=roots,
     )

@@ -321,11 +321,14 @@ def test_classify_json_shape(cli_env, capsys):
     assert len(doc) == 1
     entry = doc[0]
     assert entry["id"] == asm.stem
-    assert set(entry) == {"id", "prediction", "family", "probabilities", "parse_failures"}
+    assert set(entry) == {
+        "id", "prediction", "family", "probabilities", "parse_failures", "imports_degraded",
+    }
     assert set(entry["probabilities"]) == {str(c) for c in range(1, 10)}
     assert abs(sum(entry["probabilities"].values()) - 1.0) < 1e-9
     assert str(entry["prediction"]) in entry["probabilities"]
     assert entry["parse_failures"] == 0  # the synthetic listings parse cleanly
+    assert entry["imports_degraded"] is False  # no PE was read
 
 
 def test_classify_json_reports_parse_failures(cli_env, tmp_path, capsys):
@@ -338,6 +341,43 @@ def test_classify_json_reports_parse_failures(cli_env, tmp_path, capsys):
     doc = {entry["id"]: entry for entry in json.loads(capsys.readouterr().out)}
     assert doc[good.stem]["parse_failures"] == 0
     assert doc["noisy"]["parse_failures"] == 3
+
+
+def test_classify_json_reports_degraded_imports(cli_env, tmp_path, capsys):
+    spec = [SectionSpec(".text", 64, 128, executable=True), SectionSpec(".data", 32, 64),
+            SectionSpec(".rsrc", 16, 32)]
+    (tmp_path / "whole.exe").write_bytes(build_pe(spec, imports=("KERNEL32.dll",)))
+    # cut inside the third section header: the parse stops, two sections survive
+    (tmp_path / "cut.exe").write_bytes(build_pe(spec)[: 88 + 224 + 2 * 40 + 10])
+    code = main(["classify", "--quiet", "--json", "--model-dir", str(cli_env["model"]),
+                 str(tmp_path / "whole.exe"), str(tmp_path / "cut.exe")])
+    assert code == 0
+    doc = {entry["id"]: entry for entry in json.loads(capsys.readouterr().out)}
+    assert doc["whole"]["imports_degraded"] is False
+    assert doc["cut"]["imports_degraded"] is True
+
+
+def test_classify_warns_on_an_all_zero_vector(cli_env, tmp_path, capsys):
+    # a model of the section groups alone: an empty listing has no segments,
+    # so every one of its dims reads zero
+    config = tmp_path / "config.json"
+    save_config(RunConfig(groups=(GROUP_SECTION_SIZE, GROUP_SECTION_PERM), folds=2,
+                          forest=ForestParams(n_trees=5, seed=0)), config)
+    model = tmp_path / "model"
+    assert main(["train", "--quiet", "--config", str(config),
+                 "--corpus", str(cli_env["corpus"]), "--out", str(model)]) == 0
+    good = sorted(cli_env["corpus"].glob("*.asm"))[0]
+    (tmp_path / "empty.asm").write_bytes(b"")
+    capsys.readouterr()
+    code = main(["classify", "--quiet", "--json", "--model-dir", str(model),
+                 str(good), str(tmp_path / "empty.asm")])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert [entry["id"] for entry in json.loads(captured.out)] == [good.stem, "empty"]
+    assert captured.err.splitlines() == ["warning: empty: all-zero feature vector"]
+    assert main(["classify", "--quiet", "--model-dir", str(model),
+                 str(tmp_path / "empty.asm")]) == 0
+    assert "all-zero" in capsys.readouterr().err
 
 
 def test_classify_missing_file_fails(cli_env, capsys):

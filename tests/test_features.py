@@ -792,6 +792,8 @@ def test_projection_matches_oracle_with_pe_files(pe_manifest, prefer):
         truncated = digest_sample(pe_manifest.samples[2], GROUP_ORDER, "pe")
         assert set(truncated.sections) == {"text", "data"}
         assert truncated.libraries == frozenset()
+        assert truncated.imports_degraded
+        assert not digest_sample(pe_manifest.samples[0], GROUP_ORDER, "pe").imports_degraded
 
 
 def test_projection_ignores_sample_gram_whose_name_collides(tmp_path):

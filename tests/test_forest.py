@@ -41,7 +41,7 @@ from malfam.forest import (
 )
 from malfam.pipeline import CONFIG_FILE, MODEL_FILE, VOCAB_FILE, load_model_dir
 from malfam.util import mix_seed
-from oracles import copying_cross_validate
+from oracles import copying_cross_validate, node_by_node_forest
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +306,40 @@ def test_block_split_skipping_constant_dims_equals_per_dim_loop():
     assert found > 500 and all_constant > 250 and mostly_constant > 300
 
 
+def shared_matrix_nodes(seed: int, count: int):
+    """One matrix and many split-search nodes on it, as a lockstep step
+    batches them: node sizes from 1 row to every row (with repeats), dims
+    sparse or dense, heavy ties, classes missing from some nodes."""
+    rng = np.random.default_rng(seed)
+    n_total, d, k = 80, 60, 5
+    X = np.where(rng.random((n_total, d)) < 0.2, rng.integers(1, 4, size=(n_total, d)), 0)
+    X = X.astype(np.float64)
+    X[:, :10] = rng.normal(size=(n_total, 10)).round(1)
+    X[:, 10:13] = 2.0
+    y_codes = rng.integers(0, k, size=n_total).astype(np.intp)
+    y_codes[:20] = 0
+    nodes = []
+    for _ in range(count):
+        size = int(rng.choice([1, 2, 3, int(rng.integers(4, n_total)), n_total]))
+        rows = rng.choice(n_total, size=size, replace=bool(rng.random() < 0.3))
+        dims = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+        nodes.append((rows.astype(np.intp), dims.astype(np.intp)))
+    return X, y_codes, k, nodes
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 7, 100, 2_000, forest_module.CHUNK_CELLS, 10**9])
+@pytest.mark.parametrize("min_leaf", [1, 3])
+def test_batched_split_search_equals_per_dim_loop_node_by_node(monkeypatch, chunk_cells, min_leaf):
+    """Every chunk size (whole nodes packed together, nodes cut into slices
+    of dims, one dim a chunk) gives each node the per-dim loop's split."""
+    monkeypatch.setattr(forest_module, "CHUNK_CELLS", chunk_cells)
+    X, y_codes, k, nodes = shared_matrix_nodes(seed=min_leaf, count=150)
+    got = forest_module._best_splits(X, y_codes, k, nodes, min_leaf)
+    want = [per_dim_best_split(X, rows, y_codes, k, dims, min_leaf) for rows, dims in nodes]
+    assert got == want
+    assert sum(w is not None for w in want) > 60
+
+
 def test_public_best_split_sorts_unsorted_and_duplicate_dims():
     rng = np.random.default_rng(77)
     for _ in range(300):
@@ -337,26 +371,36 @@ def wide_sparse_counts():
     return X.astype(np.float64), rng.integers(1, 5, size=60)
 
 
-@pytest.mark.parametrize("data, params", [
-    (small_dense_counts, ForestParams(n_trees=6, seed=3)),
-    (small_dense_counts, ForestParams(n_trees=6, seed=4, max_depth=3, min_samples_leaf=2)),
-    (small_dense_counts, ForestParams(n_trees=6, seed=5, features_per_split="third")),
-    (wide_sparse_counts, ForestParams(n_trees=6, seed=9)),
-], ids=["default", "depth3-leaf2", "third", "wide-sparse"])
-def test_fit_forest_node_arrays_equal_per_dim_loop(monkeypatch, data, params):
-    X, y = data()
-    block = fit_forest(X, y, params)
-    monkeypatch.setattr(forest_module, "_best_split", per_dim_best_split)
-    loop = fit_forest(X, y, params)
-    assert block.feature.size > 6 * 5  # deep enough to compare many splits
-    for name in ("feature", "threshold", "left", "right", "counts", "roots"):
-        assert np.array_equal(getattr(block, name), getattr(loop, name)), name
-
-
 def assert_same_nodes(a: RandomForest, b: RandomForest) -> None:
     assert (a.classes, a.n_features, a.params) == (b.classes, b.n_features, b.params)
     for name in ("feature", "threshold", "left", "right", "counts", "roots"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("data, params, threads, chunk_cells", [
+    (small_dense_counts, ForestParams(n_trees=6, seed=3), 1, None),
+    (small_dense_counts, ForestParams(n_trees=6, seed=4, max_depth=3, min_samples_leaf=2), 1, None),
+    (small_dense_counts, ForestParams(n_trees=6, seed=5, features_per_split="third"), 1, None),
+    (wide_sparse_counts, ForestParams(n_trees=6, seed=9), 1, None),
+    (small_dense_counts, ForestParams(n_trees=6, seed=10, bootstrap=False), 1, None),
+    (small_dense_counts, ForestParams(n_trees=6, seed=11, features_per_split=5), 1, None),
+    (wide_sparse_counts, ForestParams(n_trees=1, seed=12), 1, None),
+    (wide_sparse_counts, ForestParams(n_trees=6, seed=13), 1, 1),
+    (small_dense_counts, ForestParams(n_trees=6, seed=14, min_samples_leaf=2), 1, 1),
+    (wide_sparse_counts, ForestParams(n_trees=6, seed=15), 1, 10**9),
+    (small_dense_counts, ForestParams(n_trees=7, seed=16, features_per_split="third"), 3, None),
+], ids=["default", "depth3-leaf2", "third", "wide-sparse", "no-bootstrap", "int-rule",
+        "one-tree", "chunk-1-cell", "chunk-1-cell-leaf2", "chunk-1e9-cells", "threads3"])
+def test_fit_forest_node_arrays_equal_per_dim_loop(monkeypatch, data, params, threads, chunk_cells):
+    """The lockstep forest equals, node for node, the forest grown one node at
+    a time with the per-dim loop as its split search."""
+    X, y = data()
+    if chunk_cells is not None:
+        monkeypatch.setattr(forest_module, "CHUNK_CELLS", chunk_cells)
+    lockstep = fit_forest(X, y, params, threads=threads)
+    loop = node_by_node_forest(X, y, params, split=per_dim_best_split)
+    assert lockstep.feature.size > params.n_trees * 5  # deep enough to compare many splits
+    assert_same_nodes(lockstep, loop)
 
 
 @pytest.mark.parametrize("params, threads", [
@@ -407,6 +451,26 @@ def test_block_split_memory_is_linear_in_the_block():
     # a class loop peaks near 8x the block's bytes; an n x m x k one-hot
     # tensor would peak past 40x
     assert peak < 16 * n * m * 8
+
+
+def test_lockstep_fit_memory_is_bounded_by_the_chunk():
+    n, d, n_trees = 100, 150, 50
+    rng = np.random.default_rng(5)
+    X = np.where(rng.random((n, d)) < 0.3, rng.integers(1, 9, size=(n, d)), 0).astype(np.float64)
+    y = rng.integers(1, 10, size=n)
+    params = ForestParams(n_trees=n_trees, seed=1, features_per_split="third")
+    # the root step alone spans many chunks
+    assert n_trees * n * (d // 3) > 5 * forest_module.CHUNK_CELLS
+    tracemalloc.start()
+    try:
+        fit_forest(X, y, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # At most one chunk's arrays are alive at a time, beside the trees'
+    # stacks and node lists: this fit peaks at 3.9 MB, and at 13.6 MB when
+    # each step's nodes of all 50 trees are scored in one search.
+    assert peak < 160 * forest_module.CHUNK_CELLS
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
