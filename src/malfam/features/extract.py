@@ -8,9 +8,15 @@ disk (exact header values) and fall back to the listing, where virtual size
 is the address span and raw size is the count of listed bytes.  The two
 4-gram groups always come from the listing; a dump alone carries no token
 stream.  `digest_sample` is the only place that makes the PE/listing choice,
-and it parses each artifact at most once: a listing is read once and folded
-by `asm.scan_listing` in a single pass, with no per-line objects, and the
-digest carries that pass's parse-failure count.
+and it parses each artifact at most once: a listing is folded by
+`asm.scan_listing` in a single pass, with no per-line objects, and the
+digest carries that pass's parse-failure count.  The compression stats are
+streamed from the files in fixed chunks, so the listing is read twice (once
+whole for the scan, once in chunks for zlib) and the dump is never held
+whole.  For a listing of at least `OVERLAP_MIN_BYTES` the two artifacts
+stream through zlib on two helper threads while the calling thread scans the
+listing: zlib releases the interpreter lock and the scan does not, so the two
+overlap.  The helpers live only for that call.
 
 The second half projects a digest into one schema's columns.
 `compile_columns` turns a (schema, vocabulary) pair into a `ColumnLookup`:
@@ -37,12 +43,13 @@ from __future__ import annotations
 import zlib
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..asm import ListingScan, SegmentInfo, scan_listing
+from ..asm import SegmentInfo, scan_listing
 from ..corpus import Sample
 from ..errors import ExtractionError, TruncatedPeError
 from ..pe import PeSummary, parse_pe
@@ -67,6 +74,17 @@ N_GRAM = 4
 # complexity value.
 COMPRESSION_LEVEL = 6
 
+# bytes read and compressed at a time; the chunking never changes the
+# compressed length
+COMPRESS_CHUNK = 256 * 1024
+
+# a listing this large has its complexity stats taken on helper threads
+# during its scan.  Below it the overlap does not pay: each time a helper
+# returns from zlib it waits for the scanning thread to give up the
+# interpreter lock, and on a small listing those waits cost more than the
+# overlap saves (ROADMAP item 4 has the crossover).
+OVERLAP_MIN_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class SectionStats:
@@ -85,11 +103,15 @@ class SectionStats:
         return self.virtual_size / self.raw_size
 
 
+def _unreadable(path: Path, sample_id: str, exc: OSError) -> ExtractionError:
+    return ExtractionError(f"sample {sample_id}: cannot read {path}: {exc}")
+
+
 def _read_file(path: Path, sample_id: str) -> bytes:
     try:
         return path.read_bytes()
     except OSError as exc:
-        raise ExtractionError(f"sample {sample_id}: cannot read {path}: {exc}") from exc
+        raise _unreadable(path, sample_id, exc) from exc
 
 
 def _file_size(path: Path, sample_id: str) -> int:
@@ -148,9 +170,31 @@ def _complexity_triple(data: bytes | None) -> tuple[float, float, float]:
 
 
 def feat_complexity(asm_bytes: bytes | None, dump_bytes: bytes | None) -> np.ndarray:
-    """Size, zlib size and ratio of the listing, then of the dump; None for an absent file."""
+    """Size, zlib size and ratio of the listing, then of the dump; None for an absent file.
+
+    The reference for `stream_complexity`, which `digest_sample` uses.
+    """
     values = _complexity_triple(asm_bytes) + _complexity_triple(dump_bytes)
     return np.array(values, dtype=np.float64)
+
+
+def stream_complexity(path: Path | None, sample_id: str) -> tuple[float, float, float]:
+    """Size, zlib size and ratio of one artifact, read from its file in chunks
+    of `COMPRESS_CHUNK`; the same triple as `feat_complexity` of its bytes.
+    None for an absent file."""
+    if path is None:
+        return (0.0, 0.0, 0.0)
+    compressor = zlib.compressobj(COMPRESSION_LEVEL)
+    size = comp = 0
+    try:
+        with path.open("rb") as fh:
+            while chunk := fh.read(COMPRESS_CHUNK):
+                size += len(chunk)
+                comp += len(compressor.compress(chunk))
+    except OSError as exc:
+        raise _unreadable(path, sample_id, exc) from exc
+    comp += len(compressor.flush())
+    return (float(size), float(comp), size / comp)
 
 
 def _section_stats(
@@ -243,7 +287,7 @@ class SampleDigest:
     """
 
     file_size: np.ndarray | None = None   # feat_file_size
-    complexity: np.ndarray | None = None  # feat_complexity
+    complexity: np.ndarray | None = None  # stream_complexity of the listing, then the dump
     sections: dict[str, SectionStats] = field(default_factory=dict)
     libraries: frozenset[str] = frozenset()
     api_grams: Counter = field(default_factory=Counter)
@@ -268,21 +312,30 @@ def digest_sample(
     want_scan = sample.asm_path is not None and (want_api or want_opcodes or from_asm)
 
     found: dict = {}
-    # each file is read once: the complexity triple is taken from the listing
-    # bytes, which are then decoded and dropped before the scan
-    asm = None
-    if sample.asm_path is not None and (want_scan or want_complexity):
-        asm = _read_file(sample.asm_path, sample.id)
-    if want_complexity:
-        dump = _read_file(sample.bytes_path, sample.id) if sample.bytes_path else None
-        found["complexity"] = feat_complexity(asm, dump)
-        del dump
-    scan: ListingScan | None = None
+    # the listing's bytes are dropped once decoded; zlib streams both files
+    text = None
+    overlap = False
     if want_scan:
-        text = asm.decode("utf-8", errors="replace")
-        del asm
-        scan = scan_listing(text)
-        del text
+        listing = _read_file(sample.asm_path, sample.id)
+        overlap = want_complexity and len(listing) >= OVERLAP_MIN_BYTES
+        text = listing.decode("utf-8", errors="replace")
+        del listing
+    artifacts = (sample.asm_path, sample.bytes_path) if want_complexity else ()
+    if overlap:
+        with ThreadPoolExecutor(max_workers=2) as helpers:
+            pending = [helpers.submit(stream_complexity, p, sample.id) for p in artifacts]
+            try:
+                scan = scan_listing(text)
+            finally:
+                # read both results even when the scan fails, so an unreadable
+                # artifact raises first, as on the inline path
+                triples = [job.result() for job in pending]
+    else:
+        triples = [stream_complexity(p, sample.id) for p in artifacts]
+        scan = scan_listing(text) if text is not None else None
+    del text
+    if want_complexity:
+        found["complexity"] = np.array(triples[0] + triples[1], dtype=np.float64)
     summary = load_pe_summary(sample) if from_pe else None
 
     if scan is not None:

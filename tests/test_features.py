@@ -10,8 +10,10 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+import threading
 import zlib
 from collections import Counter
 from collections.abc import Mapping
@@ -49,6 +51,7 @@ from malfam.features import (
 from malfam.features import extract
 from malfam.features.matrix import map_samples
 from malfam.features.extract import (
+    SampleDigest,
     SectionStats,
     load_pe_summary,
     pick_source,
@@ -139,6 +142,43 @@ def test_complexity_matches_compressor_oracle():
 def test_complexity_empty_file():
     empty_stream = len(zlib.compress(b"", 6))
     assert feat_complexity(b"", None)[:3].tolist() == [0.0, float(empty_stream), 0.0]
+
+
+@pytest.fixture(scope="module")
+def large_sample(small_corpus, tmp_path_factory) -> Sample:
+    """A listing of about 2.5 MB and its dump, joined from the small corpus's
+    samples in a seeded order the way the benchmark's large samples are."""
+    rng = random.Random(5)
+    asm_parts, dump_parts, size = [], [], 0
+    while size < 2_500_000:
+        piece = rng.choice(small_corpus.samples)
+        asm_parts.append(piece.asm_path.read_bytes())
+        dump_parts.append(piece.bytes_path.read_bytes())
+        size += len(asm_parts[-1])
+    root = tmp_path_factory.mktemp("large")
+    sample = Sample(id="large", asm_path=root / "large.asm", bytes_path=root / "large.bytes", label=1)
+    sample.asm_path.write_bytes(b"".join(asm_parts))
+    sample.bytes_path.write_bytes(b"".join(dump_parts))
+    return sample
+
+
+CHUNK = extract.COMPRESS_CHUNK
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, None])
+def test_stream_complexity_equals_the_one_shot_oracle(tmp_path, large_sample, size):
+    data = large_sample.asm_path.read_bytes()[:size]
+    path = tmp_path / "part.asm"
+    path.write_bytes(data)
+    got = np.array(extract.stream_complexity(path, "s"), dtype=np.float64)
+    assert got.tobytes() == feat_complexity(data, None)[:3].tobytes()
+
+
+def test_stream_complexity_of_a_dump_and_of_no_file(large_sample):
+    dump = large_sample.bytes_path
+    got = np.array(extract.stream_complexity(dump, "s"), dtype=np.float64)
+    assert got.tobytes() == feat_complexity(dump.read_bytes(), None)[:3].tobytes()
+    assert extract.stream_complexity(None, "s") == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +625,93 @@ def test_digest_counts_listing_parse_failures(tmp_path):
     for groups, failures in (((GROUP_OPCODE_4GRAM,), 2), ((GROUP_FILE_SIZE,), 0)):
         vector = assemble(sample, build_schema(vocab, groups), vocab, prefer="asm")
         assert vector.parse_failures == failures
+
+
+# thresholds that send every listing's complexity pass to the helper threads,
+# and none of them
+ALWAYS, NEVER = 0, 2**62
+
+
+def assert_same_digest(a: SampleDigest, b: SampleDigest) -> None:
+    for f in dataclasses.fields(SampleDigest):
+        mine, theirs = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(mine, np.ndarray):
+            assert mine.tobytes() == theirs.tobytes(), f.name
+        else:
+            assert mine == theirs, f.name
+
+
+def test_overlap_digest_equals_inline(small_corpus, large_sample, monkeypatch):
+    baseline = threading.active_count()
+    for sample in (*small_corpus.samples, large_sample):
+        digests = []
+        for threshold in (ALWAYS, NEVER):
+            monkeypatch.setattr(extract, "OVERLAP_MIN_BYTES", threshold)
+            digests.append(digest_sample(sample, GROUP_ORDER, prefer="asm"))
+            assert threading.active_count() == baseline
+        assert_same_digest(*digests)
+        assert digests[0].complexity[1] > 0
+
+
+def test_overlap_matrix_equals_inline(small_corpus, large_sample, monkeypatch):
+    manifest = CorpusManifest(small_corpus.root, (*small_corpus.samples[:4], large_sample))
+    vocab = build_vocab(manifest, VocabCaps(8, 8, 32, 32), prefer="asm")
+    schema = build_schema(vocab)
+    baseline = threading.active_count()
+    matrices = []
+    for threshold in (ALWAYS, NEVER):
+        monkeypatch.setattr(extract, "OVERLAP_MIN_BYTES", threshold)
+        matrices.append(extract_matrix(manifest, schema, vocab, prefer="asm", threads=2))
+        assert threading.active_count() == baseline
+    assert matrices[0].ids == matrices[1].ids
+    assert matrices[0].values.tobytes() == matrices[1].values.tobytes()
+
+
+@pytest.mark.parametrize("broken", ["missing", "directory"])
+def test_overlap_unreadable_dump_raises_as_inline(tmp_path, small_corpus, monkeypatch, broken):
+    dump = tmp_path / "x.bytes"
+    if broken == "directory":
+        dump.mkdir()
+    sample = dataclasses.replace(small_corpus.samples[0], bytes_path=dump)
+    baseline = threading.active_count()
+    messages = []
+    for threshold in (ALWAYS, NEVER):
+        monkeypatch.setattr(extract, "OVERLAP_MIN_BYTES", threshold)
+        with pytest.raises(ExtractionError, match=r"cannot read .*x\.bytes") as info:
+            digest_sample(sample, GROUP_ORDER, prefer="asm")
+        messages.append(str(info.value))
+        assert threading.active_count() == baseline
+    assert messages[0] == messages[1]
+
+
+def test_overlap_scan_error_propagates(small_corpus, monkeypatch):
+    def failing_scan(text):
+        raise RuntimeError("scan failed")
+
+    monkeypatch.setattr(extract, "scan_listing", failing_scan)
+    baseline = threading.active_count()
+    for threshold in (ALWAYS, NEVER):
+        monkeypatch.setattr(extract, "OVERLAP_MIN_BYTES", threshold)
+        with pytest.raises(RuntimeError, match="scan failed"):
+            digest_sample(small_corpus.samples[0], GROUP_ORDER, prefer="asm")
+        assert threading.active_count() == baseline
+
+
+def test_only_a_large_listing_is_compressed_on_helpers(small_corpus, large_sample, monkeypatch):
+    small = small_corpus.samples[0]
+    assert small.asm_path.stat().st_size < extract.OVERLAP_MIN_BYTES
+    assert large_sample.asm_path.stat().st_size >= extract.OVERLAP_MIN_BYTES
+    calls = []
+    real_stream = extract.stream_complexity
+
+    def recorded(path, sample_id):
+        calls.append((sample_id, threading.current_thread() is threading.main_thread()))
+        return real_stream(path, sample_id)
+
+    monkeypatch.setattr(extract, "stream_complexity", recorded)
+    digest_sample(small, GROUP_ORDER, prefer="asm")
+    digest_sample(large_sample, GROUP_ORDER, prefer="asm")
+    assert calls == [(small.id, True), (small.id, True), ("large", False), ("large", False)]
 
 
 # ---------------------------------------------------------------------------
