@@ -64,7 +64,8 @@ def load_labels(path: str | Path) -> dict[str, int]:
     """Read a label CSV with an Id,Class header; values may be quoted.
 
     Classes must be in 1..9; malformed rows and duplicate ids fail with the
-    offending line number.
+    offending line number, as LabelError.  A row the csv module cannot read
+    (a field past its size limit) fails as CorpusError, also with the line.
     """
     path = Path(path)
     try:
@@ -72,8 +73,15 @@ def load_labels(path: str | Path) -> dict[str, int]:
             text = fh.read()
     except (OSError, ValueError) as exc:
         raise LabelError(f"cannot read labels {path}: {exc}") from exc
-    labels: dict[str, int] = {}
     reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return _parse_labels(path, reader)
+    except csv.Error as exc:  # e.g. a field past the csv module's field size limit
+        raise CorpusError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
+def _parse_labels(path: Path, reader) -> dict[str, int]:
+    labels: dict[str, int] = {}
     header = next(reader, None)
     if header is None or [col.strip() for col in header] != ["Id", "Class"]:
         raise LabelError(f"{path}: line 1: expected header Id,Class")

@@ -1,8 +1,9 @@
 """Feature matrices: threaded extraction and CSV persistence.
 
 The CSV layout is `id,label,<dim...>` with one row per sample.  Floats are
-written with repr so a save/load round trip is bit-exact; the label cell is
-empty for unlabeled samples.
+written with repr so a save/load round trip is bit-exact (zeros, most cells of
+a gram matrix, as a ready-made "0.0"); the label cell is empty for unlabeled
+samples.
 """
 from __future__ import annotations
 
@@ -157,11 +158,18 @@ def save_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
 
         handle.write(cells(["id", "label", *matrix.schema.names]) + "\n")
         values = np.asarray(matrix.values, dtype=np.float64)
+        zeros = ["0.0"] * values.shape[1]  # repr(0.0)
         for sample_id, label, row in zip(matrix.ids, matrix.labels, values):
             handle.write(cells([sample_id, label]))
             if row.size:
+                # only the cells that do not print as 0.0 are repr'd: -0.0
+                # equals 0 but keeps its sign, and nan differs from 0
+                text = zeros.copy()
+                at = np.flatnonzero((row != 0) | np.signbit(row))
+                for i, value in zip(at.tolist(), row[at].tolist()):
+                    text[i] = repr(value)
                 handle.write(",")
-                handle.write(",".join(map(repr, row.tolist())))
+                handle.write(",".join(text))
             handle.write("\n")
 
 
@@ -191,6 +199,8 @@ def load_matrix_csv(path: str | Path) -> FeatureMatrix:
                 rows.append([float(cell) for cell in row[2:]])
     except OSError as exc:
         raise CorpusError(f"cannot read matrix {path}: {exc}") from exc
+    except csv.Error as exc:  # e.g. a cell past the csv module's field size limit
+        raise CorpusError(f"{path}:{reader.line_num}: malformed matrix: {exc}") from exc
     except ValueError as exc:
         raise CorpusError(f"{path}: malformed matrix: {exc}") from exc
     values = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))

@@ -10,18 +10,26 @@ predict, importance and ``model.json`` all read and write these arrays.
 The trees of a forest grow in lockstep.  Each keeps its own generator and
 preorder stack; at each step, the next node of every unfinished tree that
 needs a split is scored in one batched search, in chunks of at most
-CHUNK_CELLS cells (a cell is one row of a node at one candidate dim).  The
-search gathers each (node, dim) segment's values, packs segment, value rank
-and class into one integer key per cell and sorts the keys, so each segment
-is in value order.  The class counts of every run of equal values come from
-one bincount, and a cumulative sum over the runs gives the counts left of
-every cut where the value changes; only those cuts are scored.  Memory is
-O(chunk * k) for the run counts, whatever the number of trees; no one-hot
-tensor is built.  The counts are exact integers and the gain expression is
-that of a per-dim loop, so gains are the same floats and ties resolve the
-same way.  Candidate dims that are constant on a node's rows are dropped
-before the sort (in sparse gram groups most are): they are skipped, not
-redrawn, so the rng draws and the tree are what scoring them would give.
+CHUNK_CELLS cells.  The search reads only the nonzero cells of each (node,
+dim) segment.  A column with fewer nonzeros than the fit has rows is listed
+once per fit (once per cross-validation): its nonzero rows, ascending.  A
+segment whose column list is shorter than the node's row list reads the list
+and counts each entry as often as its row is in the node (bootstrap draws
+repeat rows); any other segment gathers the node's rows and drops the zeros.
+The segment's zeros, +0.0 and -0.0 alike, are never gathered or sorted: they
+are one run between its negative and positive values, whose class counts are
+the node's counts less those of its nonzero cells.  The nonzero cells and
+one stand-in per zero run are packed (segment, value rank, class) into one
+integer key each and sorted, so each segment is in value order.  The class
+counts of every run of equal values come from one bincount, and a cumulative
+sum over the runs gives the counts left of every cut where the value
+changes; only those cuts are scored.  Memory is O(chunk * k) for the run
+counts, whatever the number of trees; no one-hot tensor is built.  The
+counts are exact integers and the gain expression is that of a per-dim
+loop, so gains are the same floats and ties resolve the same way.  A
+candidate dim that is zero (or any one value) on all of a node's rows has no
+cut: it is skipped, not redrawn, so the rng draws and the tree are what
+scoring it would give.
 
 Determinism contract: every tree draws from its own PCG64 generator seeded by
 mix_seed(seed, "tree", index), so refitting with the same seed reproduces the
@@ -32,11 +40,13 @@ the lowest threshold.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,9 +144,50 @@ def gini(counts) -> float:
     return float(1.0 - p @ p)
 
 
-# Cells (node rows x candidate dims) that one batched split search gathers
-# at most; a node with more is searched a slice of its dims at a time.
+# Cells that one batched split search handles at most; a node with more is
+# searched a slice of its dims at a time.  A (node, dim) segment costs one
+# cell per row it gathers or per column-list entry it looks up, plus one for
+# its zero run, and a node one per row for its row list.
 CHUNK_CELLS = 32_768
+
+# The list length of a column with too many nonzeros to be listed: longer
+# than any node, so such a column is always gathered.
+UNLISTED = np.iinfo(np.intp).max
+
+
+class ColumnLists(NamedTuple):
+    """The rows where each sparse column of a matrix is nonzero.
+
+    Column c's rows, ascending, are ``rows[start[c]:start[c] + length[c]]``.
+    Only columns with fewer nonzeros than `_column_lists`'s limit are listed;
+    the others have length UNLISTED.  Each entry is one nonzero cell of the
+    matrix, so the lists never outgrow it.
+    """
+
+    start: np.ndarray   # intp, per column
+    length: np.ndarray  # intp, per column
+    rows: np.ndarray    # intp
+
+
+def _column_lists(X: np.ndarray, limit: int) -> ColumnLists:
+    """The column lists of X, for the columns with fewer than `limit` nonzeros."""
+    # nonzeros in column-major order: column after column, each one's rows
+    # ascending (nonzero walks the transposed view; it copies no matrix)
+    cols, rows = np.nonzero(X.T)
+    length = np.bincount(cols, minlength=X.shape[1])
+    listed = length < limit
+    rows = rows[listed[cols]]
+    del cols
+    length = np.where(listed, length, 0)
+    start = np.cumsum(length) - length
+    return ColumnLists(start, np.where(listed, length, UNLISTED), rows)
+
+
+def _reads_list(length: np.ndarray, n) -> np.ndarray:
+    """Which segments read their nonzero cells from the column lists: those
+    whose column's list is shorter than the node's row list.  The others
+    gather the node's rows and drop the zeros."""
+    return length < n
 
 
 def _best_split(X, row_idx, y_codes, n_classes, dims, min_leaf):
@@ -152,113 +203,189 @@ def _best_split(X, row_idx, y_codes, n_classes, dims, min_leaf):
     return _best_splits(X, y_codes, n_classes, [(row_idx, dims)], min_leaf)[0]
 
 
-def _best_splits(X, y_codes, n_classes, nodes, min_leaf) -> list:
+def _best_splits(X, y_codes, n_classes, nodes, min_leaf, columns: ColumnLists | None = None) -> list:
     """`_best_split` of every (row_idx, dims) pair in `nodes`.
+
+    `columns` are X's column lists for at least the largest node's rows,
+    built here when not given.
 
     The nodes are scored in chunks of at most CHUNK_CELLS cells: whole nodes
     where they fit, slices of a node's dims where one does not.  A slice
     replaces an earlier slice's split of its node only with a strictly larger
     gain, so the tie rules hold across slices.
     """
+    if not nodes:
+        return []
+    if columns is None:
+        columns = _column_lists(X, max(rows.size for rows, _ in nodes))
     best: list = [None] * len(nodes)
     chunk: list[tuple[int, np.ndarray, np.ndarray]] = []
     cells = 0
 
     def flush() -> None:
-        for (j, _, _), found in zip(chunk, _search_chunk(X, y_codes, n_classes, chunk, min_leaf)):
+        for (j, _, _), found in zip(
+            chunk, _search_chunk(X, y_codes, n_classes, chunk, min_leaf, columns)
+        ):
             if found is not None and (best[j] is None or found[2] > best[j][2]):
                 best[j] = found
 
+    sizes = [rows.size for rows, _ in nodes]
+    dim_counts = [dims.size for _, dims in nodes]
+    n_of_dim = np.repeat(sizes, dim_counts)
+    length = columns.length[np.concatenate([dims for _, dims in nodes])]
+    # used[i] is the cells taken by the nodes' dims before dim i, in order
+    used = [0, *np.cumsum(np.where(_reads_list(length, n_of_dim), length, n_of_dim) + 1).tolist()]
+    del n_of_dim, length
+    stop = 0
     for j, (row_idx, dims) in enumerate(nodes):
-        n = row_idx.size
+        n, first = sizes[j], stop
+        stop += dim_counts[j]
         if n < 2 * min_leaf:  # no cut leaves min_leaf rows on both sides
             continue
-        step = max(1, CHUNK_CELLS // n)
-        for start in range(0, dims.size, step):
-            part = dims[start:start + step]
-            if chunk and cells + n * part.size > CHUNK_CELLS:
-                flush()
-                chunk, cells = [], 0
-            chunk.append((j, row_idx, part))
-            cells += n * part.size
+        start = first
+        while start < stop:
+            room = used[start] + CHUNK_CELLS - cells - n
+            end = stop if used[stop] <= room else bisect.bisect_right(used, room, start, stop) - 1
+            if end <= start:  # not one more dim fits beside the chunk so far
+                if chunk:
+                    flush()
+                    chunk, cells = [], 0
+                    continue
+                end = start + 1
+            chunk.append((j, row_idx, dims[start - first:end - first]))
+            cells += n + used[end] - used[start]
+            start = end
     if chunk:
         flush()
     return best
 
 
-def _search_chunk(X, y_codes, n_classes, pieces, min_leaf) -> list:
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + l) for each start s and length l."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _search_chunk(X, y_codes, n_classes, pieces, min_leaf, columns: ColumnLists) -> list:
     """Best split of each (_, row_idx, dims) piece, or None, scored at once.
 
-    The cells of each (piece, dim) segment are sorted by value.  One bincount
-    gives the class counts of every run of equal values, and a cumulative sum
-    over the runs gives the counts left of every cut where the value
-    changes.  The counts are exact integers and the gain is the per-dim
-    loop's expression term for term, so every gain is the float it computes.
+    Only the nonzero cells of each (piece, dim) segment are read: from the
+    column's list when that is shorter than the piece's rows (each entry as
+    many times as its row is in the piece), else by gathering the piece's
+    rows and dropping the zeros.  A segment's zeros (+0.0 and -0.0 alike)
+    are one run between its negative and positive values, whose class counts
+    are the piece's counts less those of its nonzero cells.  The nonzero
+    cells and one stand-in for each zero run are sorted by segment and
+    value, one bincount gives the class counts of every run of equal values,
+    and a cumulative sum over the runs gives the counts left of every cut
+    where the value changes.  The counts are exact integers and the gain is
+    the per-dim loop's expression term for term, so every gain is the float
+    it computes.
     """
     k = n_classes
+    n_total, stride = X.shape
+    piece_n = np.array([rows.size for _, rows, _ in pieces], dtype=np.intp)
+    piece_rows = np.concatenate([rows for _, rows, _ in pieces])
+    piece_of_row = np.repeat(np.arange(len(pieces)), piece_n)
+    piece_counts = np.bincount(
+        piece_of_row * k + y_codes[piece_rows], minlength=len(pieces) * k
+    ).reshape(-1, k)
     seg_dim = np.concatenate([dims for _, _, dims in pieces])
     seg_piece = np.repeat(np.arange(len(pieces)), [dims.size for _, _, dims in pieces])
-    seg_n = np.array([rows.size for _, rows, _ in pieces], dtype=np.intp)[seg_piece]
-    seg_start = np.cumsum(seg_n) - seg_n
-    # segment after segment, each holding its piece's rows in order
-    stride = X.shape[1]
-    vals = X.take(np.concatenate(
-        [np.add.outer(dims, rows * stride).ravel() for _, rows, dims in pieces]
-    ))
-    cls = np.concatenate(
-        [y_codes[rows][np.newaxis].repeat(dims.size, axis=0).ravel() for _, rows, dims in pieces]
-    )
-    # A dim constant on its piece's rows has no cut, so it can never win;
-    # dropping it keeps the rest in order, and with them every gain and tie.
-    live = np.logical_or.reduceat(vals != np.repeat(vals[seg_start], seg_n), seg_start)
-    if not live.all():
-        if not live.any():
-            return [None] * len(pieces)
-        keep = np.repeat(live, seg_n)
-        vals, cls = vals[keep], cls[keep]
-        seg_dim, seg_piece, seg_n = seg_dim[live], seg_piece[live], seg_n[live]
-        seg_start = np.cumsum(seg_n) - seg_n
-    cell_seg = np.repeat(np.arange(seg_n.size), seg_n)
+    seg_n = piece_n[seg_piece]
+    length = columns.length[seg_dim]
+    from_list = _reads_list(length, seg_n)
+
+    # Listed segments: each list entry, as many times as its row is in the
+    # piece, found by binary search in the piece's sorted rows.
+    seg = np.flatnonzero(from_list)
+    list_seg = np.repeat(seg, length[seg])
+    list_row = columns.rows[_ranges(columns.start[seg_dim[seg]], length[seg])]
+    if list_row.size:
+        held = np.sort(piece_of_row * n_total + piece_rows)
+        key = seg_piece[list_seg] * n_total + list_row
+        times = np.searchsorted(held, key, side="right") - np.searchsorted(held, key, side="left")
+        del held, key
+        pick = np.repeat(np.arange(times.size), times)
+        list_seg, list_row = list_seg[pick], list_row[pick]
+        del times, pick
+
+    # Gathered segments: every row of the piece, zeros dropped.
+    seg = np.flatnonzero(~from_list)
+    gather_seg = np.repeat(seg, seg_n[seg])
+    gather_row = piece_rows[_ranges((np.cumsum(piece_n) - piece_n)[seg_piece[seg]], seg_n[seg])]
+    gather_vals = X.take(gather_row * stride + seg_dim[gather_seg])
+    nonzero = gather_vals != 0
+    if not nonzero.all():
+        gather_seg, gather_row, gather_vals = (
+            gather_seg[nonzero], gather_row[nonzero], gather_vals[nonzero]
+        )
+    del nonzero, piece_rows, piece_of_row
+
+    cell_seg = np.concatenate([list_seg, gather_seg])
+    if cell_seg.size == 0:
+        return [None] * len(pieces)
+    vals = np.concatenate([X.take(list_row * stride + seg_dim[list_seg]), gather_vals])
+    cls = y_codes[np.concatenate([list_row, gather_row])]
+    del list_seg, list_row, gather_seg, gather_row, gather_vals
+    # A segment with nonzero cells and zeros gets a zero run; one whose
+    # cells are all zero has no cut and no cells.
+    seg_nonzero = np.bincount(cell_seg, minlength=seg_n.size)
+    zero_seg = np.flatnonzero((seg_nonzero > 0) & (seg_nonzero < seg_n))
+    if zero_seg.size:
+        zero_counts = piece_counts[seg_piece[zero_seg]] - np.bincount(
+            cell_seg * k + cls, minlength=seg_n.size * k
+        ).reshape(-1, k)[zero_seg]
     # Each cell's (segment, value, class) packs into one integer key, the
     # value as its rank among the chunk's distinct values, so that a plain
-    # sort of the keys (no argsort) orders every segment by value.  A key is
-    # below cells^2 * classes, far inside int64 for a chunk that fits in memory.
-    distinct = np.unique(vals)
-    key = cell_seg * distinct.size + np.searchsorted(distinct, vals)
-    key *= k
-    key += cls
+    # sort of the keys (no argsort) orders every segment by value.  Class k
+    # marks a zero run's stand-in.  A key is below cells^2 * (classes + 1),
+    # far inside int64 for a chunk that fits in memory.
+    cell_seg = np.concatenate([cell_seg, zero_seg])
+    distinct, rank = np.unique(np.append(vals, np.zeros(zero_seg.size)), return_inverse=True)
+    width = distinct.size
+    key = (cell_seg * width + rank) * (k + 1) + np.append(cls, np.full(zero_seg.size, k))
+    del vals, cls, cell_seg, rank
     key.sort()
-    del vals, cls
-    seg_rank, ys = np.divmod(key, k)
+    seg_rank, ys = np.divmod(key, k + 1)
     del key
     run_head = _heads(seg_rank)  # first cell of each run of equal values
     run = np.cumsum(run_head) - 1
     run_start = np.flatnonzero(run_head)
-    # cum[r] holds the class counts of runs 0..r-1 of the whole chunk
+    del run_head
+    run_counts = np.bincount(run * (k + 1) + ys, minlength=run_start.size * (k + 1))
+    run_counts = run_counts.reshape(-1, k + 1)[:, :k]
+    run_n = np.diff(run_start, append=seg_rank.size)  # rows in each run
+    if zero_seg.size:
+        zero_run = run[ys == k]
+        run_counts[zero_run] = zero_counts
+        run_n[zero_run] = seg_n[zero_seg] - seg_nonzero[zero_seg]
+    del run, ys
+    # cum[r] and cum_n[r] hold the class counts and the rows of runs
+    # 0..r-1 of the whole chunk
     cum = np.zeros((run_start.size + 1, k), dtype=np.int64)
-    np.cumsum(
-        np.bincount(run * k + ys, minlength=run_start.size * k).reshape(-1, k),
-        axis=0, out=cum[1:],
-    )
-    del run_head, ys
-    seg_head = np.zeros(seg_rank.size, dtype=bool)
-    seg_head[seg_start] = True
-    # A cut follows each run whose successor starts in the same segment; its
-    # last row is the last row on the left.
-    cut_end = run_start[1:][~seg_head[run_start[1:]]] - 1
-    seg = cell_seg[cut_end]
-    n = seg_n[seg]
-    n_left = cut_end + 1 - seg_start[seg]
+    np.cumsum(run_counts, axis=0, out=cum[1:])
+    cum_n = np.zeros(run_start.size + 1, dtype=np.intp)
+    np.cumsum(run_n, out=cum_n[1:])
+    del run_counts, run_n
+    run_seg, run_rank = np.divmod(seg_rank[run_start], width)
+    del seg_rank, run_start
+    seg_head = _heads(run_seg)
+    first_run = np.maximum.accumulate(np.where(seg_head, np.arange(run_seg.size), 0))
+    # A cut follows each run whose successor is in the same segment.
+    cut = np.flatnonzero(~seg_head[1:])
+    base = first_run[cut]
+    n_left = cum_n[cut + 1] - cum_n[base]
+    n = seg_n[run_seg[cut]]
     feasible = (n_left >= min_leaf) & (n_left <= n - min_leaf)
-    cut_end, seg, n, n_left = cut_end[feasible], seg[feasible], n[feasible], n_left[feasible]
+    cut, base, n_left, n = cut[feasible], base[feasible], n_left[feasible], n[feasible]
     n_right = n - n_left
+    piece = seg_piece[run_seg[cut]]
     # Sums of squared class counts of both sides, kept in integers so they
     # are exact whatever the order of summation.
-    seg_base = cum[run[seg_start]]
-    total = cum[run[seg_start + seg_n - 1] + 1] - seg_base
-    left = cum[run[cut_end] + 1] - seg_base[seg]
-    right = total[seg] - left
-    total_sq = (total * total).sum(axis=1)[seg]
+    left = cum[cut + 1] - cum[base]
+    right = piece_counts[piece] - left
+    total_sq = (piece_counts * piece_counts).sum(axis=1)[piece]
     left_sq = (left * left).sum(axis=1)
     right_sq = (right * right).sum(axis=1)
     g_parent = 1.0 - total_sq / (n * n)
@@ -271,16 +398,14 @@ def _search_chunk(X, y_codes, n_classes, pieces, min_leaf) -> list:
     found: list = [None] * len(pieces)
     if positive.size == 0:
         return found
-    gain, piece = gain[positive], seg_piece[seg[positive]]
+    gain, piece, cut = gain[positive], piece[positive], cut[positive]
     first = _heads(piece)
     piece_max = np.maximum.reduceat(gain, np.flatnonzero(first))
     hit = np.flatnonzero(gain == piece_max[np.cumsum(first) - 1])
     win = hit[_heads(piece[hit])]
-    cut = positive[win]
-    end = cut_end[cut]
-    thresholds = (distinct[seg_rank[end] % distinct.size]
-                  + distinct[seg_rank[end + 1] % distinct.size]) / 2.0
-    for p, dim, thr, g in zip(piece[win].tolist(), seg_dim[seg[cut]].tolist(),
+    cut = cut[win]
+    thresholds = (distinct[run_rank[cut]] + distinct[run_rank[cut + 1]]) / 2.0
+    for p, dim, thr, g in zip(piece[win].tolist(), seg_dim[run_seg[cut]].tolist(),
                               thresholds.tolist(), gain[win].tolist()):
         found[p] = (dim, thr, g)
     return found
@@ -322,7 +447,7 @@ def best_split(values, labels, dims=None, min_samples_leaf: int = 1):
     )
 
 
-def _grow_trees(X, rows, y_codes, n_classes, params: ForestParams, trees: range) -> list:
+def _grow_trees(X, rows, y_codes, n_classes, params: ForestParams, trees: range, columns) -> list:
     """Grow trees `trees` of the forest on X[rows] in lockstep.
 
     Each tree pops nodes off its own preorder stack (left child first) and
@@ -367,7 +492,7 @@ def _grow_trees(X, rows, y_codes, n_classes, params: ForestParams, trees: range)
                 pending.append((t, node, depth))
                 nodes.append((idx, np.sort(rngs[t].choice(d, size=m, replace=False))))
                 break
-        found_all = _best_splits(X, y_codes, n_classes, nodes, min_leaf)
+        found_all = _best_splits(X, y_codes, n_classes, nodes, min_leaf, columns)
         for (t, node, depth), (idx, _), found in zip(pending, nodes, found_all):
             if found is None:
                 continue
@@ -391,6 +516,7 @@ def fit_forest(
     rows=None,
     *,
     checked: bool = False,
+    columns: ColumnLists | None = None,
 ) -> RandomForest:
     """Fit `params.n_trees` trees on (values, labels).
 
@@ -399,7 +525,10 @@ def fit_forest(
     without copying that part: the forest equals, node for node, the one
     fitted on `values[rows]`, `labels[rows]`, as each bootstrap draw picks
     positions in `rows`.  `checked=True` skips the finiteness check of
-    `values`, for a caller that has made it on the same matrix.
+    `values`, for a caller that has made it on the same matrix.  `columns`,
+    when given, are `_column_lists(values, limit)` with `limit` at least the
+    number of rows, for a caller that fits several forests on one matrix; by
+    default they are built here, once for all threads.
     """
     X = np.ascontiguousarray(values, dtype=np.float64)
     y = np.asarray(labels)
@@ -424,9 +553,11 @@ def fit_forest(
     # codes of rows outside `rows` are never read
     y_codes = np.zeros(X.shape[0], dtype=np.intp)
     y_codes[rows] = np.searchsorted(classes, y_rows)
+    if columns is None:
+        columns = _column_lists(X, rows.size)
 
     def grow(trees: range) -> list:
-        return _grow_trees(X, rows, y_codes, classes.size, params, trees)
+        return _grow_trees(X, rows, y_codes, classes.size, params, trees, columns)
 
     workers = min(threads, params.n_trees)
     if workers > 1:
@@ -599,8 +730,10 @@ def cross_validate(
         perm = rng.permutation(idx.size)
         fold_of[idx[perm]] = np.arange(idx.size) % folds
 
-    # every fold fits on rows of this one matrix, so it is checked once
+    # every fold fits on rows of this one matrix, so it is checked and its
+    # columns listed once
     _require_finite(X)
+    columns = _column_lists(X, y.size - int(np.bincount(fold_of).min()))
     accuracies: list[float] = []
     k = classes.size
     conf_total = np.zeros((k, k), dtype=np.int64)
@@ -608,7 +741,8 @@ def cross_validate(
         held = fold_of == fold
         fold_params = replace(params, seed=mix_seed(seed, "fold", fold))
         forest = fit_forest(
-            X, y, fold_params, threads=threads, rows=np.flatnonzero(~held), checked=True
+            X, y, fold_params, threads=threads, rows=np.flatnonzero(~held),
+            checked=True, columns=columns,
         )
         metrics = evaluate(forest, X[held], y[held])
         accuracies.append(metrics.accuracy)

@@ -190,6 +190,18 @@ def test_select_rejects_non_finite_matrix(cli_env, tmp_path, capsys):
     assert "train.csv:2: non-finite value" in capsys.readouterr().err
 
 
+def test_select_rejects_a_matrix_with_an_oversized_cell(cli_env, tmp_path, capsys):
+    matrix = tmp_path / "train.csv"
+    matrix.write_text(f"id,label,fsz_asm\na,1,{'1' * 200_000}\n", encoding="utf-8")
+    code = main([
+        "select", "--quiet", "--config", str(cli_env["config"]),
+        "--matrix", str(matrix),
+        "--out", str(tmp_path / "sel.json"),
+    ])
+    assert code == 2  # a data error, not a traceback
+    assert "train.csv:2: malformed matrix: field larger than field limit" in capsys.readouterr().err
+
+
 def test_select_rejects_bad_budgets(cli_env, tmp_path, capsys):
     for budget in ("section_size=zero", "bogus=3", "section_size=0"):
         code = main([

@@ -58,6 +58,14 @@ def test_load_labels_rejects_bad_rows(tmp_path):
         load_labels(write_labels(tmp_path, "Id,Class\nx,1\nx,2\n"))
 
 
+def test_load_labels_oversized_field_is_a_corpus_error(tmp_path):
+    # past the csv module's field size limit (131,072 characters), which is
+    # process-wide and stays as it is
+    for body in (f"Id,Class\nx,1\n{'y' * 200_000},2\n", f"Id,Class\nx,\"{'1' * 200_000}\"\n"):
+        with pytest.raises(CorpusError, match=r"labels\.csv: line [23]: field larger than field limit"):
+            load_labels(write_labels(tmp_path, body))
+
+
 def test_load_manifest_unreadable_is_a_corpus_error(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(CorpusError, match=re.escape(f"cannot read manifest {missing}")):

@@ -1101,7 +1101,11 @@ def test_matrix_csv_rows_equal_the_csv_writer(tmp_path, width):
     rng = np.random.default_rng(5)
     values = rng.normal(size=(len(ids), width)) * 10.0 ** rng.integers(-300, 300, size=(len(ids), width))
     if width:
-        values[0, 0] = -0.0
+        # special values down the first and last columns, and a row of zeros
+        special = [-0.0, 0.0, 5e-324, -1.5, 1e300, np.inf, np.nan, -np.inf, -5e-324]
+        values[:, 0] = special
+        values[:, -1] = special[::-1]
+        values[1] = 0.0
     matrix = FeatureMatrix(schema, ids, (3, None, 0, 5, None, 12, 7, None, 1), values)
     path = tmp_path / "m.csv"
     save_matrix_csv(matrix, path)
@@ -1116,6 +1120,18 @@ def test_matrix_csv_rows_equal_the_csv_writer(tmp_path, width):
     save_matrix_csv(readable, path)
     loaded = load_matrix_csv(path)
     assert (loaded.ids, loaded.labels) == (readable.ids, readable.labels)
+
+
+def test_matrix_csv_oversized_cell_is_a_corpus_error(tmp_path):
+    # past the csv module's field size limit (131,072 characters), which is
+    # process-wide and stays as it is; a 4-gram dimension name can be this long
+    path = tmp_path / "m.csv"
+    path.write_text(f"id,label,fsz_asm\na,1,{'1' * 200_000}\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"m\.csv:2: malformed matrix: field larger than field limit"):
+        load_matrix_csv(path)
+    path.write_text(f"id,label,fsz_asm,{'x' * 200_000}\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"m\.csv:1: malformed matrix: field larger"):
+        load_matrix_csv(path)
 
 
 @pytest.mark.parametrize("sample_id", ["a\rb", "\r", "a\r\nb", "a\n\rb", "\rlead", "trail\r"])

@@ -340,6 +340,108 @@ def test_batched_split_search_equals_per_dim_loop_node_by_node(monkeypatch, chun
     assert sum(w is not None for w in want) > 60
 
 
+def sparse_nodes(seed: int, count: int):
+    """Split-search inputs at least 95% zeros, shaped like the gram groups
+    but signed: negative values, -0.0 cells among the zeros, a column whose
+    only nonzero rows lie outside the node, rows drawn with repeats (as a
+    bootstrap draws them), and a column that is nonzero on every row."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_total, d = int(rng.integers(4, 70)), int(rng.integers(4, 40))
+        k = int(rng.integers(2, 6))
+        X = np.zeros((n_total, d))
+        hits = rng.choice(X.size, size=int(rng.uniform(0.005, 0.05) * X.size), replace=False)
+        X.flat[hits] = rng.choice([-3.0, -1.5, -0.25, 0.5, 1.0, 2.0, 4.0], size=hits.size)
+        X[rng.random((n_total, d)) < 0.02] = -0.0
+        rows = rng.integers(0, n_total, size=int(rng.integers(2, n_total + 1)))
+        outside = np.setdiff1d(np.arange(n_total), rows)
+        if outside.size:
+            X[:, 0] = 0.0
+            X[outside[:2], 0] = 5.0
+        if rng.random() < 0.3:
+            X[:, -1] = rng.choice([-1.0, 1.0, 2.0], size=n_total)
+        # at most 5% nonzero besides the first and last columns
+        assert np.count_nonzero(X[:, 1:-1]) <= 0.05 * X.size
+        y_codes = rng.integers(0, k, size=n_total).astype(np.intp)
+        dims = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+        yield X, rows, y_codes, k, dims, int(rng.integers(1, 4))
+
+
+def force_cell_source(monkeypatch, source: str) -> list:
+    """Make every segment read its nonzero cells from `source`: "list" (with
+    every column listed), "gather", or "rule" (the real choice).  Returns
+    the per-segment choices the search made, appended as it makes them."""
+    taken: list = []
+    real_lists, real_rule = forest_module._column_lists, forest_module._reads_list
+    if source == "list":
+        monkeypatch.setattr(forest_module, "_column_lists", lambda X, limit: real_lists(X, X.shape[0] + 1))
+
+    def rule(length, n):
+        pick = real_rule(length, n) if source == "rule" else np.full(length.shape, source == "list")
+        taken.extend(pick.tolist())
+        return pick
+
+    monkeypatch.setattr(forest_module, "_reads_list", rule)
+    return taken
+
+
+def assert_sources_taken(taken: list, source: str) -> None:
+    """Forced, every segment took its source; by the rule, some took each."""
+    want = {"list": {True}, "gather": {False}, "rule": {True, False}}[source]
+    assert set(taken) == want
+
+
+@pytest.mark.parametrize("chunk_cells", [1, forest_module.CHUNK_CELLS])
+@pytest.mark.parametrize("source", ["rule", "list", "gather"])
+def test_split_search_on_sparse_nodes_equals_per_dim_loop(monkeypatch, source, chunk_cells):
+    """Both sources of a segment's nonzero cells, and the rule that picks
+    between them, give every node the per-dim loop's split."""
+    monkeypatch.setattr(forest_module, "CHUNK_CELLS", chunk_cells)
+    taken = force_cell_source(monkeypatch, source)
+    found = 0
+    for X, rows, y_codes, k, dims, min_leaf in sparse_nodes(seed=2026, count=400):
+        want = per_dim_best_split(X, rows, y_codes, k, dims, min_leaf)
+        assert forest_module._best_split(X, rows, y_codes, k, dims, min_leaf) == want, (rows, dims)
+        found += want is not None
+    assert found > 150
+    assert_sources_taken(taken, source)
+
+
+@pytest.mark.parametrize("source", ["rule", "list", "gather"])
+def test_batched_sparse_split_search_equals_per_dim_loop(monkeypatch, source):
+    """Many nodes on one sparse matrix, batched into one search, at the
+    default chunk size."""
+    taken = force_cell_source(monkeypatch, source)
+    rng = np.random.default_rng(41)
+    X = np.where(rng.random((90, 300)) < 0.03, rng.choice([-2.0, -1.0, 1.0, 3.0], size=(90, 300)), 0.0)
+    X[rng.random(X.shape) < 0.01] = -0.0
+    assert np.count_nonzero(X) < 0.05 * X.size
+    y_codes = rng.integers(0, 4, size=90).astype(np.intp)
+    nodes = []
+    for _ in range(120):
+        rows = rng.choice(90, size=int(rng.integers(2, 91)), replace=True)
+        nodes.append((rows, np.sort(rng.choice(300, size=int(rng.integers(1, 60)), replace=False))))
+    got = forest_module._best_splits(X, y_codes, 4, nodes, 1)
+    assert got == [per_dim_best_split(X, rows, y_codes, 4, dims, 1) for rows, dims in nodes]
+    assert sum(g is not None for g in got) > 60
+    assert_sources_taken(taken, source)
+
+
+def test_column_lists_hold_the_sparse_columns():
+    X = np.array([
+        [0.0, 1.0, -0.0, 2.0],
+        [3.0, 0.0, 0.0, 2.0],
+        [0.0, -1.0, 0.0, 2.0],
+        [0.0, 0.0, 0.0, 2.0],
+    ])
+    columns = forest_module._column_lists(X, 3)
+    unlisted = forest_module.UNLISTED
+    assert columns.length.tolist() == [1, 2, 0, unlisted]  # -0.0 is a zero
+    assert columns.rows.tolist() == [1, 0, 2]
+    assert columns.start[:3].tolist() == [0, 1, 3]
+    assert forest_module._column_lists(X, 2).length.tolist() == [1, unlisted, 0, unlisted]
+
+
 def test_public_best_split_sorts_unsorted_and_duplicate_dims():
     rng = np.random.default_rng(77)
     for _ in range(300):
@@ -401,6 +503,57 @@ def test_fit_forest_node_arrays_equal_per_dim_loop(monkeypatch, data, params, th
     loop = node_by_node_forest(X, y, params, split=per_dim_best_split)
     assert lockstep.feature.size > params.n_trees * 5  # deep enough to compare many splits
     assert_same_nodes(lockstep, loop)
+
+
+def very_sparse_counts():
+    """At least 95% zeros, with negative values and -0.0 cells."""
+    rng = np.random.default_rng(61)
+    X = np.where(rng.random((80, 400)) < 0.04, rng.choice([-2.0, -0.5, 1.0, 3.0, 6.0], size=(80, 400)), 0.0)
+    X[rng.random(X.shape) < 0.01] = -0.0
+    assert np.count_nonzero(X) < 0.05 * X.size
+    return X, rng.integers(1, 5, size=80)
+
+
+@pytest.mark.parametrize("chunk_cells", [1, forest_module.CHUNK_CELLS])
+@pytest.mark.parametrize("source", ["rule", "list", "gather"])
+@pytest.mark.parametrize("params", [
+    ForestParams(n_trees=5, seed=17),
+    ForestParams(n_trees=5, seed=18, bootstrap=False, min_samples_leaf=2),
+], ids=["bootstrap", "no-bootstrap-leaf2"])
+def test_fit_forest_on_sparse_data_equals_per_dim_loop(monkeypatch, params, source, chunk_cells):
+    """Both cell sources grow the forest of the per-dim loop, node for node,
+    also on rows of a matrix whose columns are nonzero only outside them."""
+    monkeypatch.setattr(forest_module, "CHUNK_CELLS", chunk_cells)
+    taken = force_cell_source(monkeypatch, source)
+    X, y = very_sparse_counts()
+    rows = np.arange(10, 80)
+    X[:10, :20] = 7.0  # these columns are nonzero only outside the fit rows
+    X[10:, :20] = 0.0
+    assert np.count_nonzero(X) < 0.05 * X.size
+    lockstep = fit_forest(X, y, params, rows=rows)
+    assert lockstep.feature.size > params.n_trees * 5  # deep enough to compare many splits
+    assert_same_nodes(lockstep, node_by_node_forest(X, y, params, split=per_dim_best_split, rows=rows))
+    assert_same_nodes(
+        fit_forest(X, y, params, threads=2),
+        node_by_node_forest(X, y, params, split=per_dim_best_split),
+    )
+    assert_sources_taken(taken, source)
+
+
+def test_column_lists_are_built_once_per_fit_and_per_cross_validation(monkeypatch):
+    X, y = very_sparse_counts()
+    limits = []
+    real = forest_module._column_lists
+    monkeypatch.setattr(forest_module, "_column_lists", lambda X, limit: limits.append(limit) or real(X, limit))
+    fit_forest(X, y, ForestParams(n_trees=4, seed=0), threads=2)
+    assert limits == [80]
+    limits.clear()
+    cross_validate(X, y, ForestParams(n_trees=4, seed=0), folds=4, seed=0, threads=2)
+    # once, for the largest fold's train rows: each family is dealt
+    # round-robin, so fold f holds len(range(f, count, 4)) of its rows
+    family_counts = np.unique(y, return_counts=True)[1]
+    smallest_fold = min(sum(len(range(f, c, 4)) for c in family_counts) for f in range(4))
+    assert limits == [80 - smallest_fold]
 
 
 @pytest.mark.parametrize("params, threads", [
