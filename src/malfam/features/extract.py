@@ -45,11 +45,12 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from ..asm import SegmentInfo, scan_listing
+from ..asm import scan_listing
 from ..corpus import Sample
 from ..errors import ExtractionError, TruncatedPeError
 from ..pe import PeSummary, parse_pe
@@ -162,26 +163,9 @@ def feat_file_size(sample: Sample) -> np.ndarray:
     return np.array([asm, dump, ratio], dtype=np.float64)
 
 
-def _complexity_triple(data: bytes | None) -> tuple[float, float, float]:
-    if data is None:
-        return (0.0, 0.0, 0.0)
-    comp = len(zlib.compress(data, COMPRESSION_LEVEL))
-    return (float(len(data)), float(comp), len(data) / comp)
-
-
-def feat_complexity(asm_bytes: bytes | None, dump_bytes: bytes | None) -> np.ndarray:
-    """Size, zlib size and ratio of the listing, then of the dump; None for an absent file.
-
-    The reference for `stream_complexity`, which `digest_sample` uses.
-    """
-    values = _complexity_triple(asm_bytes) + _complexity_triple(dump_bytes)
-    return np.array(values, dtype=np.float64)
-
-
 def stream_complexity(path: Path | None, sample_id: str) -> tuple[float, float, float]:
     """Size, zlib size and ratio of one artifact, read from its file in chunks
-    of `COMPRESS_CHUNK`; the same triple as `feat_complexity` of its bytes.
-    None for an absent file."""
+    of `COMPRESS_CHUNK`; zeros when `path` is None."""
     if path is None:
         return (0.0, 0.0, 0.0)
     compressor = zlib.compressobj(COMPRESSION_LEVEL)
@@ -197,40 +181,21 @@ def stream_complexity(path: Path | None, sample_id: str) -> tuple[float, float, 
     return (float(size), float(comp), size / comp)
 
 
-def _section_stats(
-    segments: Iterable[SegmentInfo], known_bytes: Mapping[str, int]
+def section_stats(
+    parts: Iterable[tuple[str, int, int, bool, bool, bool]]
 ) -> dict[str, SectionStats]:
-    """Fold a listing's segments by name: virtual size is the summed span, raw
-    size the dumped bytes, and each permission is set when any segment has it."""
-    virtual: dict[str, int] = {}
-    perms: dict[str, list[bool]] = {}
-    for seg in segments:
-        virtual[seg.name] = virtual.get(seg.name, 0) + seg.span
-        flags = perms.setdefault(seg.name, [False, False, False])
-        flags[0] |= seg.readable
-        flags[1] |= seg.writable
-        flags[2] |= seg.executable
-    return {
-        name: SectionStats(virtual[name], known_bytes.get(name, 0), *perms[name])
-        for name in virtual
-    }
-
-
-def section_stats_from_pe(summary: PeSummary) -> dict[str, SectionStats]:
-    virtual: dict[str, int] = {}
-    raw: dict[str, int] = {}
-    perms: dict[str, list[bool]] = {}
-    for sec in summary.sections:
-        virtual[sec.name] = virtual.get(sec.name, 0) + sec.virtual_size
-        raw[sec.name] = raw.get(sec.name, 0) + sec.raw_size
-        flags = perms.setdefault(sec.name, [False, False, False])
-        flags[0] |= sec.readable
-        flags[1] |= sec.writable
-        flags[2] |= sec.executable
-    return {
-        name: SectionStats(virtual[name], raw[name], *perms[name])
-        for name in virtual
-    }
+    """Fold (name, virtual size, raw size, readable, writable, executable)
+    parts by name: sizes add up, and each permission is set when any part of
+    the name has it."""
+    folded: dict[str, list] = {}
+    for name, virtual, raw, readable, writable, executable in parts:
+        acc = folded.setdefault(name, [0, 0, False, False, False])
+        acc[0] += virtual
+        acc[1] += raw
+        acc[2] |= readable
+        acc[3] |= writable
+        acc[4] |= executable
+    return {name: SectionStats(*acc) for name, acc in folded.items()}
 
 
 def feat_section_size(
@@ -290,6 +255,7 @@ class SampleDigest:
     complexity: np.ndarray | None = None  # stream_complexity of the listing, then the dump
     sections: dict[str, SectionStats] = field(default_factory=dict)
     libraries: frozenset[str] = frozenset()
+    # gram counts: a Counter, or `vocab.HeldGrams` in a digest a train pass holds
     api_grams: Counter = field(default_factory=Counter)
     opcode_grams: Counter = field(default_factory=Counter)
     parse_failures: int = 0  # listing lines that failed to parse; 0 when none was read
@@ -343,9 +309,17 @@ def digest_sample(
     if summary is not None:
         found["imports_degraded"] = summary.imports_degraded
     if want_sections and summary is not None:
-        found["sections"] = section_stats_from_pe(summary)
+        found["sections"] = section_stats(
+            (s.name, s.virtual_size, s.raw_size, s.readable, s.writable, s.executable)
+            for s in summary.sections
+        )
     elif want_sections and from_asm:
-        found["sections"] = _section_stats(scan.segments, scan.known_bytes)
+        # a listing counts its dumped bytes per section name, under the same
+        # names as its segments, not per segment
+        found["sections"] = section_stats(chain(
+            ((s.name, s.span, 0, s.readable, s.writable, s.executable) for s in scan.segments),
+            ((name, 0, size, False, False, False) for name, size in scan.known_bytes.items()),
+        ))
     if GROUP_FILE_SIZE in wanted:
         found["file_size"] = feat_file_size(sample)
     if want_libs and summary is not None:

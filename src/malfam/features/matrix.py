@@ -20,7 +20,7 @@ import numpy as np
 from ..corpus import CorpusManifest
 from ..errors import CorpusError
 from .extract import SampleDigest, assemble, project_digest
-from .schema import GROUP_ORDER, FeatureSchema, build_schema, group_of_dim
+from .schema import FeatureSchema, group_of_dim
 
 
 @dataclass(frozen=True)
@@ -85,52 +85,30 @@ def extract_matrix(
     prefer: str = "pe",
     binary_ngrams: bool = False,
     threads: int = 1,
-    digests: Sequence[SampleDigest | None] | None = None,
-    also: FeatureMatrix | None = None,
+    digests: Sequence[SampleDigest] | None = None,
 ) -> FeatureMatrix:
     """Extract every sample in manifest order. Row order never depends on threads.
 
-    `digests`, when given, is parallel to the manifest's samples: a digest is
-    projected as it stands (it must hold every group of the schema and of
-    `also`), and a None in its place digests that sample afresh.
-
-    `also`, when given, is a matrix of the same samples whose values are
-    filled in the same pass, each column from the dimension of the same name:
-    a sample is digested and projected once for both matrices.
+    `digests`, when given, is parallel to the manifest's samples and holds
+    every group of the schema: each digest is projected as it stands, and no
+    sample is read.
     """
     samples = manifest.samples
-    if digests is None:
-        digests = [None] * len(samples)
-    elif len(digests) != len(samples):
+    if digests is not None and len(digests) != len(samples):
         raise ValueError("digests must be parallel to the manifest's samples")
-    source, take, also_take = schema, None, None
-    if also is not None:
-        if also.ids != tuple(s.id for s in samples):
-            raise ValueError("also must hold the manifest's samples in order")
-        # one projection holds every dimension of both matrices' groups
-        wanted = set(schema.groups) | set(also.schema.groups)
-        source = build_schema(vocab, [g for g in GROUP_ORDER if g in wanted])
-        position = {name: i for i, name in enumerate(source.names)}
-        take = np.array([position[name] for name in schema.names], dtype=np.intp)
-        also_take = np.array([position[name] for name in also.schema.names], dtype=np.intp)
 
     def one(i: int) -> np.ndarray:
-        digest = digests[i]
-        if digest is None:
+        if digests is None:
             return assemble(
-                samples[i], source, vocab, prefer=prefer, binary_ngrams=binary_ngrams
+                samples[i], schema, vocab, prefer=prefer, binary_ngrams=binary_ngrams
             ).values
         return project_digest(
-            samples[i].id, digest, source, vocab, binary_ngrams=binary_ngrams
+            samples[i].id, digests[i], schema, vocab, binary_ngrams=binary_ngrams
         ).values
 
     values = np.empty((len(samples), len(schema)))
     for i, row in enumerate(map_samples(one, range(len(samples)), threads)):
-        if take is None:
-            values[i] = row
-        else:
-            values[i] = row[take]
-            also.values[i] = row[also_take]
+        values[i] = row
     return FeatureMatrix(
         schema=schema,
         ids=tuple(s.id for s in samples),

@@ -3,14 +3,21 @@
 Section names, import libraries, and both 4-gram alphabets are ranked by
 document frequency (how many samples mention the token at least once) and
 capped.  Ties break lexicographically so the cut is reproducible.
+
+A training run holds every train digest from the vocabulary to the train
+matrix, with its gram counts as `HeldGrams`: one shared tuple per distinct
+gram and one int32 count per entry, where a fresh `Counter` entry keeps a
+tuple of its own.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ..errors import CorpusError
 from ..util import read_json, write_json
@@ -64,6 +71,37 @@ class Vocabulary:
         if names is None:
             names = self._dims[group] = group_dims(group, self)
         return names
+
+
+class HeldGrams:
+    """One sample's gram counts, held compactly; read like the `Counter` they
+    came from, in its order, through `keys` and `items`.
+
+    Each key is the tuple `shared` keeps for its gram, so a gram that many
+    samples have is one tuple, and the counts sit in one int32 array: an entry
+    costs a pointer and 4 bytes.  A count past int32 raises OverflowError.
+    """
+
+    __slots__ = ("_grams", "_counts")
+
+    def __init__(self, counts: Mapping[tuple[str, ...], int], shared: dict) -> None:
+        self._grams = tuple([shared.setdefault(gram, gram) for gram in counts])
+        self._counts = np.fromiter(counts.values(), dtype=np.int32, count=len(self._grams))
+
+    def keys(self) -> tuple[tuple[str, ...], ...]:
+        return self._grams
+
+    def items(self) -> Iterable[tuple[tuple[str, ...], int]]:
+        return zip(self._grams, self._counts.tolist())
+
+
+def hold_digest(digest: SampleDigest, shared: dict) -> SampleDigest:
+    """The digest with both its gram maps as `HeldGrams` over `shared`."""
+    return replace(
+        digest,
+        api_grams=HeldGrams(digest.api_grams, shared),
+        opcode_grams=HeldGrams(digest.opcode_grams, shared),
+    )
 
 
 def _top_k(freq: Counter, cap: int) -> list:

@@ -4,22 +4,18 @@ The CLI is a thin argv wrapper over these functions; tests drive them
 directly.  Every artifact written here is byte-stable for a fixed
 (config, seed, corpus) triple.
 
-A train pass digests each train sample once for the vocabulary and holds
-those digests, up to HELD_DIGEST_GRAMS, for the train matrix; a sample past
-the bound is digested once more.  It then fills, in one pass, the train
-matrix in its selected layout and a matrix of the budgeted groups' dims,
-which is all that selection reads; the chosen columns are copied into the
-train matrix, the one dense copy of the train values that the fit and every
-CV fold read.  No pre-selection matrix of every group is built.
+A train pass digests each train sample once and holds every digest, its
+gram counts held compactly, from the vocabulary to the train matrix.  It
+projects the held digests into the budgeted groups, all that selection
+reads, then into the final schema for the train matrix, the one dense copy
+of the train values that the fit and every CV fold read, and drops them.
 """
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import RunConfig, save_config, load_config
 from .corpus import CorpusManifest, save_manifest, stratified_split
@@ -28,7 +24,7 @@ from .features.extract import SampleDigest, digest_sample
 from .features.matrix import FeatureMatrix, extract_matrix, map_samples, save_matrix_csv
 from .features.schema import GROUP_ORDER, FeatureSchema, build_schema
 from .features.select import load_selection, save_selection, select_by_importance
-from .features.vocab import Vocabulary, build_vocab, load_vocab, save_vocab
+from .features.vocab import Vocabulary, build_vocab, hold_digest, load_vocab, save_vocab
 from .forest import (
     ForestParams,
     Metrics,
@@ -54,16 +50,6 @@ TRAIN_MATRIX_FILE = "train_matrix.csv"
 TEST_MATRIX_FILE = "test_matrix.csv"
 TRAIN_MANIFEST_FILE = "train_manifest.json"
 TEST_MANIFEST_FILE = "test_manifest.json"
-
-# How many 4-gram entries (api and opcode counts together, the bulk of a
-# digest's memory, about 137 bytes each under tracemalloc) of train digests
-# one training run holds between the vocabulary and the train matrix: about
-# 5.5 MB, a tenth of a small training process (a 108-sample pass with 50
-# trees peaks near 57 MB resident).  A sample whose digest would pass the
-# bound is digested once more, for the train matrix and selection together.
-# 108 synthetic 20 KB samples come to about 24,600 entries.
-HELD_DIGEST_GRAMS = 40_000
-
 
 @dataclass(frozen=True)
 class TrainResult:
@@ -113,26 +99,20 @@ def compute_selection(matrix: FeatureMatrix, config: RunConfig) -> dict[str, lis
 
 def _vocab_and_digests(
     train_man: CorpusManifest, config: RunConfig
-) -> tuple[Vocabulary, list[SampleDigest | None]]:
-    """Digest each train sample once for every group of the config and fold
-    the digests into the vocabulary.
+) -> tuple[Vocabulary, list[SampleDigest]]:
+    """Digest each train sample once for every group of the config, hold the
+    digest with its gram counts as `HeldGrams`, and fold it into the
+    vocabulary as it streams from the workers.
 
-    Returns the vocabulary and the digests held for the train matrix, one
-    per sample in manifest order: None for a sample whose digest did not
-    fit under HELD_DIGEST_GRAMS.
+    Returns the vocabulary and the held digests, in manifest order.
     """
-    held: list[SampleDigest | None] = []
-    room = HELD_DIGEST_GRAMS
+    held: list[SampleDigest] = []
+    shared: dict = {}  # one tuple per distinct gram, for every held digest
 
-    def holding(digests: Iterator[SampleDigest]) -> Iterator[SampleDigest]:
-        nonlocal room
+    def holding(digests: Iterable[SampleDigest]) -> Iterator[SampleDigest]:
         for digest in digests:
-            grams = len(digest.api_grams) + len(digest.opcode_grams)
-            keep = grams <= room
-            if keep:
-                room -= grams
-            held.append(digest if keep else None)
-            yield digest
+            held.append(hold_digest(digest, shared))
+            yield held[-1]
 
     digests = map_samples(
         lambda sample: digest_sample(sample, config.groups, config.prefer),
@@ -142,33 +122,7 @@ def _vocab_and_digests(
     vocab = build_vocab(
         train_man, config.caps, config.groups, config.prefer, digests=holding(digests)
     )
-    again = held.count(None)
-    log.info(
-        "train digests: %d of %d samples held (%d gram entries, bound %d), %d digested again",
-        len(held) - again, len(held), HELD_DIGEST_GRAMS - room, HELD_DIGEST_GRAMS, again,
-    )
     return vocab, held
-
-
-def _selected_layout(
-    vocab: Vocabulary, config: RunConfig
-) -> tuple[FeatureSchema, FeatureSchema]:
-    """The train matrix's schema before selection, and the schema selection reads.
-
-    The first has the selected layout: a budgeted group takes min(budget,
-    group size) columns, holding its first dims until selection has chosen
-    them.  The second holds every dim of the budgeted groups, all that
-    `compute_selection` reads.
-    """
-    budgets = {
-        group: min(k, len(vocab.dims(group)))
-        for group, k in config.active_selection().items()
-        if vocab.dims(group)
-    }
-    layout = build_schema(
-        vocab, config.groups, {group: vocab.dims(group)[:k] for group, k in budgets.items()}
-    )
-    return layout, build_schema(vocab, tuple(budgets))
 
 
 def fit_pipeline(
@@ -180,12 +134,11 @@ def fit_pipeline(
 ) -> TrainResult:
     """Vocabulary, selection, and model all come from the train manifest only.
 
-    Each train sample is digested once: the vocabulary and the train matrix
-    are both made from that digest (see `_vocab_and_digests`).  The train
-    matrix is the one dense copy of the train values: it is allocated in
-    its selected layout and filled in the same pass as the matrix of the
-    budgeted groups that selection reads, whose chosen columns are copied
-    into it after selection; the fit and every CV fold read it in place.
+    Each train sample is digested once (see `_vocab_and_digests`).  The held
+    digests are projected into the budgeted groups' dimensions, the matrix
+    selection reads and drops, and then into the final schema: the train
+    matrix, the one dense copy of the train values, which the fit and every
+    CV fold read in place.
     """
     overlap = train_man.ids() & test_man.ids()
     if overlap:
@@ -193,41 +146,15 @@ def fit_pipeline(
     vocab, held = _vocab_and_digests(train_man, config)
     log.info("vocabulary built: %s",
              {g: len(vocab.dims(g)) for g in GROUP_ORDER if g in config.groups and vocab.dims(g)})
-    layout, select_schema = _selected_layout(vocab, config)
-    to_select = FeatureMatrix(
-        schema=select_schema,
-        ids=tuple(s.id for s in train_man.samples),
-        labels=tuple(s.label for s in train_man.samples),
-        values=np.empty((len(train_man), len(select_schema))),
-    )
-    staged = extract_matrix(
-        train_man,
-        layout,
-        vocab,
-        prefer=config.prefer,
-        binary_ngrams=config.binary_ngrams,
-        threads=config.threads,
-        digests=held,
-        also=to_select,
-    )
-    del held  # selection and the forest never need the digests
+    options = dict(prefer=config.prefer, binary_ngrams=config.binary_ngrams, threads=config.threads)
+    budgeted = build_schema(vocab, tuple(config.active_selection()))
+    to_select = extract_matrix(train_man, budgeted, vocab, digests=held, **options)
     selection = compute_selection(to_select, config)
-    schema = build_schema(vocab, config.groups, selection or None)
-    column = {name: i for i, name in enumerate(select_schema.names)}
-    for group, names in selection.items():
-        staged.values[:, schema.group_indices(group)] = (
-            to_select.values[:, [column[name] for name in names]]
-        )
     del to_select
-    train_matrix = replace(staged, schema=schema)
-    test_matrix = extract_matrix(
-        test_man,
-        schema,
-        vocab,
-        prefer=config.prefer,
-        binary_ngrams=config.binary_ngrams,
-        threads=config.threads,
-    )
+    schema = build_schema(vocab, config.groups, selection or None)
+    train_matrix = extract_matrix(train_man, schema, vocab, digests=held, **options)
+    del held  # the forest never needs the digests
+    test_matrix = extract_matrix(test_man, schema, vocab, **options)
     train_values, train_labels = train_matrix.labeled()
     if len(train_labels) != len(train_matrix):
         raise TrainingError("every training sample must carry a label")

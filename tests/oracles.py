@@ -6,6 +6,10 @@ whole line list.  Only the comment and operand rules (`_declared_perms`,
 `_segment`, `_import_library`, `_extern_symbol`, `_api_names`) are shared
 with the scanner; the hand-counted tests in `test_asm.py` pin those.
 
+`feat_complexity` takes the complexity group's values from each artifact's
+whole bytes in one `zlib.compress`, the reference for `stream_complexity`,
+which streams them from the files in chunks.
+
 `subset_columns` reprojects a full matrix onto a selected schema by copying
 columns, as the train pass once did; `copying_cross_validate` fits each fold
 on a copy of its rows.
@@ -17,6 +21,7 @@ trees in lockstep.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import replace
 from itertools import groupby
 
@@ -32,6 +37,7 @@ from malfam.asm import (
     _import_library,
     _segment,
 )
+from malfam.features.extract import COMPRESSION_LEVEL
 from malfam.features.matrix import FeatureMatrix
 from malfam.features.schema import FeatureSchema
 from malfam.forest import ForestParams, Metrics, RandomForest, _candidate_count, evaluate, fit_forest
@@ -66,6 +72,19 @@ def reference_scan(listing: Listing) -> ListingScan:
         api_calls=_api_names(calls, api_symbols),
         parse_failures=listing.parse_failures,
     )
+
+
+def _complexity_triple(data: bytes | None) -> tuple[float, float, float]:
+    if data is None:
+        return (0.0, 0.0, 0.0)
+    comp = len(zlib.compress(data, COMPRESSION_LEVEL))
+    return (float(len(data)), float(comp), len(data) / comp)
+
+
+def feat_complexity(asm_bytes: bytes | None, dump_bytes: bytes | None) -> np.ndarray:
+    """Size, zlib size and ratio of the listing, then of the dump; None for an absent file."""
+    values = _complexity_triple(asm_bytes) + _complexity_triple(dump_bytes)
+    return np.array(values, dtype=np.float64)
 
 
 def subset_columns(matrix: FeatureMatrix, schema: FeatureSchema) -> FeatureMatrix:

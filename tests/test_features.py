@@ -36,7 +36,6 @@ from malfam.features import (
     digest_sample,
     extract_4grams,
     extract_matrix,
-    feat_complexity,
     feat_file_size,
     feat_import_lib,
     feat_ngrams,
@@ -50,12 +49,12 @@ from malfam.features import (
 )
 from malfam.features import extract
 from malfam.features.matrix import map_samples
+from malfam.features.vocab import hold_digest
 from malfam.features.extract import (
     SampleDigest,
     SectionStats,
     load_pe_summary,
     pick_source,
-    section_stats_from_pe,
 )
 from malfam.features.schema import (
     GROUP_API_4GRAM,
@@ -73,7 +72,7 @@ from malfam.features.schema import (
 )
 from malfam.forest import ForestParams
 from malfam.pe import PeSummary
-from oracles import reference_scan
+from oracles import feat_complexity, reference_scan
 
 
 def sample_with(tmp_path, sample_id="s", asm: bytes | None = None, dump: bytes | None = None) -> Sample:
@@ -749,9 +748,15 @@ def reference_assemble(
     stats: Mapping[str, SectionStats] = {}
     if needs_sections:
         if summary is not None:
-            stats = section_stats_from_pe(summary)
+            stats = extract.section_stats(
+                (s.name, s.virtual_size, s.raw_size, s.readable, s.writable, s.executable)
+                for s in summary.sections
+            )
         elif scan is not None:
-            stats = extract._section_stats(scan.segments, scan.known_bytes)
+            stats = extract.section_stats(itertools.chain(
+                ((s.name, s.span, 0, s.readable, s.writable, s.executable) for s in scan.segments),
+                ((name, 0, size, False, False, False) for name, size in scan.known_bytes.items()),
+            ))
 
     for group in GROUP_ORDER:
         if group not in present:
@@ -1157,20 +1162,14 @@ def test_labeled_shares_the_values_exactly_when_every_row_is_labeled():
     assert np.array_equal(got, values[[0, 2]]) and labels.tolist() == [1, 1]
 
 
-def test_extract_matrix_fills_also_from_the_same_pass(small_corpus, monkeypatch):
+@pytest.mark.parametrize("binary", [False, True])
+def test_extract_matrix_projects_held_digests_without_reading_a_sample(
+    small_corpus, monkeypatch, binary
+):
     vocab = build_vocab(small_corpus, VocabCaps(6, 6, 12, 12), prefer="asm")
-    full = extract_matrix(small_corpus, build_schema(vocab), vocab, prefer="asm")
-    narrow = build_schema(vocab, selection={
-        GROUP_SECTION_SIZE: vocab.dims(GROUP_SECTION_SIZE)[::-2],
-        GROUP_OPCODE_4GRAM: vocab.dims(GROUP_OPCODE_4GRAM)[3:5],
-    })
-    aside = build_schema(vocab, (GROUP_SECTION_SIZE, GROUP_API_4GRAM))
-    also = FeatureMatrix(
-        aside,
-        tuple(s.id for s in small_corpus.samples),
-        tuple(s.label for s in small_corpus.samples),
-        np.full((len(small_corpus), len(aside)), np.nan),
-    )
+    full = extract_matrix(small_corpus, build_schema(vocab), vocab, prefer="asm", binary_ngrams=binary)
+    shared: dict = {}
+    held = [hold_digest(digest_sample(s, prefer="asm"), shared) for s in small_corpus.samples]
     calls = Counter()
     real_digest = extract.digest_sample
 
@@ -1179,13 +1178,19 @@ def test_extract_matrix_fills_also_from_the_same_pass(small_corpus, monkeypatch)
         return real_digest(sample, *args, **kwargs)
 
     monkeypatch.setattr(extract, "digest_sample", counted)
-    got = extract_matrix(small_corpus, narrow, vocab, prefer="asm", threads=2, also=also)
-    assert calls == Counter({s.id: 1 for s in small_corpus.samples})
-    for matrix in (got, also):
-        cols = [full.schema.names.index(name) for name in matrix.schema.names]
-        assert np.array_equal(matrix.values, full.values[:, cols])
-    with pytest.raises(ValueError, match="also must hold"):
-        extract_matrix(small_corpus, narrow, vocab, prefer="asm", also=subset_rows(also, [0, 1]))
+    narrow = build_schema(vocab, selection={
+        GROUP_SECTION_SIZE: vocab.dims(GROUP_SECTION_SIZE)[::-2],
+        GROUP_OPCODE_4GRAM: vocab.dims(GROUP_OPCODE_4GRAM)[3:5],
+    })
+    for schema in (narrow, build_schema(vocab, (GROUP_SECTION_SIZE, GROUP_API_4GRAM))):
+        got = extract_matrix(
+            small_corpus, schema, vocab, binary_ngrams=binary, threads=2, digests=held
+        )
+        cols = [full.schema.names.index(name) for name in schema.names]
+        assert np.array_equal(got.values, full.values[:, cols])
+    assert not calls
+    with pytest.raises(ValueError, match="digests must be parallel"):
+        extract_matrix(small_corpus, narrow, vocab, digests=held[:2])
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

@@ -1,7 +1,6 @@
 """Config plumbing and end-to-end pipeline tests (vocab -> selection -> forest)."""
 from __future__ import annotations
 
-import logging
 import math
 import tracemalloc
 from collections import Counter
@@ -31,7 +30,10 @@ from malfam.features import (
 )
 from malfam.features import extract as extract_module
 from malfam.features import vocab as vocab_module
+from malfam.features.vocab import hold_digest
+from malfam.features.extract import digest_sample
 from malfam.features.schema import (
+    GROUP_API_4GRAM,
     GROUP_COMPLEXITY,
     GROUP_IMPORT_LIB,
     GROUP_OPCODE_4GRAM,
@@ -294,71 +296,69 @@ def saved_train_files(tmp_path, corpus, config) -> dict[str, bytes]:
     return {name: (out / name).read_bytes() for name in TRAIN_DIR_FILES}
 
 
-def count_digests(monkeypatch) -> Counter:
-    """Count digest_sample calls by sample id, at every binding that calls it."""
+def count_digests(monkeypatch) -> tuple[Counter, Counter]:
+    """Count digest_sample calls by sample id, at every binding that calls it,
+    and the 4-gram entries (api and opcode together) of each call's digest."""
     calls: Counter = Counter()
+    grams: Counter = Counter()
     original = extract_module.digest_sample
 
     def counted(sample, *args, **kwargs):
         calls[sample.id] += 1
-        return original(sample, *args, **kwargs)
+        digest = original(sample, *args, **kwargs)
+        grams[sample.id] += len(digest.api_grams) + len(digest.opcode_grams)
+        return digest
 
     for module in (pipeline_module, vocab_module, extract_module):
         monkeypatch.setattr(module, "digest_sample", counted)
-    return calls
+    return calls, grams
 
 
-def test_train_pipeline_digests_each_sample_once(monkeypatch, small_corpus):
-    config = DIGEST_ONCE_CONFIGS["every-group"]
-    calls = count_digests(monkeypatch)
-    _, train_man, test_man = train_pipeline(small_corpus, config)
-    assert calls == Counter({s.id: 1 for s in small_corpus.samples})
-    assert len(train_man) > len(test_man) > 0
-
-
-def test_train_pipeline_digests_samples_past_the_hold_again(monkeypatch, small_corpus):
-    config = DIGEST_ONCE_CONFIGS["every-group"]
-    monkeypatch.setattr(pipeline_module, "HELD_DIGEST_GRAMS", 1000)
-    calls = count_digests(monkeypatch)
-    _, train_man, test_man = train_pipeline(small_corpus, config)
-    train_calls = Counter(calls[s.id] for s in train_man.samples)
-    assert set(train_calls) == {1, 2} and min(train_calls.values()) >= 2
-    assert all(calls[s.id] == 1 for s in test_man.samples)
-
-
-def test_a_gram_budget_digests_samples_past_the_hold_twice_at_most(monkeypatch, small_corpus):
-    # the budget is on a gram group, so selection reads columns that only a
-    # fresh digest of a sample past the hold can give; that digest must
-    # serve the train matrix too
-    monkeypatch.setattr(pipeline_module, "HELD_DIGEST_GRAMS", 1000)
-    calls = count_digests(monkeypatch)
-    _, train_man, test_man = train_pipeline(small_corpus, DIGEST_ONCE_CONFIGS["perms-libs-opcodes"])
-    train_calls = Counter(calls[s.id] for s in train_man.samples)
-    assert set(train_calls) == {1, 2} and min(train_calls.values()) >= 2
-    assert all(calls[s.id] == 1 for s in test_man.samples)
-
-
-def test_fit_pipeline_logs_what_the_train_digests_hold(monkeypatch, caplog, small_corpus):
-    monkeypatch.setattr(pipeline_module, "HELD_DIGEST_GRAMS", 1000)
-    calls = count_digests(monkeypatch)
-    with caplog.at_level(logging.INFO, logger="malfam.pipeline"):
-        _, train_man, _ = train_pipeline(small_corpus, DIGEST_ONCE_CONFIGS["every-group"])
-    again = sum(calls[s.id] == 2 for s in train_man.samples)
-    held = len(train_man) - again
-    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("train digests")]
-    assert len(lines) == 1
-    words = lines[0].split()
-    assert words[2:7] == [str(held), "of", str(len(train_man)), "samples", "held"]
-    grams = int(words[7].lstrip("("))
-    assert 0 < grams <= 1000 and words[-3:] == [str(again), "digested", "again"]
+@pytest.fixture(scope="module")
+def wide_corpus(tmp_path_factory):
+    """Nine families x 30 samples: a train split's digests hold more than
+    40,000 4-gram entries."""
+    return gen_synthetic(30, 7, tmp_path_factory.mktemp("wide"))
 
 
 @pytest.mark.parametrize("name", sorted(DIGEST_ONCE_CONFIGS))
-def test_train_matrix_equals_the_selected_columns_of_the_full_matrix(
-    monkeypatch, small_corpus, name
-):
+def test_train_pipeline_digests_each_sample_once(monkeypatch, wide_corpus, name):
     config = DIGEST_ONCE_CONFIGS[name]
-    monkeypatch.setattr(pipeline_module, "HELD_DIGEST_GRAMS", 1000)
+    calls, grams = count_digests(monkeypatch)
+    _, train_man, test_man = train_pipeline(wide_corpus, config)
+    assert calls == Counter({s.id: 1 for s in wide_corpus.samples})
+    assert len(train_man) > len(test_man) > 0
+    if {GROUP_API_4GRAM, GROUP_OPCODE_4GRAM} & set(config.groups):
+        assert sum(grams[s.id] for s in train_man.samples) > 40_000
+
+
+def test_held_digests_take_under_16_bytes_a_gram_entry(wide_corpus):
+    train_man, _ = stratified_split(wide_corpus, 0.8, 0)
+    fresh = [digest_sample(s, (GROUP_API_4GRAM, GROUP_OPCODE_4GRAM)) for s in train_man.samples]
+    entries = sum(len(d.api_grams) + len(d.opcode_grams) for d in fresh)
+    tracemalloc.start()
+    try:
+        shared: dict = {}
+        held = [hold_digest(digest, shared) for digest in fresh]
+        del shared  # a train pass drops it once the vocabulary is built
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert entries > 40_000
+    # a pointer and an int32 per entry, plus each held digest's own objects:
+    # 14.3 bytes an entry measured on CPython 3.11 with numpy 2.4, where a
+    # fresh digest takes about 127 (its Counter entry and key tuple).  The
+    # gram tuples the held digests point at are the fresh digests' own here,
+    # so they are not counted: a train pass keeps one per distinct gram.
+    assert size <= 16 * entries
+    for digest, kept in zip(fresh, held):
+        assert list(kept.api_grams.items()) == list(digest.api_grams.items())
+        assert list(kept.opcode_grams.items()) == list(digest.opcode_grams.items())
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_ONCE_CONFIGS))
+def test_train_matrix_equals_the_selected_columns_of_the_full_matrix(small_corpus, name):
+    config = DIGEST_ONCE_CONFIGS[name]
     result, train_man, _ = train_pipeline(small_corpus, config)
     full = extract_matrix(
         train_man, build_schema(result.vocab, config.groups), result.vocab,
@@ -382,8 +382,9 @@ def test_train_pass_peak_memory_is_bounded_by_the_train_matrix(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the train matrix, the digests held beside it and the CV's held-out
-    # copies; every further dense copy of the matrix adds 1x
+    # the train matrix, with the held digests beside it while it is filled
+    # and the CV's held-out copies after; every further dense copy of the
+    # matrix adds 1x
     assert peak <= 3 * result.train_matrix.values.nbytes
 
 
@@ -404,8 +405,6 @@ def test_train_dir_equals_the_two_pass_build(tmp_path, monkeypatch, small_corpus
                 manifest, schema, vocab, **options),
         )
         want = saved_train_files(tmp_path, small_corpus, config)
-    assert saved_train_files(tmp_path, small_corpus, config) == want
-    monkeypatch.setattr(pipeline_module, "HELD_DIGEST_GRAMS", 1000)
     assert saved_train_files(tmp_path, small_corpus, config) == want
     assert saved_train_files(tmp_path, small_corpus, replace(config, threads=2)) == want
 
