@@ -370,9 +370,10 @@ def cmd_classify(ns: argparse.Namespace, config: RunConfig) -> int:
                 prefer=bundle.config.prefer,
                 binary_ngrams=bundle.config.binary_ngrams,
             )
-            probs = predict_proba(bundle.forest, vector.values)
+            values = vector.values
+            probs = predict_proba(bundle.forest, values)
             results.append((sample.id, [float(p) for p in probs], vector))
-            if not vector.values.any():
+            if not values.any():
                 print(f"warning: {sample.id}: all-zero feature vector", file=sys.stderr)
         except MalfamError as exc:
             failed += 1

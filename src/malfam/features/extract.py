@@ -24,9 +24,12 @@ token -> column dicts for the library and 4-gram groups, keyed by the token
 itself (a library name, a gram tuple) rather than by its dimension name, and
 (schema columns, source positions) index arrays for the fixed-size groups.
 A projection then visits only the tokens the sample has, not the whole
-vocabulary.  `assemble` keeps the last lookup it compiled in a one-slot memo
-compared by identity on both the schema and the vocabulary object, so every
-caller that scores many samples against one model compiles once.
+vocabulary, and yields a `FeatureVector` of the schema's leading fixed-size
+values plus (column, value) pairs for the token columns it hits; no dense
+row of the token columns is built unless a caller asks for `values`.
+`assemble` keeps the last lookup it compiled in a one-slot memo compared by
+identity on both the schema and the vocabulary object, so every caller that
+scores many samples against one model compiles once.
 
 `assemble` digests a sample and projects it; `project_digest` projects a
 digest taken earlier, so a training run that has digested its train samples
@@ -45,7 +48,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -337,9 +340,9 @@ def digest_sample(
 # projection into schema columns
 # ---------------------------------------------------------------------------
 
-# groups whose columns are vocabulary tokens, by the field that holds those
-# tokens in Vocabulary, SampleDigest and ColumnLookup alike; every other group
-# is a fixed-size vector projected by position
+# the token groups, by the field that holds their tokens in Vocabulary,
+# SampleDigest and ColumnLookup alike; every other group is a fixed-size
+# vector projected by position
 _TOKEN_FIELDS = {
     GROUP_IMPORT_LIB: "libraries",
     GROUP_API_4GRAM: "api_grams",
@@ -352,6 +355,7 @@ class ColumnLookup:
     """Where each digest value lands in one schema's vector under one vocabulary."""
 
     width: int
+    n_dense: int  # the schema's dense_width(): every fixed-size column lies before it
     groups: tuple[str, ...]  # the schema's groups, in canonical order
     section_names: tuple[str, ...]
     dense: tuple[tuple[str, np.ndarray, np.ndarray], ...]  # (group, schema cols, source positions)
@@ -359,8 +363,11 @@ class ColumnLookup:
     api_grams: dict[tuple[str, ...], int] = field(default_factory=dict)
     opcode_grams: dict[tuple[str, ...], int] = field(default_factory=dict)
 
-    def project(self, digest: SampleDigest, binary_ngrams: bool = False) -> np.ndarray:
-        values = np.zeros(self.width, dtype=np.float64)
+    def project(
+        self, digest: SampleDigest, binary_ngrams: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The digest's dense-block values, and its token columns with values."""
+        lead = np.zeros(self.n_dense, dtype=np.float64)
         for group, cols, positions in self.dense:
             if group == GROUP_FILE_SIZE:
                 full = digest.file_size
@@ -370,20 +377,25 @@ class ColumnLookup:
                 full = feat_section_size(digest.sections, self.section_names)
             else:
                 full = feat_section_perm(digest.sections)
-            values[cols] = full[positions]
-        for name in digest.libraries:
-            col = self.libraries.get(name)
-            if col is not None:
-                values[col] = 1.0
+            lead[cols] = full[positions]
+        libs = np.array([c for c in map(self.libraries.get, digest.libraries) if c is not None],
+                        dtype=np.intp)
+        cols, vals = [libs], [np.ones(libs.size)]
         for counts, columns in (
             (digest.api_grams, self.api_grams),
             (digest.opcode_grams, self.opcode_grams),
         ):
-            for gram, count in counts.items():
-                col = columns.get(gram)
-                if col is not None:
-                    values[col] = 1.0 if binary_ngrams else float(count)
-        return values
+            if not columns:  # the schema has none of this group's columns
+                continue
+            keys = counts.keys()
+            found = np.fromiter(map(columns.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+            hit = np.flatnonzero(found >= 0)
+            cols.append(found[hit])
+            if binary_ngrams:
+                vals.append(np.ones(hit.size))
+            else:
+                vals.append(np.fromiter(counts.values(), dtype=np.float64, count=found.size)[hit])
+        return lead, np.concatenate(cols), np.concatenate(vals)
 
 
 def compile_columns(schema: FeatureSchema, vocab) -> ColumnLookup:
@@ -392,12 +404,15 @@ def compile_columns(schema: FeatureSchema, vocab) -> ColumnLookup:
     A column is matched through its dimension name, read from the same
     `Vocabulary.dims` tuple the schema was built from; when two tokens share
     a name the later one wins.  Raises ValueError for a column that no token
-    of the vocabulary names.
+    of the vocabulary names, and for a fixed-size column after a token one.
     """
     cols_of: dict[str, list[int]] = {}
     for col, group in enumerate(schema.groups):
         cols_of.setdefault(group, []).append(col)
     groups = tuple(g for g in GROUP_ORDER if g in cols_of)
+    n_dense = schema.dense_width()
+    if any(cols_of[g][-1] >= n_dense for g in groups if g not in _TOKEN_FIELDS):
+        raise ValueError("schema places a fixed-size group after a token group")
     dense = []
     token_cols: dict[str, dict] = {}
     for group in groups:
@@ -415,7 +430,9 @@ def compile_columns(schema: FeatureSchema, vocab) -> ColumnLookup:
             token_cols[token_field] = dict(zip(tokens, cols))
         else:
             dense.append((group, np.array(cols, dtype=np.intp), np.array(tokens, dtype=np.intp)))
-    return ColumnLookup(len(schema), groups, tuple(vocab.section_names), tuple(dense), **token_cols)
+    return ColumnLookup(
+        len(schema), n_dense, groups, tuple(vocab.section_names), tuple(dense), **token_cols
+    )
 
 
 # (schema, vocab, lookup) of the last compile.  Read once per call, so a
@@ -451,12 +468,15 @@ def _vector(
     lookup: ColumnLookup, sample_id: str, digest: SampleDigest, schema: FeatureSchema,
     binary_ngrams: bool,
 ) -> FeatureVector:
-    values = lookup.project(digest, binary_ngrams)
-    if not np.isfinite(values).all():
-        bad = schema.names[int(np.flatnonzero(~np.isfinite(values))[0])]
-        raise ExtractionError(f"sample {sample_id}: non-finite value in {bad}")
+    lead, cols, vals = lookup.project(digest, binary_ngrams)
+    if not (np.isfinite(lead).all() and np.isfinite(vals).all()):
+        at = min([*np.flatnonzero(~np.isfinite(lead)).tolist(), *cols[~np.isfinite(vals)].tolist()])
+        raise ExtractionError(f"sample {sample_id}: non-finite value in {schema.names[at]}")
     return FeatureVector(
-        values=values,
+        lead=lead,
+        cols=cols,
+        vals=vals,
+        width=lookup.width,
         parse_failures=digest.parse_failures,
         imports_degraded=digest.imports_degraded,
     )

@@ -1,4 +1,12 @@
-"""Feature matrices: threaded extraction and CSV persistence.
+"""Feature matrices: extraction and CSV persistence.
+
+A `FeatureMatrix` holds its values as one `SparseMatrix`: the schema's
+leading fixed-size columns as a dense block, and the library and 4-gram
+columns, almost all zeros, as CSC columns.  `extract_matrix` builds it from
+each sample's dense-block values and (column, value) pairs, so no dense row
+of the token columns is ever built.  Digests taken earlier are projected on
+the calling thread; samples that must be read are digested on worker
+threads.  `values` densifies the matrix for a caller that asks.
 
 The CSV layout is `id,label,<dim...>` with one row per sample.  Floats are
 written with repr so a save/load round trip is bit-exact (zeros, most cells of
@@ -19,37 +27,49 @@ import numpy as np
 
 from ..corpus import CorpusManifest
 from ..errors import CorpusError
+from ..sparse import SparseMatrix
 from .extract import SampleDigest, assemble, project_digest
 from .schema import FeatureSchema, group_of_dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FeatureMatrix:
     schema: FeatureSchema
     ids: tuple[str, ...]
     labels: tuple[int | None, ...]
-    values: np.ndarray
+    cells: SparseMatrix
 
-    def __post_init__(self) -> None:
-        if self.values.shape != (len(self.ids), len(self.schema)):
+    def __init__(self, schema: FeatureSchema, ids, labels, values) -> None:
+        """`values` is a SparseMatrix, or a dense array whose first
+        `schema.dense_width()` columns become the dense block."""
+        if not isinstance(values, SparseMatrix):
+            values = SparseMatrix.from_dense(values, schema.dense_width())
+        if values.shape != (len(ids), len(schema)):
             raise ValueError("values shape disagrees with ids/schema")
-        if len(self.labels) != len(self.ids):
+        if len(labels) != len(ids):
             raise ValueError("labels and ids must be parallel")
+        for name, value in (("schema", schema), ("ids", ids), ("labels", labels), ("cells", values)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def labeled(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows carrying a label, as (values, labels) arrays.
+    @property
+    def values(self) -> np.ndarray:
+        """The matrix as a dense array, built on each call."""
+        return self.cells.toarray()
 
-        When every row carries one, the values are the matrix's own array,
-        not a copy.
+    def labeled(self) -> tuple[SparseMatrix, np.ndarray]:
+        """Rows carrying a label, as (cells, labels).
+
+        When every row carries one, the cells are the matrix's own, not a
+        copy.
         """
         keep = [i for i, lab in enumerate(self.labels) if lab is not None]
         y = np.array([self.labels[i] for i in keep], dtype=np.int64)
         if len(keep) == len(self.labels):
-            return self.values, y
-        return self.values[keep], y
+            return self.cells, y
+        return self.cells.take(keep), y
 
 
 def map_samples(fn: Callable, items: Sequence, threads: int = 1) -> Iterator:
@@ -90,30 +110,39 @@ def extract_matrix(
     """Extract every sample in manifest order. Row order never depends on threads.
 
     `digests`, when given, is parallel to the manifest's samples and holds
-    every group of the schema: each digest is projected as it stands, and no
-    sample is read.
+    every group of the schema: each digest is projected as it stands, on the
+    calling thread (the projection is pure Python, so worker threads would
+    only contend for the interpreter lock), and no sample is read.
+    Otherwise each sample is read and projected on up to `threads` workers.
     """
     samples = manifest.samples
-    if digests is not None and len(digests) != len(samples):
+    if digests is None:
+        vectors = map_samples(
+            lambda sample: assemble(
+                sample, schema, vocab, prefer=prefer, binary_ngrams=binary_ngrams
+            ),
+            samples,
+            threads,
+        )
+    elif len(digests) != len(samples):
         raise ValueError("digests must be parallel to the manifest's samples")
-
-    def one(i: int) -> np.ndarray:
-        if digests is None:
-            return assemble(
-                samples[i], schema, vocab, prefer=prefer, binary_ngrams=binary_ngrams
-            ).values
-        return project_digest(
-            samples[i].id, digests[i], schema, vocab, binary_ngrams=binary_ngrams
-        ).values
-
-    values = np.empty((len(samples), len(schema)))
-    for i, row in enumerate(map_samples(one, range(len(samples)), threads)):
-        values[i] = row
+    else:
+        vectors = (
+            project_digest(sample.id, digest, schema, vocab, binary_ngrams=binary_ngrams)
+            for sample, digest in zip(samples, digests)
+        )
+    lead = np.empty((len(samples), schema.dense_width()))
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+    for i, vector in enumerate(vectors):
+        lead[i] = vector.lead
+        cols.append(vector.cols)
+        vals.append(vector.vals)
     return FeatureMatrix(
-        schema=schema,
-        ids=tuple(s.id for s in samples),
-        labels=tuple(s.label for s in samples),
-        values=values,
+        schema,
+        tuple(s.id for s in samples),
+        tuple(s.label for s in samples),
+        SparseMatrix.from_rows(lead, cols, vals, len(schema)),
     )
 
 
@@ -135,16 +164,21 @@ def save_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
             return buffer.getvalue()[:-2]
 
         handle.write(cells(["id", "label", *matrix.schema.names]) + "\n")
-        values = np.asarray(matrix.values, dtype=np.float64)
-        zeros = ["0.0"] * values.shape[1]  # repr(0.0)
-        for sample_id, label, row in zip(matrix.ids, matrix.labels, values):
+        zeros = ["0.0"] * len(matrix.schema)  # repr(0.0)
+        sparse_cols, sparse_vals = matrix.cells.row_cells()
+        for sample_id, label, lead, cols, vals in zip(
+            matrix.ids, matrix.labels, matrix.cells.dense, sparse_cols, sparse_vals
+        ):
             handle.write(cells([sample_id, label]))
-            if row.size:
-                # only the cells that do not print as 0.0 are repr'd: -0.0
-                # equals 0 but keeps its sign, and nan differs from 0
+            if zeros:
+                # only the block cells that do not print as 0.0 are repr'd:
+                # -0.0 equals 0 but keeps its sign, and nan differs from 0;
+                # the CSC part holds no other cells
                 text = zeros.copy()
-                at = np.flatnonzero((row != 0) | np.signbit(row))
-                for i, value in zip(at.tolist(), row[at].tolist()):
+                at = np.flatnonzero((lead != 0) | np.signbit(lead))
+                for i, value in zip(at.tolist(), lead[at].tolist()):
+                    text[i] = repr(value)
+                for i, value in zip(cols.tolist(), vals.tolist()):
                     text[i] = repr(value)
                 handle.write(",")
                 handle.write(",".join(text))

@@ -40,6 +40,10 @@ GROUP_ORDER: tuple[str, ...] = (
     GROUP_OPCODE_4GRAM,
 )
 
+# groups whose columns are vocabulary tokens, mostly zeros; every other group
+# is a fixed-size vector, and all of those come first in GROUP_ORDER
+TOKEN_GROUPS = (GROUP_IMPORT_LIB, GROUP_API_4GRAM, GROUP_OPCODE_4GRAM)
+
 FILE_SIZE_DIMS = ("fsz_asm", "fsz_bytes", "fsz_ratio")
 COMPLEXITY_DIMS = (
     "cpx_asm_orig", "cpx_asm_comp", "cpx_asm_ratio",
@@ -116,12 +120,31 @@ class FeatureSchema:
             sizes[group] = sizes.get(group, 0) + 1
         return sizes
 
+    def dense_width(self) -> int:
+        """The columns before the first token-group column: those a matrix
+        holds in its dense block."""
+        return next((i for i, g in enumerate(self.groups) if g in TOKEN_GROUPS), len(self.groups))
+
 
 @dataclass(frozen=True)
 class FeatureVector:
-    values: np.ndarray
+    """One sample's values: the schema's dense-block columns, then the other
+    columns that are nonzero, as (column, value) pairs."""
+
+    lead: np.ndarray  # float64, the schema's first dense_width() columns
+    cols: np.ndarray  # intp, later columns, distinct, in any order
+    vals: np.ndarray  # float64, parallel to cols
+    width: int
     parse_failures: int = 0  # listing lines that failed to parse; 0 when none was read
     imports_degraded: bool = False  # the PE's imports were unreadable; False when none was read
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense vector, in schema order."""
+        out = np.zeros(self.width)
+        out[:self.lead.size] = self.lead
+        out[self.cols] = self.vals
+        return out
 
 
 def group_dims(group: str, vocab) -> tuple[str, ...]:

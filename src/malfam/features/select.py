@@ -5,10 +5,9 @@ from dataclasses import replace
 from pathlib import Path
 from collections.abc import Mapping, Sequence
 
-import numpy as np
-
 from ..errors import MalfamError
 from ..forest import ForestParams, feature_importance, fit_forest
+from ..sparse import as_matrix
 from ..util import read_json, write_json
 from .schema import GROUP_ORDER
 
@@ -16,7 +15,7 @@ SELECTION_VERSION = 1
 
 
 def select_by_importance(
-    values: np.ndarray,
+    values,
     labels,
     k: int,
     params: ForestParams = ForestParams(),
@@ -25,13 +24,12 @@ def select_by_importance(
 ) -> list[int]:
     """Rank dimensions by mean decrease in impurity and keep the top k.
 
-    Returns column indices ordered by (importance desc, index asc).  A k equal
-    to the column count returns every index, so selection with a full budget
-    degrades to a ranking.
+    `values` is a SparseMatrix or a dense 2-d array.  Returns column indices
+    ordered by (importance desc, index asc).  A k equal to the column count
+    returns every index, so selection with a full budget degrades to a
+    ranking.
     """
-    X = np.asarray(values, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("values must be a 2-d matrix")
+    X = as_matrix(values)
     if not 1 <= k <= X.shape[1]:
         raise ValueError(f"k must be in 1..{X.shape[1]}, not {k}")
     if seed is not None:

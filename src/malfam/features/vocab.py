@@ -75,7 +75,7 @@ class Vocabulary:
 
 class HeldGrams:
     """One sample's gram counts, held compactly; read like the `Counter` they
-    came from, in its order, through `keys` and `items`.
+    came from, in its order, through `keys`, `values` and `items`.
 
     Each key is the tuple `shared` keeps for its gram, so a gram that many
     samples have is one tuple, and the counts sit in one int32 array: an entry
@@ -91,8 +91,11 @@ class HeldGrams:
     def keys(self) -> tuple[tuple[str, ...], ...]:
         return self._grams
 
+    def values(self) -> list[int]:
+        return self._counts.tolist()
+
     def items(self) -> Iterable[tuple[tuple[str, ...], int]]:
-        return zip(self._grams, self._counts.tolist())
+        return zip(self._grams, self.values())
 
 
 def hold_digest(digest: SampleDigest, shared: dict) -> SampleDigest:

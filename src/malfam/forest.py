@@ -10,26 +10,27 @@ predict, importance and ``model.json`` all read and write these arrays.
 The trees of a forest grow in lockstep.  Each keeps its own generator and
 preorder stack; at each step, the next node of every unfinished tree that
 needs a split is scored in one batched search, in chunks of at most
-CHUNK_CELLS cells.  The search reads only the nonzero cells of each (node,
-dim) segment.  A column with fewer nonzeros than the fit has rows is listed
-once per fit (once per cross-validation): its nonzero rows, ascending.  A
-segment whose column list is shorter than the node's row list reads the list
-and counts each entry as often as its row is in the node (bootstrap draws
-repeat rows); any other segment gathers the node's rows and drops the zeros.
-The segment's zeros, +0.0 and -0.0 alike, are never gathered or sorted: they
-are one run between its negative and positive values, whose class counts are
-the node's counts less those of its nonzero cells.  The nonzero cells and
-one stand-in per zero run are packed (segment, value rank, class) into one
-integer key each and sorted, so each segment is in value order.  The class
-counts of every run of equal values come from one bincount, and a cumulative
-sum over the runs gives the counts left of every cut where the value
-changes; only those cuts are scored.  Memory is O(chunk * k) for the run
-counts, whatever the number of trees; no one-hot tensor is built.  The
-counts are exact integers and the gain expression is that of a per-dim
-loop, so gains are the same floats and ties resolve the same way.  A
-candidate dim that is zero (or any one value) on all of a node's rows has no
-cut: it is skipped, not redrawn, so the rng draws and the tree are what
-scoring it would give.
+CHUNK_CELLS cells.  The search reads a `SparseMatrix`: a dense block of the
+leading columns and CSC columns after it (see ``sparse.py``), and only the
+nonzero cells of each (node, dim) segment.  A segment of a CSC column reads
+the column's cells and counts each as often as its row is in the node
+(bootstrap draws repeat rows); a segment of a dense column gathers the node's
+rows from the block and drops the zeros.  The segment's zeros, +0.0 and -0.0
+alike, are never gathered or sorted: they are one run between its negative and
+positive values, whose class counts are the node's counts less those of its
+nonzero cells.  The nonzero cells and one stand-in per zero run are packed
+(segment, value rank, class) into one integer key each and sorted, so each
+segment is in value order.  The class counts of every run of equal values come
+from one bincount, and a cumulative sum over the runs gives the counts left of
+every cut where the value changes; only those cuts are scored.  Memory is
+O(chunk * k) for the run counts, whatever the number of trees; no one-hot
+tensor is built.  The counts are exact integers and the gain expression is
+that of a per-dim loop, so gains are the same floats and ties resolve the same
+way.  A candidate dim that is zero (or any one value) on all of a node's rows
+has no cut: it is skipped, not redrawn, so the rng draws and the tree are what
+scoring it would give.  The rows of every node split in a step are sent left
+or right by one lookup of their cells (`SparseMatrix.cells`), which predict
+also reads; nothing densifies the matrix.
 
 Determinism contract: every tree draws from its own PCG64 generator seeded by
 mix_seed(seed, "tree", index), so refitting with the same seed reproduces the
@@ -46,12 +47,12 @@ from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ModelError, TrainingError
 from .families import family_name
+from .sparse import SparseMatrix, as_matrix, ranges
 from .util import json_int, mix_seed, read_json, write_json
 
 MODEL_VERSION = 3
@@ -146,49 +147,13 @@ def gini(counts) -> float:
 
 # Cells that one batched split search handles at most; a node with more is
 # searched a slice of its dims at a time.  A (node, dim) segment costs one
-# cell per row it gathers or per column-list entry it looks up, plus one for
-# its zero run, and a node one per row for its row list.
+# cell per row it gathers or per CSC cell it looks up, plus one for its zero
+# run, and a node one per row for its row list.
 CHUNK_CELLS = 32_768
 
-# The list length of a column with too many nonzeros to be listed: longer
-# than any node, so such a column is always gathered.
-UNLISTED = np.iinfo(np.intp).max
-
-
-class ColumnLists(NamedTuple):
-    """The rows where each sparse column of a matrix is nonzero.
-
-    Column c's rows, ascending, are ``rows[start[c]:start[c] + length[c]]``.
-    Only columns with fewer nonzeros than `_column_lists`'s limit are listed;
-    the others have length UNLISTED.  Each entry is one nonzero cell of the
-    matrix, so the lists never outgrow it.
-    """
-
-    start: np.ndarray   # intp, per column
-    length: np.ndarray  # intp, per column
-    rows: np.ndarray    # intp
-
-
-def _column_lists(X: np.ndarray, limit: int) -> ColumnLists:
-    """The column lists of X, for the columns with fewer than `limit` nonzeros."""
-    # nonzeros in column-major order: column after column, each one's rows
-    # ascending (nonzero walks the transposed view; it copies no matrix)
-    cols, rows = np.nonzero(X.T)
-    length = np.bincount(cols, minlength=X.shape[1])
-    listed = length < limit
-    rows = rows[listed[cols]]
-    del cols
-    length = np.where(listed, length, 0)
-    start = np.cumsum(length) - length
-    return ColumnLists(start, np.where(listed, length, UNLISTED), rows)
-
-
-def _reads_list(length: np.ndarray, n) -> np.ndarray:
-    """Which segments read their nonzero cells from the column lists: those
-    whose column's list is shorter than the node's row list.  The others
-    gather the node's rows and drop the zeros."""
-    return length < n
-
+# The (piece, row) counts one search tabulates at most; past this, a CSC
+# cell's count in its piece is found by binary search instead.
+TABLE_CELLS = 4 * CHUNK_CELLS
 
 def _best_split(X, row_idx, y_codes, n_classes, dims, min_leaf):
     """Exact best (dim, threshold, gain) over candidate dims, or None.
@@ -203,11 +168,8 @@ def _best_split(X, row_idx, y_codes, n_classes, dims, min_leaf):
     return _best_splits(X, y_codes, n_classes, [(row_idx, dims)], min_leaf)[0]
 
 
-def _best_splits(X, y_codes, n_classes, nodes, min_leaf, columns: ColumnLists | None = None) -> list:
+def _best_splits(X, y_codes, n_classes, nodes, min_leaf) -> list:
     """`_best_split` of every (row_idx, dims) pair in `nodes`.
-
-    `columns` are X's column lists for at least the largest node's rows,
-    built here when not given.
 
     The nodes are scored in chunks of at most CHUNK_CELLS cells: whole nodes
     where they fit, slices of a node's dims where one does not.  A slice
@@ -216,26 +178,27 @@ def _best_splits(X, y_codes, n_classes, nodes, min_leaf, columns: ColumnLists | 
     """
     if not nodes:
         return []
-    if columns is None:
-        columns = _column_lists(X, max(rows.size for rows, _ in nodes))
+    X = as_matrix(X)
     best: list = [None] * len(nodes)
     chunk: list[tuple[int, np.ndarray, np.ndarray]] = []
     cells = 0
 
     def flush() -> None:
         for (j, _, _), found in zip(
-            chunk, _search_chunk(X, y_codes, n_classes, chunk, min_leaf, columns)
+            chunk, _search_chunk(X, y_codes, n_classes, chunk, min_leaf)
         ):
             if found is not None and (best[j] is None or found[2] > best[j][2]):
                 best[j] = found
 
     sizes = [rows.size for rows, _ in nodes]
     dim_counts = [dims.size for _, dims in nodes]
-    n_of_dim = np.repeat(sizes, dim_counts)
-    length = columns.length[np.concatenate([dims for _, dims in nodes])]
+    cost = np.repeat(sizes, dim_counts)
+    all_dims = np.concatenate([dims for _, dims in nodes])
+    csc = all_dims >= X.n_dense
+    cost[csc] = X.length[all_dims[csc] - X.n_dense]
     # used[i] is the cells taken by the nodes' dims before dim i, in order
-    used = [0, *np.cumsum(np.where(_reads_list(length, n_of_dim), length, n_of_dim) + 1).tolist()]
-    del n_of_dim, length
+    used = [0, *np.cumsum(cost + 1).tolist()]
+    del cost, all_dims, csc
     stop = 0
     for j, (row_idx, dims) in enumerate(nodes):
         n, first = sizes[j], stop
@@ -260,30 +223,23 @@ def _best_splits(X, y_codes, n_classes, nodes, min_leaf, columns: ColumnLists | 
     return best
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenation of arange(s, s + l) for each start s and length l."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
-
-
-def _search_chunk(X, y_codes, n_classes, pieces, min_leaf, columns: ColumnLists) -> list:
+def _search_chunk(X: SparseMatrix, y_codes, n_classes, pieces, min_leaf) -> list:
     """Best split of each (_, row_idx, dims) piece, or None, scored at once.
 
-    Only the nonzero cells of each (piece, dim) segment are read: from the
-    column's list when that is shorter than the piece's rows (each entry as
-    many times as its row is in the piece), else by gathering the piece's
-    rows and dropping the zeros.  A segment's zeros (+0.0 and -0.0 alike)
-    are one run between its negative and positive values, whose class counts
-    are the piece's counts less those of its nonzero cells.  The nonzero
-    cells and one stand-in for each zero run are sorted by segment and
-    value, one bincount gives the class counts of every run of equal values,
-    and a cumulative sum over the runs gives the counts left of every cut
-    where the value changes.  The counts are exact integers and the gain is
-    the per-dim loop's expression term for term, so every gain is the float
-    it computes.
+    Only the nonzero cells of each (piece, dim) segment are read: a CSC
+    column's cells (each as many times as its row is in the piece), or the
+    piece's rows of a dense column, zeros dropped.  A segment's zeros (+0.0
+    and -0.0 alike) are one run between its negative and positive values,
+    whose class counts are the piece's counts less those of its nonzero
+    cells.  The nonzero cells and one stand-in for each zero run are sorted
+    by segment and value, one bincount gives the class counts of every run
+    of equal values, and a cumulative sum over the runs gives the counts
+    left of every cut where the value changes.  The counts are exact
+    integers and the gain is the per-dim loop's expression term for term, so
+    every gain is the float it computes.
     """
     k = n_classes
-    n_total, stride = X.shape
+    n_total, n_dense = X.shape[0], X.n_dense
     piece_n = np.array([rows.size for _, rows, _ in pieces], dtype=np.intp)
     piece_rows = np.concatenate([rows for _, rows, _ in pieces])
     piece_of_row = np.repeat(np.arange(len(pieces)), piece_n)
@@ -293,41 +249,50 @@ def _search_chunk(X, y_codes, n_classes, pieces, min_leaf, columns: ColumnLists)
     seg_dim = np.concatenate([dims for _, _, dims in pieces])
     seg_piece = np.repeat(np.arange(len(pieces)), [dims.size for _, _, dims in pieces])
     seg_n = piece_n[seg_piece]
-    length = columns.length[seg_dim]
-    from_list = _reads_list(length, seg_n)
+    from_csc = seg_dim >= n_dense
 
-    # Listed segments: each list entry, as many times as its row is in the
-    # piece, found by binary search in the piece's sorted rows.
-    seg = np.flatnonzero(from_list)
-    list_seg = np.repeat(seg, length[seg])
-    list_row = columns.rows[_ranges(columns.start[seg_dim[seg]], length[seg])]
-    if list_row.size:
-        held = np.sort(piece_of_row * n_total + piece_rows)
-        key = seg_piece[list_seg] * n_total + list_row
-        times = np.searchsorted(held, key, side="right") - np.searchsorted(held, key, side="left")
+    # CSC segments: each cell of the column, as many times as its row is in
+    # the piece: read from a table of every (piece, row)'s count when that
+    # fits in TABLE_CELLS, else found by binary search in the pieces' sorted
+    # rows.
+    seg = np.flatnonzero(from_csc)
+    col = seg_dim[seg] - n_dense
+    entries = ranges(X.start[col], X.length[col])
+    list_seg = np.repeat(seg, X.length[col])
+    times = np.zeros(0, dtype=np.intp)
+    if entries.size:
+        held = piece_of_row * n_total + piece_rows
+        key = seg_piece[list_seg] * n_total + X.rows[entries]
+        if len(pieces) * n_total <= TABLE_CELLS:
+            times = np.bincount(held, minlength=len(pieces) * n_total)[key]
+        else:
+            held.sort()
+            times = np.searchsorted(held, key, side="right") - np.searchsorted(held, key, side="left")
         del held, key
-        pick = np.repeat(np.arange(times.size), times)
-        list_seg, list_row = list_seg[pick], list_row[pick]
-        del times, pick
+    pick = entries[np.repeat(np.arange(times.size), times)]
+    list_seg = np.repeat(list_seg, times)
+    list_row, list_vals = X.rows[pick], X.values[pick]
+    del entries, times, pick
 
-    # Gathered segments: every row of the piece, zeros dropped.
-    seg = np.flatnonzero(~from_list)
+    # Dense segments: every row of the piece, gathered from the block.
+    seg = np.flatnonzero(~from_csc)
     gather_seg = np.repeat(seg, seg_n[seg])
-    gather_row = piece_rows[_ranges((np.cumsum(piece_n) - piece_n)[seg_piece[seg]], seg_n[seg])]
-    gather_vals = X.take(gather_row * stride + seg_dim[gather_seg])
-    nonzero = gather_vals != 0
-    if not nonzero.all():
-        gather_seg, gather_row, gather_vals = (
-            gather_seg[nonzero], gather_row[nonzero], gather_vals[nonzero]
-        )
-    del nonzero, piece_rows, piece_of_row
+    gather_row = piece_rows[ranges((np.cumsum(piece_n) - piece_n)[seg_piece[seg]], seg_n[seg])]
+    gather_vals = X.dense.take(gather_row * n_dense + seg_dim[gather_seg])
+    del piece_rows, piece_of_row
 
     cell_seg = np.concatenate([list_seg, gather_seg])
+    vals = np.concatenate([list_vals, gather_vals])
+    cell_row = np.concatenate([list_row, gather_row])
+    del list_seg, list_row, list_vals, gather_seg, gather_row, gather_vals
+    nonzero = vals != 0  # a CSC column may hold -0.0
+    if not nonzero.all():
+        cell_seg, vals, cell_row = cell_seg[nonzero], vals[nonzero], cell_row[nonzero]
+    del nonzero
     if cell_seg.size == 0:
         return [None] * len(pieces)
-    vals = np.concatenate([X.take(list_row * stride + seg_dim[list_seg]), gather_vals])
-    cls = y_codes[np.concatenate([list_row, gather_row])]
-    del list_seg, list_row, gather_seg, gather_row, gather_vals
+    cls = y_codes[cell_row]
+    del cell_row
     # A segment with nonzero cells and zeros gets a zero run; one whose
     # cells are all zero has no cut and no cells.
     seg_nonzero = np.bincount(cell_seg, minlength=seg_n.size)
@@ -419,21 +384,28 @@ def _heads(a: np.ndarray) -> np.ndarray:
     return head
 
 
-def _require_finite(X: np.ndarray) -> None:
+def _require_finite(X: SparseMatrix) -> None:
     # A NaN or inf value yields a NaN/inf threshold that sends every row to
     # one side, so the same node would be split again without end.  min and
     # max carry a NaN or an inf through, so a finite matrix is checked with
     # no temporary the size of the matrix.
-    if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
-        row, col = np.argwhere(~np.isfinite(X))[0]
-        raise ValueError(f"non-finite value {X[row, col]} at row {row}, column {col}")
+    bad = []
+    if X.dense.size and not (np.isfinite(X.dense.min()) and np.isfinite(X.dense.max())):
+        row, col = np.argwhere(~np.isfinite(X.dense))[0]
+        bad.append((row, col, X.dense[row, col]))
+    if X.values.size and not (np.isfinite(X.values.min()) and np.isfinite(X.values.max())):
+        at = np.flatnonzero(~np.isfinite(X.values))
+        rows, cols = X.rows[at], X.entry_columns()[at] + X.n_dense
+        first = np.lexsort((cols, rows))[0]
+        bad.append((rows[first], cols[first], X.values[at[first]]))
+    if bad:
+        row, col, value = min(bad, key=lambda cell: cell[:2])
+        raise ValueError(f"non-finite value {value} at row {row}, column {col}")
 
 
 def best_split(values, labels, dims=None, min_samples_leaf: int = 1):
     """Public split search over arbitrary labels; see _best_split for rules."""
-    X = np.ascontiguousarray(values, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("values must be 2-d")
+    X = as_matrix(values)
     _require_finite(X)
     y = np.asarray(labels)
     if y.shape[0] != X.shape[0]:
@@ -447,7 +419,8 @@ def best_split(values, labels, dims=None, min_samples_leaf: int = 1):
     )
 
 
-def _grow_trees(X, rows, y_codes, n_classes, params: ForestParams, trees: range, columns) -> list:
+def _grow_trees(X: SparseMatrix, rows, y_codes, n_classes, params: ForestParams,
+                trees: range) -> list:
     """Grow trees `trees` of the forest on X[rows] in lockstep.
 
     Each tree pops nodes off its own preorder stack (left child first) and
@@ -461,6 +434,7 @@ def _grow_trees(X, rows, y_codes, n_classes, params: ForestParams, trees: range,
     m = _candidate_count(params.features_per_split, d)
     depth_cap = params.max_depth if params.max_depth is not None else math.inf
     min_leaf = params.min_samples_leaf
+    keys = X.cell_keys()
     rngs, stacks, grown = [], [], []
     for index in trees:
         rng = np.random.Generator(np.random.PCG64(mix_seed(params.seed, "tree", index)))
@@ -492,15 +466,23 @@ def _grow_trees(X, rows, y_codes, n_classes, params: ForestParams, trees: range,
                 pending.append((t, node, depth))
                 nodes.append((idx, np.sort(rngs[t].choice(d, size=m, replace=False))))
                 break
-        found_all = _best_splits(X, y_codes, n_classes, nodes, min_leaf, columns)
-        for (t, node, depth), (idx, _), found in zip(pending, nodes, found_all):
-            if found is None:
-                continue
+        found_all = _best_splits(X, y_codes, n_classes, nodes, min_leaf)
+        split = [(p, idx, found) for p, (idx, _), found in zip(pending, nodes, found_all)
+                 if found is not None]
+        # every split node's rows go left where their value is at most its
+        # threshold, looked up for all nodes at once
+        sizes = [idx.size for _, idx, _ in split]
+        goes_left = X.cells(
+            keys, np.concatenate([np.empty(0, dtype=np.intp), *(idx for _, idx, _ in split)]),
+            np.repeat(np.array([found[0] for _, _, found in split], dtype=np.intp), sizes),
+        ) <= np.repeat(np.array([found[1] for _, _, found in split]), sizes)
+        stop = 0
+        for ((t, node, depth), idx, (dim, thr, _)), size in zip(split, sizes):
+            left_mask = goes_left[stop:stop + size]
+            stop += size
             feature, threshold, left, right, _ = grown[t]
-            dim, thr, _ = found
             feature[node] = dim
             threshold[node] = thr
-            left_mask = X[idx, dim] <= thr
             # push right first so the left branch is grown next
             stacks[t].append((idx[~left_mask], depth + 1, node, right))
             stacks[t].append((idx[left_mask], depth + 1, node, left))
@@ -516,24 +498,18 @@ def fit_forest(
     rows=None,
     *,
     checked: bool = False,
-    columns: ColumnLists | None = None,
 ) -> RandomForest:
     """Fit `params.n_trees` trees on (values, labels).
 
-    `rows`, when given, indexes the rows of `values` and `labels` to train
-    on, in order, so that a caller with one matrix fits on part of it
-    without copying that part: the forest equals, node for node, the one
+    `values` is a SparseMatrix or a dense 2-d array.  `rows`, when given,
+    indexes the rows of `values` and `labels` to train on, in order, so that
+    a caller with one matrix fits on part of it without copying that part: the forest equals, node for node, the one
     fitted on `values[rows]`, `labels[rows]`, as each bootstrap draw picks
     positions in `rows`.  `checked=True` skips the finiteness check of
-    `values`, for a caller that has made it on the same matrix.  `columns`,
-    when given, are `_column_lists(values, limit)` with `limit` at least the
-    number of rows, for a caller that fits several forests on one matrix; by
-    default they are built here, once for all threads.
+    `values`, for a caller that has made it on the same matrix.
     """
-    X = np.ascontiguousarray(values, dtype=np.float64)
+    X = as_matrix(values)
     y = np.asarray(labels)
-    if X.ndim != 2:
-        raise ValueError("values must be 2-d")
     if y.shape != (X.shape[0],):
         raise ValueError("labels must align with rows")
     if rows is None:
@@ -553,11 +529,9 @@ def fit_forest(
     # codes of rows outside `rows` are never read
     y_codes = np.zeros(X.shape[0], dtype=np.intp)
     y_codes[rows] = np.searchsorted(classes, y_rows)
-    if columns is None:
-        columns = _column_lists(X, rows.size)
 
     def grow(trees: range) -> list:
-        return _grow_trees(X, rows, y_codes, classes.size, params, trees, columns)
+        return _grow_trees(X, rows, y_codes, classes.size, params, trees)
 
     workers = min(threads, params.n_trees)
     if workers > 1:
@@ -588,14 +562,21 @@ def fit_forest(
 def predict_proba(forest: RandomForest, values) -> np.ndarray:
     """Average of per-tree leaf distributions; each row sums to 1.
 
-    All (row, tree) pairs descend one level per step.  A leaf whose counts are
-    all zero contributes the uniform distribution.
+    `values` is one dense row, a dense 2-d array or a SparseMatrix, read in
+    place.  All (row, tree) pairs descend one level per step.  A leaf whose
+    counts are all zero contributes the uniform distribution.
     """
-    X = np.asarray(values, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[np.newaxis, :]
-    if X.ndim != 2 or X.shape[1] != forest.n_features:
+    if isinstance(values, SparseMatrix):
+        X, single = values, False
+        keys = X.cell_keys()
+        cells = lambda rows, dims: X.cells(keys, rows, dims)
+    else:
+        X = np.asarray(values, dtype=np.float64)
+        single = X.ndim == 1
+        if single:
+            X = X[np.newaxis, :]
+        cells = lambda rows, dims: X[rows, dims]
+    if len(X.shape) != 2 or X.shape[1] != forest.n_features:
         raise ValueError(f"expected {forest.n_features} feature columns, got {X.shape}")
     n_rows, n_trees, k = X.shape[0], forest.roots.size, len(forest.classes)
     node = np.tile(forest.roots, n_rows)  # row-major over (row, tree)
@@ -606,7 +587,7 @@ def predict_proba(forest: RandomForest, values) -> np.ndarray:
         dim = forest.feature[cur]
         inner = dim >= 0
         pending, cur, dim = pending[inner], cur[inner], dim[inner]
-        go_left = X[row[pending], dim] <= forest.threshold[cur]
+        go_left = cells(row[pending], dim) <= forest.threshold[cur]
         node[pending] = np.where(go_left, forest.left[cur], forest.right[cur])
     counts = forest.counts[node].astype(np.float64).reshape(n_rows, n_trees, k)
     total = counts.sum(axis=2, keepdims=True)
@@ -672,14 +653,13 @@ class Metrics:
 
 
 def evaluate(forest: RandomForest, values, labels) -> Metrics:
-    X = np.asarray(values, dtype=np.float64)
     y = np.asarray(labels)
     if y.shape[0] == 0:
         raise TrainingError("cannot evaluate on an empty set")
     unknown = sorted(set(int(c) for c in np.unique(y)) - set(forest.classes))
     if unknown:
         raise TrainingError(f"evaluation labels absent from the model: {unknown}")
-    preds = predict(forest, X)
+    preds = predict(forest, values)
     classes = np.asarray(forest.classes)
     sorter = np.argsort(classes)  # a loaded model's class list need not be sorted
     k = classes.size
@@ -705,11 +685,12 @@ def cross_validate(
     """Stratified k-fold: shuffle within each class, deal round-robin to folds.
 
     Each fold's forest is fitted on that fold's rows of the one matrix (see
-    `fit_forest`'s `rows`); only the held-out rows are copied, to score them.
+    `fit_forest`'s `rows`); only the held-out rows are copied, to score
+    them, and nothing is densified.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    X = np.ascontiguousarray(values, dtype=np.float64)
+    X = as_matrix(values)
     y = np.asarray(labels)
     if y.shape[0] != X.shape[0]:
         raise ValueError("labels must align with rows")
@@ -730,10 +711,8 @@ def cross_validate(
         perm = rng.permutation(idx.size)
         fold_of[idx[perm]] = np.arange(idx.size) % folds
 
-    # every fold fits on rows of this one matrix, so it is checked and its
-    # columns listed once
+    # every fold fits on rows of this one matrix, so it is checked once
     _require_finite(X)
-    columns = _column_lists(X, y.size - int(np.bincount(fold_of).min()))
     accuracies: list[float] = []
     k = classes.size
     conf_total = np.zeros((k, k), dtype=np.int64)
@@ -741,10 +720,9 @@ def cross_validate(
         held = fold_of == fold
         fold_params = replace(params, seed=mix_seed(seed, "fold", fold))
         forest = fit_forest(
-            X, y, fold_params, threads=threads, rows=np.flatnonzero(~held),
-            checked=True, columns=columns,
+            X, y, fold_params, threads=threads, rows=np.flatnonzero(~held), checked=True,
         )
-        metrics = evaluate(forest, X[held], y[held])
+        metrics = evaluate(forest, X.take(np.flatnonzero(held)), y[held])
         accuracies.append(metrics.accuracy)
         conf_total += np.asarray(metrics.confusion, dtype=np.int64)
     return Metrics(
@@ -765,22 +743,24 @@ def grid_search(
     folds: int = 5,
     seed: int = 0,
     threads: int = 1,
-) -> tuple[ForestParams, list[tuple[ForestParams, float]]]:
+) -> tuple[ForestParams, Metrics, list[tuple[ForestParams, float]]]:
     """Cross-validate every (n_trees, features_per_split) cell; best mean wins.
 
-    Ties keep the earlier cell, so smaller forests are preferred.
+    Returns the winner's params and cross-validation, and every cell's mean
+    accuracy in grid order.  Ties keep the earlier cell, so smaller forests
+    are preferred.
     """
     results: list[tuple[ForestParams, float]] = []
-    best: tuple[ForestParams, float] | None = None
+    best: tuple[ForestParams, Metrics] | None = None
     for n_trees in tree_counts:
         for rule in feature_rules:
             params = replace(base, n_trees=n_trees, features_per_split=rule)
             metrics = cross_validate(values, labels, params, folds=folds, seed=seed, threads=threads)
             results.append((params, metrics.accuracy))
-            if best is None or metrics.accuracy > best[1]:
-                best = (params, metrics.accuracy)
+            if best is None or metrics.accuracy > best[1].accuracy:
+                best = (params, metrics)
     assert best is not None
-    return best[0], results
+    return best[0], best[1], results
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ directly.  Every artifact written here is byte-stable for a fixed
 A train pass digests each train sample once and holds every digest, its
 gram counts held compactly, from the vocabulary to the train matrix.  It
 projects the held digests into the budgeted groups, all that selection
-reads, then into the final schema for the train matrix, the one dense copy
-of the train values that the fit and every CV fold read, and drops them.
+reads, then into the final schema for the train matrix, and drops them.
+Both matrices are `SparseMatrix` values, a dense block of the fixed-size
+groups beside CSC columns of the token groups, and the fit and every CV
+fold read the train matrix in place; no dense copy of it is made.
 """
 from __future__ import annotations
 
@@ -86,7 +88,7 @@ def compute_selection(matrix: FeatureMatrix, config: RunConfig) -> dict[str, lis
             continue
         k = min(budget, int(idx.size))
         order = select_by_importance(
-            values[:, idx],
+            values.columns(idx),
             labels,
             k,
             config.forest,
@@ -137,8 +139,8 @@ def fit_pipeline(
     Each train sample is digested once (see `_vocab_and_digests`).  The held
     digests are projected into the budgeted groups' dimensions, the matrix
     selection reads and drops, and then into the final schema: the train
-    matrix, the one dense copy of the train values, which the fit and every
-    CV fold read in place.
+    matrix, which the fit and every CV fold read in place.  A grid search's
+    cross-validation of its winner is the run's.
     """
     overlap = train_man.ids() & test_man.ids()
     if overlap:
@@ -162,7 +164,7 @@ def fit_pipeline(
     params = config.forest
     grid_results = None
     if grid:
-        params, grid_results = grid_search(
+        params, cv, grid_results = grid_search(
             train_values,
             train_labels,
             config.forest,
@@ -172,20 +174,21 @@ def fit_pipeline(
         )
         log.info("grid winner: n_trees=%d features_per_split=%s",
                  params.n_trees, params.features_per_split)
+    else:
+        cv = cross_validate(
+            train_values,
+            train_labels,
+            params,
+            folds=config.folds,
+            seed=config.seed,
+            threads=config.threads,
+        )
     forest = fit_forest(train_values, train_labels, params, threads=config.threads)
 
     test_values, test_labels = test_matrix.labeled()
     if len(test_labels) != len(test_matrix):
         raise TrainingError("every holdout sample must carry a label")
     holdout = evaluate(forest, test_values, test_labels)
-    cv = cross_validate(
-        train_values,
-        train_labels,
-        params,
-        folds=config.folds,
-        seed=config.seed,
-        threads=config.threads,
-    )
     return TrainResult(
         config=config,
         vocab=vocab,

@@ -17,6 +17,7 @@ import threading
 import zlib
 from collections import Counter
 from collections.abc import Mapping
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,13 +66,13 @@ from malfam.features.schema import (
     GROUP_ORDER,
     GROUP_SECTION_PERM,
     GROUP_SECTION_SIZE,
-    FeatureVector,
     group_dims,
     group_of_dim,
     section_dims,
 )
 from malfam.forest import ForestParams
 from malfam.pe import PeSummary
+from malfam.sparse import SparseMatrix
 from oracles import feat_complexity, reference_scan
 
 
@@ -724,10 +725,10 @@ def reference_assemble(
     *,
     prefer: str = "pe",
     binary_ngrams: bool = False,
-) -> FeatureVector:
+) -> SimpleNamespace:
     """The by-name assemble body the column lookup replaced, kept as the oracle:
     every group's full vector over the vocabulary, matched to the schema by
-    dimension name."""
+    dimension name.  Returns the dense vector as `values`."""
     present = set(schema.groups)
     values = np.zeros(len(schema), dtype=np.float64)
 
@@ -806,7 +807,7 @@ def reference_assemble(
     if not np.isfinite(values).all():
         bad = schema.names[int(np.flatnonzero(~np.isfinite(values))[0])]
         raise ExtractionError(f"sample {sample.id}: non-finite value in {bad}")
-    return FeatureVector(values=values)
+    return SimpleNamespace(values=values)
 
 
 def shuffled_selection(vocab, groups, rng, keep=0.6) -> dict[str, list[str]]:
@@ -1151,15 +1152,41 @@ def test_matrix_csv_round_trips_an_id_with_a_carriage_return(tmp_path, sample_id
 
 
 def test_labeled_shares_the_values_exactly_when_every_row_is_labeled():
-    schema = FeatureSchema(("fsz_asm", "fsz_bytes"), ("file_size",) * 2)
-    values = np.arange(6, dtype=np.float64).reshape(3, 2)
+    schema = FeatureSchema(("fsz_asm", "lib_a", "lib_b"), ("file_size",) + ("import_lib",) * 2)
+    values = np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 3.0], [4.0, 5.0, -0.0]])
     full = FeatureMatrix(schema, ("a", "b", "c"), (1, 2, 1), values)
+    assert full.cells.n_dense == 1 and full.values.tobytes() == values.tobytes()
     got, labels = full.labeled()
-    assert got is values and labels.tolist() == [1, 2, 1]
+    assert got is full.cells and labels.tolist() == [1, 2, 1]
     part = FeatureMatrix(schema, ("a", "b", "c"), (1, None, 1), values)
     got, labels = part.labeled()
-    assert not np.shares_memory(got, values)
-    assert np.array_equal(got, values[[0, 2]]) and labels.tolist() == [1, 1]
+    assert not np.shares_memory(got.dense, part.cells.dense)
+    assert got.toarray().tobytes() == values[[0, 2]].tobytes() and labels.tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_projected_csc_equals_the_csc_of_the_dense_matrix(small_corpus, binary):
+    """The matrix built from each sample's (column, value) pairs, read or
+    held, equals the by-name oracle's dense matrix converted to CSC."""
+    vocab = build_vocab(small_corpus, VocabCaps(6, 6, 12, 12), prefer="asm")
+    schema = build_schema(vocab)
+    dense = np.array([
+        reference_assemble(s, schema, vocab, prefer="asm", binary_ngrams=binary).values
+        for s in small_corpus.samples
+    ])
+    want = SparseMatrix.from_dense(dense, schema.dense_width())
+    assert schema.dense_width() == len(schema) - sum(
+        len(vocab.dims(g)) for g in (GROUP_IMPORT_LIB, GROUP_API_4GRAM, GROUP_OPCODE_4GRAM)
+    )
+    assert 0 < want.values.size < dense.size - want.dense.size  # some token cells are zero
+    held = [digest_sample(s, prefer="asm") for s in small_corpus.samples]
+    for digests in (None, held):
+        got = extract_matrix(
+            small_corpus, schema, vocab, prefer="asm", binary_ngrams=binary, digests=digests
+        ).cells
+        for name in ("dense", "start", "length", "rows", "values"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 @pytest.mark.parametrize("binary", [False, True])

@@ -40,6 +40,7 @@ from malfam.forest import (
     save_model,
 )
 from malfam.pipeline import CONFIG_FILE, MODEL_FILE, VOCAB_FILE, load_model_dir
+from malfam.sparse import SparseMatrix, as_matrix
 from malfam.util import mix_seed
 from oracles import copying_cross_validate, node_by_node_forest
 
@@ -367,51 +368,37 @@ def sparse_nodes(seed: int, count: int):
         yield X, rows, y_codes, k, dims, int(rng.integers(1, 4))
 
 
-def force_cell_source(monkeypatch, source: str) -> list:
-    """Make every segment read its nonzero cells from `source`: "list" (with
-    every column listed), "gather", or "rule" (the real choice).  Returns
-    the per-segment choices the search made, appended as it makes them."""
-    taken: list = []
-    real_lists, real_rule = forest_module._column_lists, forest_module._reads_list
-    if source == "list":
-        monkeypatch.setattr(forest_module, "_column_lists", lambda X, limit: real_lists(X, X.shape[0] + 1))
-
-    def rule(length, n):
-        pick = real_rule(length, n) if source == "rule" else np.full(length.shape, source == "list")
-        taken.extend(pick.tolist())
-        return pick
-
-    monkeypatch.setattr(forest_module, "_reads_list", rule)
-    return taken
-
-
-def assert_sources_taken(taken: list, source: str) -> None:
-    """Forced, every segment took its source; by the rule, some took each."""
-    want = {"list": {True}, "gather": {False}, "rule": {True, False}}[source]
-    assert set(taken) == want
+def in_layout(X: np.ndarray, source: str) -> SparseMatrix:
+    """X as a SparseMatrix whose segments read their nonzero cells from
+    `source`: "list" (every column a CSC column), "gather" (every column in
+    the dense block), or "rule" (the leading third in the dense block and
+    the rest CSC, as a schema's groups split them)."""
+    n_dense = {"list": 0, "gather": X.shape[1], "rule": X.shape[1] // 3}[source]
+    matrix = SparseMatrix.from_dense(X, n_dense)
+    assert matrix.toarray().tobytes() == X.tobytes()
+    return matrix
 
 
 @pytest.mark.parametrize("chunk_cells", [1, forest_module.CHUNK_CELLS])
 @pytest.mark.parametrize("source", ["rule", "list", "gather"])
 def test_split_search_on_sparse_nodes_equals_per_dim_loop(monkeypatch, source, chunk_cells):
-    """Both sources of a segment's nonzero cells, and the rule that picks
-    between them, give every node the per-dim loop's split."""
+    """Both sources of a segment's nonzero cells, CSC columns and the dense
+    block, alone or split as a schema's groups split them, give every node
+    the per-dim loop's split."""
     monkeypatch.setattr(forest_module, "CHUNK_CELLS", chunk_cells)
-    taken = force_cell_source(monkeypatch, source)
     found = 0
     for X, rows, y_codes, k, dims, min_leaf in sparse_nodes(seed=2026, count=400):
         want = per_dim_best_split(X, rows, y_codes, k, dims, min_leaf)
-        assert forest_module._best_split(X, rows, y_codes, k, dims, min_leaf) == want, (rows, dims)
+        got = forest_module._best_split(in_layout(X, source), rows, y_codes, k, dims, min_leaf)
+        assert got == want, (rows, dims)
         found += want is not None
     assert found > 150
-    assert_sources_taken(taken, source)
 
 
 @pytest.mark.parametrize("source", ["rule", "list", "gather"])
-def test_batched_sparse_split_search_equals_per_dim_loop(monkeypatch, source):
+def test_batched_sparse_split_search_equals_per_dim_loop(source):
     """Many nodes on one sparse matrix, batched into one search, at the
     default chunk size."""
-    taken = force_cell_source(monkeypatch, source)
     rng = np.random.default_rng(41)
     X = np.where(rng.random((90, 300)) < 0.03, rng.choice([-2.0, -1.0, 1.0, 3.0], size=(90, 300)), 0.0)
     X[rng.random(X.shape) < 0.01] = -0.0
@@ -421,25 +408,60 @@ def test_batched_sparse_split_search_equals_per_dim_loop(monkeypatch, source):
     for _ in range(120):
         rows = rng.choice(90, size=int(rng.integers(2, 91)), replace=True)
         nodes.append((rows, np.sort(rng.choice(300, size=int(rng.integers(1, 60)), replace=False))))
-    got = forest_module._best_splits(X, y_codes, 4, nodes, 1)
+    got = forest_module._best_splits(in_layout(X, source), y_codes, 4, nodes, 1)
     assert got == [per_dim_best_split(X, rows, y_codes, 4, dims, 1) for rows, dims in nodes]
     assert sum(g is not None for g in got) > 60
-    assert_sources_taken(taken, source)
 
 
-def test_column_lists_hold_the_sparse_columns():
+@pytest.mark.parametrize("table_cells", [0, forest_module.TABLE_CELLS], ids=["search", "table"])
+def test_csc_cell_counts_by_table_and_by_binary_search_equal_per_dim_loop(monkeypatch, table_cells):
+    """A CSC cell's count in its node, read from the (node, row) table or
+    found by binary search, gives every node the per-dim loop's split and
+    grows the per-dim loop's forest."""
+    monkeypatch.setattr(forest_module, "TABLE_CELLS", table_cells)
+    found = 0
+    for X, rows, y_codes, k, dims, min_leaf in sparse_nodes(seed=2027, count=300):
+        want = per_dim_best_split(X, rows, y_codes, k, dims, min_leaf)
+        got = forest_module._best_split(in_layout(X, "list"), rows, y_codes, k, dims, min_leaf)
+        assert got == want, (rows, dims)
+        found += want is not None
+    assert found > 100
+    X, y = very_sparse_counts()
+    params = ForestParams(n_trees=5, seed=21)
+    assert_same_nodes(
+        fit_forest(in_layout(X, "list"), y, params),
+        node_by_node_forest(X, y, params, split=per_dim_best_split),
+    )
+
+
+def test_sparse_matrix_holds_the_csc_columns():
     X = np.array([
-        [0.0, 1.0, -0.0, 2.0],
-        [3.0, 0.0, 0.0, 2.0],
-        [0.0, -1.0, 0.0, 2.0],
-        [0.0, 0.0, 0.0, 2.0],
+        [5.0, 0.0, 1.0, -0.0, 2.0],
+        [0.0, 3.0, 0.0, 0.0, 2.0],
+        [-0.0, 0.0, -1.0, 0.0, 2.0],
+        [1.5, 0.0, 0.0, 0.0, 2.0],
     ])
-    columns = forest_module._column_lists(X, 3)
-    unlisted = forest_module.UNLISTED
-    assert columns.length.tolist() == [1, 2, 0, unlisted]  # -0.0 is a zero
-    assert columns.rows.tolist() == [1, 0, 2]
-    assert columns.start[:3].tolist() == [0, 1, 3]
-    assert forest_module._column_lists(X, 2).length.tolist() == [1, unlisted, 0, unlisted]
+    matrix = SparseMatrix.from_dense(X, 1)
+    assert (matrix.shape, matrix.n_dense) == ((4, 5), 1)
+    assert matrix.dense.tobytes() == X[:, :1].tobytes()
+    # -0.0 is held, so that the matrix densifies bit for bit
+    assert matrix.length.tolist() == [1, 2, 1, 4]
+    assert matrix.start.tolist() == [0, 1, 3, 4]
+    assert matrix.rows.tolist() == [1, 0, 2, 0, 0, 1, 2, 3]
+    assert matrix.values.tobytes() == np.array([3.0, 1.0, -1.0, -0.0, 2.0, 2.0, 2.0, 2.0]).tobytes()
+    assert matrix.toarray().tobytes() == X.tobytes()
+    assert matrix.take([3, 0]).toarray().tobytes() == X[[3, 0]].tobytes()
+    keys = matrix.cell_keys()
+    rows, cols = np.repeat(np.arange(4), 5), np.tile(np.arange(5), 4)
+    assert matrix.cells(keys, rows, cols).tobytes() == X.ravel().tobytes()
+    assert matrix.columns([0, 2, 4]).toarray().tobytes() == X[:, [0, 2, 4]].tobytes()
+    with pytest.raises(ValueError, match="dense column follows"):
+        matrix.columns([2, 0])
+    cols, vals = matrix.row_cells()
+    assert [c.tolist() for c in cols] == [[2, 3, 4], [1, 4], [2, 4], [4]]
+    assert [v.tolist() for v in vals] == [[1.0, -0.0, 2.0], [3.0, 2.0], [-1.0, 2.0], [2.0]]
+    assert as_matrix(X).dense is not None and as_matrix(matrix) is matrix
+    assert np.shares_memory(as_matrix(X).dense, X)  # a dense array is wrapped, not copied
 
 
 def test_public_best_split_sorts_unsorted_and_duplicate_dims():
@@ -524,36 +546,60 @@ def test_fit_forest_on_sparse_data_equals_per_dim_loop(monkeypatch, params, sour
     """Both cell sources grow the forest of the per-dim loop, node for node,
     also on rows of a matrix whose columns are nonzero only outside them."""
     monkeypatch.setattr(forest_module, "CHUNK_CELLS", chunk_cells)
-    taken = force_cell_source(monkeypatch, source)
     X, y = very_sparse_counts()
     rows = np.arange(10, 80)
     X[:10, :20] = 7.0  # these columns are nonzero only outside the fit rows
     X[10:, :20] = 0.0
     assert np.count_nonzero(X) < 0.05 * X.size
-    lockstep = fit_forest(X, y, params, rows=rows)
+    matrix = in_layout(X, source)
+    lockstep = fit_forest(matrix, y, params, rows=rows)
     assert lockstep.feature.size > params.n_trees * 5  # deep enough to compare many splits
     assert_same_nodes(lockstep, node_by_node_forest(X, y, params, split=per_dim_best_split, rows=rows))
     assert_same_nodes(
-        fit_forest(X, y, params, threads=2),
+        fit_forest(matrix, y, params, threads=2),
         node_by_node_forest(X, y, params, split=per_dim_best_split),
     )
-    assert_sources_taken(taken, source)
 
 
-def test_column_lists_are_built_once_per_fit_and_per_cross_validation(monkeypatch):
+@pytest.mark.parametrize("source", ["rule", "list"])
+def test_fit_and_cross_validate_on_the_sparse_matrix_equal_the_dense_array(source):
+    """Node for node and fold for fold, with negative values and -0.0 cells in
+    the CSC columns, and bootstrap draws that repeat rows."""
     X, y = very_sparse_counts()
-    limits = []
-    real = forest_module._column_lists
-    monkeypatch.setattr(forest_module, "_column_lists", lambda X, limit: limits.append(limit) or real(X, limit))
-    fit_forest(X, y, ForestParams(n_trees=4, seed=0), threads=2)
-    assert limits == [80]
-    limits.clear()
-    cross_validate(X, y, ForestParams(n_trees=4, seed=0), folds=4, seed=0, threads=2)
-    # once, for the largest fold's train rows: each family is dealt
-    # round-robin, so fold f holds len(range(f, count, 4)) of its rows
-    family_counts = np.unique(y, return_counts=True)[1]
-    smallest_fold = min(sum(len(range(f, c, 4)) for c in family_counts) for f in range(4))
-    assert limits == [80 - smallest_fold]
+    X[:, -1] = np.where(np.arange(80) % 3 == 0, -0.0, X[:, -1])
+    matrix = in_layout(X, source)
+    assert np.signbit(matrix.values).any() and (matrix.values < 0).any()
+    rows = np.random.default_rng(4).permutation(80)[:60]
+    for params in (ForestParams(n_trees=5, seed=19), ForestParams(n_trees=3, seed=20, bootstrap=False)):
+        assert_same_nodes(fit_forest(matrix, y, params), fit_forest(X, y, params))
+        assert_same_nodes(fit_forest(matrix, y, params, rows=rows), fit_forest(X, y, params, rows=rows))
+        assert cross_validate(matrix, y, params, folds=3, seed=2) == cross_validate(X, y, params, folds=3, seed=2)
+
+
+def test_fit_and_cross_validate_read_the_sparse_matrix_in_place(monkeypatch):
+    """No fit copies or densifies the matrix, and cross-validation copies
+    each fold's held-out rows alone, to score them without densifying."""
+    X, y = very_sparse_counts()
+    matrix = in_layout(X, "rule")
+    taken = []
+    real_take, real_toarray = SparseMatrix.take, SparseMatrix.toarray
+
+    def take(self, rows):
+        taken.append(np.asarray(rows).tolist())
+        return real_take(self, rows)
+
+    def toarray(self):
+        raise AssertionError("densified")
+
+    monkeypatch.setattr(SparseMatrix, "take", take)
+    monkeypatch.setattr(SparseMatrix, "toarray", toarray)
+    forest = fit_forest(matrix, y, ForestParams(n_trees=4, seed=0), threads=2)
+    assert taken == []
+    cross_validate(matrix, y, ForestParams(n_trees=4, seed=0), folds=4, seed=0, threads=2)
+    # every row is held out once
+    assert len(taken) == 4 and sorted(row for rows in taken for row in rows) == list(range(80))
+    monkeypatch.setattr(SparseMatrix, "toarray", real_toarray)
+    assert predict_proba(forest, matrix).tobytes() == predict_proba(forest, X).tobytes()
 
 
 @pytest.mark.parametrize("params, threads", [
@@ -601,9 +647,11 @@ def test_block_split_memory_is_linear_in_the_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a class loop peaks near 8x the block's bytes; an n x m x k one-hot
-    # tensor would peak past 40x
-    assert peak < 16 * n * m * 8
+    # The search works a chunk of cells at a time and wraps the dense block
+    # without a copy: 1.84 MB measured (0.46x the block's 4 MB) on CPython
+    # 3.11 with numpy 2.4.  A per-search nonzero list of the whole block
+    # peaked at 12.3 MB, and an n x m x k one-hot tensor would pass 40x.
+    assert peak < n * m * 8
 
 
 def test_lockstep_fit_memory_is_bounded_by_the_chunk():
@@ -978,7 +1026,7 @@ def test_cross_validate_folds_match_round_robin_dealing(monkeypatch):
     real_fit = forest_module.fit_forest
 
     def spy(values, labels, params, threads=1, rows=None, **kwargs):
-        trained = values if rows is None else values[rows]
+        trained = values.toarray() if rows is None else values.take(np.unique(rows)).toarray()
         held_out.append(sorted(set(range(y.size)) - {int(v) for v in trained[:, 0]}))
         return real_fit(values, labels, params, threads=threads, rows=rows, **kwargs)
 
@@ -1009,7 +1057,9 @@ def test_cross_validate_equals_fitting_each_fold_on_a_copy(monkeypatch, folds, p
 
     monkeypatch.setattr(forest_module, "fit_forest", spy)
     got = cross_validate(X, y, params, folds=folds, seed=21, threads=2)
-    assert len(fitted_on) == folds and all(values is X for values in fitted_on)
+    # every fold fits on one wrap of X, not on a copy of its rows
+    assert len(fitted_on) == folds and all(values is fitted_on[0] for values in fitted_on)
+    assert np.shares_memory(fitted_on[0].dense, X)
     want = copying_cross_validate(X, y, params, folds=folds, seed=21)
     assert got.per_fold == want.per_fold
     assert got.confusion == want.confusion
@@ -1057,7 +1107,7 @@ def test_cross_validate_names_starved_family():
 def test_grid_search_prefers_earlier_cell_on_ties():
     rng = np.random.default_rng(16)
     X, y = separable_data(rng, n_per_class=10)
-    best, results = grid_search(
+    best, cv, results = grid_search(
         X, y, ForestParams(seed=0), tree_counts=(5, 10), feature_rules=("sqrt", "third"),
         folds=2, seed=3,
     )
@@ -1065,6 +1115,7 @@ def test_grid_search_prefers_earlier_cell_on_ties():
     assert max(acc for _, acc in results) == dict((p.n_trees, a) for p, a in results)[best.n_trees]
     # separable data scores 1.0 everywhere; the first cell must win the tie
     assert (best.n_trees, best.features_per_split) == (5, "sqrt")
+    assert cv == cross_validate(X, y, best, folds=2, seed=3)
 
 
 # ---------------------------------------------------------------------------
