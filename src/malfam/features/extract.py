@@ -70,6 +70,7 @@ from .schema import (
     GROUP_SECTION_PERM,
     GROUP_SECTION_SIZE,
     PERM_ORDER,
+    TOKEN_GROUPS,
 )
 
 N_GRAM = 4
@@ -340,14 +341,10 @@ def digest_sample(
 # projection into schema columns
 # ---------------------------------------------------------------------------
 
-# the token groups, by the field that holds their tokens in Vocabulary,
-# SampleDigest and ColumnLookup alike; every other group is a fixed-size
-# vector projected by position
-_TOKEN_FIELDS = {
-    GROUP_IMPORT_LIB: "libraries",
-    GROUP_API_4GRAM: "api_grams",
-    GROUP_OPCODE_4GRAM: "opcode_grams",
-}
+# the field that holds each of TOKEN_GROUPS' tokens, in its order, in
+# Vocabulary, SampleDigest and ColumnLookup alike; every other group is a
+# fixed-size vector projected by position
+_TOKEN_FIELDS = dict(zip(TOKEN_GROUPS, ("libraries", "api_grams", "opcode_grams"), strict=True))
 
 
 @dataclass(frozen=True)
@@ -411,7 +408,7 @@ def compile_columns(schema: FeatureSchema, vocab) -> ColumnLookup:
         cols_of.setdefault(group, []).append(col)
     groups = tuple(g for g in GROUP_ORDER if g in cols_of)
     n_dense = schema.dense_width()
-    if any(cols_of[g][-1] >= n_dense for g in groups if g not in _TOKEN_FIELDS):
+    if any(cols_of[g][-1] >= n_dense for g in groups if g not in TOKEN_GROUPS):
         raise ValueError("schema places a fixed-size group after a token group")
     dense = []
     token_cols: dict[str, dict] = {}

@@ -12,15 +12,15 @@ preorder stack; at each step, the next node of every unfinished tree that
 needs a split is scored in one batched search, in chunks of at most
 CHUNK_CELLS cells.  The search reads a `SparseMatrix`: a dense block of the
 leading columns and CSC columns after it (see ``sparse.py``), and only the
-nonzero cells of each (node, dim) segment.  A segment of a CSC column reads
-the column's cells and counts each as often as its row is in the node
-(bootstrap draws repeat rows); a segment of a dense column gathers the node's
-rows from the block and drops the zeros.  The segment's zeros, +0.0 and -0.0
-alike, are never gathered or sorted: they are one run between its negative and
-positive values, whose class counts are the node's counts less those of its
-nonzero cells.  The nonzero cells and one stand-in per zero run are packed
-(segment, value rank, class) into one integer key each and sorted, so each
-segment is in value order.  The class counts of every run of equal values come
+nonzero cells of each (node, dim) segment.  A segment of a CSC column that
+holds fewer cells than the node has rows reads the column's cells and counts
+each as often as its row is in the node (bootstrap draws repeat rows); any
+other segment gathers the node's rows and drops the zeros.  The segment's
+zeros, +0.0 and -0.0 alike, are never gathered or sorted: they are one run
+between its negative and positive values, whose class counts are the node's
+counts less those of its nonzero cells.  The nonzero cells and one stand-in
+per zero run are packed (segment, value rank, class) into one integer key
+each and sorted, so each segment is in value order.  The class counts of every run of equal values come
 from one bincount, and a cumulative sum over the runs gives the counts left of
 every cut where the value changes; only those cuts are scored.  Memory is
 O(chunk * k) for the run counts, whatever the number of trees; no one-hot
@@ -147,13 +147,9 @@ def gini(counts) -> float:
 
 # Cells that one batched split search handles at most; a node with more is
 # searched a slice of its dims at a time.  A (node, dim) segment costs one
-# cell per row it gathers or per CSC cell it looks up, plus one for its zero
+# cell per row it gathers or per CSC cell it reads, plus one for its zero
 # run, and a node one per row for its row list.
 CHUNK_CELLS = 32_768
-
-# The (piece, row) counts one search tabulates at most; past this, a CSC
-# cell's count in its piece is found by binary search instead.
-TABLE_CELLS = 4 * CHUNK_CELLS
 
 def _best_split(X, row_idx, y_codes, n_classes, dims, min_leaf):
     """Exact best (dim, threshold, gain) over candidate dims, or None.
@@ -192,13 +188,11 @@ def _best_splits(X, y_codes, n_classes, nodes, min_leaf) -> list:
 
     sizes = [rows.size for rows, _ in nodes]
     dim_counts = [dims.size for _, dims in nodes]
-    cost = np.repeat(sizes, dim_counts)
-    all_dims = np.concatenate([dims for _, dims in nodes])
-    csc = all_dims >= X.n_dense
-    cost[csc] = X.length[all_dims[csc] - X.n_dense]
+    n_of_dim = np.repeat(sizes, dim_counts)
+    length = _list_lengths(X, np.concatenate([dims for _, dims in nodes]), n_of_dim)
     # used[i] is the cells taken by the nodes' dims before dim i, in order
-    used = [0, *np.cumsum(cost + 1).tolist()]
-    del cost, all_dims, csc
+    used = [0, *np.cumsum(np.where(length >= 0, length, n_of_dim) + 1).tolist()]
+    del n_of_dim, length
     stop = 0
     for j, (row_idx, dims) in enumerate(nodes):
         n, first = sizes[j], stop
@@ -223,18 +217,30 @@ def _best_splits(X, y_codes, n_classes, nodes, min_leaf) -> list:
     return best
 
 
+def _list_lengths(X: SparseMatrix, dims: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The cells each segment of a dim on n rows reads from its CSC column,
+    or -1 where it gathers its rows instead: for a block column, and for a
+    CSC column holding at least n cells."""
+    length = np.full(dims.size, -1, dtype=np.intp)
+    csc = dims >= X.n_dense
+    length[csc] = X.length[dims[csc] - X.n_dense]
+    length[length >= n] = -1
+    return length
+
+
 def _search_chunk(X: SparseMatrix, y_codes, n_classes, pieces, min_leaf) -> list:
     """Best split of each (_, row_idx, dims) piece, or None, scored at once.
 
-    Only the nonzero cells of each (piece, dim) segment are read: a CSC
-    column's cells (each as many times as its row is in the piece), or the
-    piece's rows of a dense column, zeros dropped.  A segment's zeros (+0.0
-    and -0.0 alike) are one run between its negative and positive values,
-    whose class counts are the piece's counts less those of its nonzero
-    cells.  The nonzero cells and one stand-in for each zero run are sorted
-    by segment and value, one bincount gives the class counts of every run
-    of equal values, and a cumulative sum over the runs gives the counts
-    left of every cut where the value changes.  The counts are exact
+    Only the nonzero cells of each (piece, dim) segment are read: the cells
+    of a CSC column holding fewer than the piece has rows (each as many
+    times as its row is in the piece), or else the piece's rows, looked up,
+    zeros dropped.  A segment's zeros (+0.0 and -0.0 alike) are one run
+    between its negative and positive values, whose class counts are the
+    piece's counts less those of its nonzero cells.  The nonzero cells and
+    one stand-in for each zero run are sorted by segment and value, one
+    bincount gives the class counts of every run of equal values, and a
+    cumulative sum over the runs gives the counts left of every cut where
+    the value changes.  The counts are exact
     integers and the gain is the per-dim loop's expression term for term, so
     every gain is the float it computes.
     """
@@ -249,36 +255,31 @@ def _search_chunk(X: SparseMatrix, y_codes, n_classes, pieces, min_leaf) -> list
     seg_dim = np.concatenate([dims for _, _, dims in pieces])
     seg_piece = np.repeat(np.arange(len(pieces)), [dims.size for _, _, dims in pieces])
     seg_n = piece_n[seg_piece]
-    from_csc = seg_dim >= n_dense
+    length = _list_lengths(X, seg_dim, seg_n)
+    from_list = length >= 0
 
-    # CSC segments: each cell of the column, as many times as its row is in
-    # the piece: read from a table of every (piece, row)'s count when that
-    # fits in TABLE_CELLS, else found by binary search in the pieces' sorted
-    # rows.
-    seg = np.flatnonzero(from_csc)
-    col = seg_dim[seg] - n_dense
-    entries = ranges(X.start[col], X.length[col])
-    list_seg = np.repeat(seg, X.length[col])
+    # Listed segments: each cell of the CSC column, as many times as its row
+    # is in the piece, found by binary search in the pieces' sorted rows.
+    seg = np.flatnonzero(from_list)
+    entries = ranges(X.start[seg_dim[seg] - n_dense], length[seg])
+    list_seg = np.repeat(seg, length[seg])
     times = np.zeros(0, dtype=np.intp)
     if entries.size:
-        held = piece_of_row * n_total + piece_rows
+        held = np.sort(piece_of_row * n_total + piece_rows)
         key = seg_piece[list_seg] * n_total + X.rows[entries]
-        if len(pieces) * n_total <= TABLE_CELLS:
-            times = np.bincount(held, minlength=len(pieces) * n_total)[key]
-        else:
-            held.sort()
-            times = np.searchsorted(held, key, side="right") - np.searchsorted(held, key, side="left")
+        times = np.searchsorted(held, key, side="right")
+        times -= np.searchsorted(held, key, side="left")
         del held, key
     pick = entries[np.repeat(np.arange(times.size), times)]
     list_seg = np.repeat(list_seg, times)
     list_row, list_vals = X.rows[pick], X.values[pick]
     del entries, times, pick
 
-    # Dense segments: every row of the piece, gathered from the block.
-    seg = np.flatnonzero(~from_csc)
+    # Gathered segments: every row of the piece, looked up.
+    seg = np.flatnonzero(~from_list)
     gather_seg = np.repeat(seg, seg_n[seg])
     gather_row = piece_rows[ranges((np.cumsum(piece_n) - piece_n)[seg_piece[seg]], seg_n[seg])]
-    gather_vals = X.dense.take(gather_row * n_dense + seg_dim[gather_seg])
+    gather_vals = X.cells(gather_row, seg_dim[gather_seg])
     del piece_rows, piece_of_row
 
     cell_seg = np.concatenate([list_seg, gather_seg])
@@ -434,7 +435,6 @@ def _grow_trees(X: SparseMatrix, rows, y_codes, n_classes, params: ForestParams,
     m = _candidate_count(params.features_per_split, d)
     depth_cap = params.max_depth if params.max_depth is not None else math.inf
     min_leaf = params.min_samples_leaf
-    keys = X.cell_keys()
     rngs, stacks, grown = [], [], []
     for index in trees:
         rng = np.random.Generator(np.random.PCG64(mix_seed(params.seed, "tree", index)))
@@ -473,7 +473,7 @@ def _grow_trees(X: SparseMatrix, rows, y_codes, n_classes, params: ForestParams,
         # threshold, looked up for all nodes at once
         sizes = [idx.size for _, idx, _ in split]
         goes_left = X.cells(
-            keys, np.concatenate([np.empty(0, dtype=np.intp), *(idx for _, idx, _ in split)]),
+            np.concatenate([np.empty(0, dtype=np.intp), *(idx for _, idx, _ in split)]),
             np.repeat(np.array([found[0] for _, _, found in split], dtype=np.intp), sizes),
         ) <= np.repeat(np.array([found[1] for _, _, found in split]), sizes)
         stop = 0
@@ -568,8 +568,7 @@ def predict_proba(forest: RandomForest, values) -> np.ndarray:
     """
     if isinstance(values, SparseMatrix):
         X, single = values, False
-        keys = X.cell_keys()
-        cells = lambda rows, dims: X.cells(keys, rows, dims)
+        cells = X.cells
     else:
         X = np.asarray(values, dtype=np.float64)
         single = X.ndim == 1

@@ -10,13 +10,15 @@ their ``values`` beside them.  Column j of the CSC part is column
 matrix densifies bit for bit; readers that compare values see it as a zero.
 
 `fit_forest`, `cross_validate`, `predict_proba` and the importance selection
-read this type in place; `as_matrix` wraps a dense ndarray as a block with
-no CSC columns, without a copy.
+read this type in place.  `cells` looks up single cells by a binary search of
+``keys``, one sorted key per CSC cell, built once with the matrix.
+`as_matrix` wraps a dense ndarray as a block with no CSC columns, without a
+copy.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +30,15 @@ class SparseMatrix:
     length: np.ndarray  # intp, per CSC column
     rows: np.ndarray    # int32, ascending within each column
     values: np.ndarray  # float64, parallel to rows
+    # each CSC cell's (CSC column * rows of the matrix + row), ascending: the
+    # index `cells` searches; int32 where every key fits
+    keys: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n_rows = self.dense.shape[0]
+        dtype = np.int32 if self.length.size * n_rows < 2**31 else np.int64
+        column_base = np.arange(self.length.size, dtype=dtype) * n_rows
+        object.__setattr__(self, "keys", np.repeat(column_base, self.length) + self.rows)
 
     @property
     def n_dense(self) -> int:
@@ -39,7 +50,8 @@ class SparseMatrix:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.dense, self.start, self.length, self.rows, self.values))
+        arrays = (self.dense, self.start, self.length, self.rows, self.values, self.keys)
+        return sum(a.nbytes for a in arrays)
 
     @classmethod
     def from_csc(cls, dense, columns, rows, values, n_columns: int) -> SparseMatrix:
@@ -127,18 +139,14 @@ class SparseMatrix:
         out[self.rows, self.n_dense + self.entry_columns()] = self.values
         return out
 
-    def cell_keys(self) -> np.ndarray:
-        """Each CSC cell as (CSC column * rows of the matrix + row), ascending:
-        the index `cells` searches."""
-        return np.repeat(np.arange(self.length.size) * self.shape[0], self.length) + self.rows
-
-    def cells(self, keys: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The value at (rows[i], cols[i]) for each i; `keys` is `cell_keys()`."""
+    def cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The value at (rows[i], cols[i]) for each i."""
         out = np.empty(rows.size)
         dense = cols < self.n_dense
         out[dense] = self.dense.take(rows[dense] * self.n_dense + cols[dense])
         csc = ~dense
-        key = (cols[csc] - self.n_dense) * self.shape[0] + rows[csc]
+        keys = self.keys
+        key = ((cols[csc] - self.n_dense) * self.shape[0] + rows[csc]).astype(keys.dtype)
         at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
         out[csc] = np.where(keys[at] == key, self.values[at], 0.0) if keys.size else 0.0
         return out

@@ -413,12 +413,9 @@ def test_batched_sparse_split_search_equals_per_dim_loop(source):
     assert sum(g is not None for g in got) > 60
 
 
-@pytest.mark.parametrize("table_cells", [0, forest_module.TABLE_CELLS], ids=["search", "table"])
-def test_csc_cell_counts_by_table_and_by_binary_search_equal_per_dim_loop(monkeypatch, table_cells):
-    """A CSC cell's count in its node, read from the (node, row) table or
-    found by binary search, gives every node the per-dim loop's split and
-    grows the per-dim loop's forest."""
-    monkeypatch.setattr(forest_module, "TABLE_CELLS", table_cells)
+def test_csc_cell_counts_by_binary_search_equal_per_dim_loop():
+    """A CSC cell's count in its node, found by binary search, gives every
+    node the per-dim loop's split and grows the per-dim loop's forest."""
     found = 0
     for X, rows, y_codes, k, dims, min_leaf in sparse_nodes(seed=2027, count=300):
         want = per_dim_best_split(X, rows, y_codes, k, dims, min_leaf)
@@ -451,9 +448,9 @@ def test_sparse_matrix_holds_the_csc_columns():
     assert matrix.values.tobytes() == np.array([3.0, 1.0, -1.0, -0.0, 2.0, 2.0, 2.0, 2.0]).tobytes()
     assert matrix.toarray().tobytes() == X.tobytes()
     assert matrix.take([3, 0]).toarray().tobytes() == X[[3, 0]].tobytes()
-    keys = matrix.cell_keys()
+    assert matrix.keys.tolist() == [1, 4, 6, 8, 12, 13, 14, 15]
     rows, cols = np.repeat(np.arange(4), 5), np.tile(np.arange(5), 4)
-    assert matrix.cells(keys, rows, cols).tobytes() == X.ravel().tobytes()
+    assert matrix.cells(rows, cols).tobytes() == X.ravel().tobytes()
     assert matrix.columns([0, 2, 4]).toarray().tobytes() == X[:, [0, 2, 4]].tobytes()
     with pytest.raises(ValueError, match="dense column follows"):
         matrix.columns([2, 0])
@@ -648,7 +645,7 @@ def test_block_split_memory_is_linear_in_the_block():
     finally:
         tracemalloc.stop()
     # The search works a chunk of cells at a time and wraps the dense block
-    # without a copy: 1.84 MB measured (0.46x the block's 4 MB) on CPython
+    # without a copy: 1.81 MB measured (0.45x the block's 4 MB) on CPython
     # 3.11 with numpy 2.4.  A per-search nonzero list of the whole block
     # peaked at 12.3 MB, and an n x m x k one-hot tensor would pass 40x.
     assert peak < n * m * 8

@@ -407,11 +407,11 @@ def test_train_pass_peak_memory_is_bounded_by_the_train_matrix(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # No dense copy of the train matrix is made: the pass peaks at 3.63 MB,
-    # 0.75x the 4.83 MB a dense 86 x 7,024 train matrix would take, while
-    # the held digests and the sparse matrix (17,737 nonzeros, 0.35 MB) are
-    # alive, on CPython 3.11 with numpy 2.4.  A dense copy alone is 1x, and
-    # the dense train pass peaked at 2.1x.
+    # No dense copy of the train matrix is made: the pass peaks at 3.80 MB,
+    # 0.79x the 4.83 MB a dense 86 x 7,024 train matrix would take, while
+    # the held digests and the sparse matrix (17,737 nonzeros, 0.43 MB with
+    # its cell keys) are alive, on CPython 3.11 with numpy 2.4.  A dense copy
+    # alone is 1x, and the dense train pass peaked at 2.1x.
     dense_nbytes = result.train_matrix.values.nbytes
     assert result.train_matrix.cells.nbytes < 0.1 * dense_nbytes
     assert peak <= 0.9 * dense_nbytes
