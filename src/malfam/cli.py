@@ -207,10 +207,13 @@ def cmd_extract(ns: argparse.Namespace, config: RunConfig) -> int:
     manifest = _scan(ns.corpus, _find_labels(Path(ns.corpus), ns.labels, required=False))
     if ns.vocab and ns.build_vocab:
         raise UsageError("--vocab and --build-vocab are mutually exclusive")
+    held = None  # the digests build_vocab took, projected without a second read
     if ns.vocab:
         vocab = load_vocab(ns.vocab)
     elif ns.build_vocab:
-        vocab = build_vocab(manifest, config.caps, config.groups, config.prefer)
+        vocab, held = build_vocab(
+            manifest, config.caps, config.groups, config.prefer, threads=config.threads
+        )
         save_vocab(vocab, ns.build_vocab)
     else:
         raise UsageError(
@@ -228,6 +231,7 @@ def cmd_extract(ns: argparse.Namespace, config: RunConfig) -> int:
         prefer=config.prefer,
         binary_ngrams=config.binary_ngrams,
         threads=config.threads,
+        digests=held,
     )
     save_matrix_csv(matrix, ns.out)
     sizes = schema.group_sizes()

@@ -1,14 +1,14 @@
-"""Per-sample feature computation for the seven groups, in two halves.
+"""Per-sample feature computation for the seven groups: digest, then project.
 
-The first half, `digest_sample`, reads one sample and returns a
-`SampleDigest`: what the groups need from its artifacts, with no reference to
-any vocabulary.  Sizes and compression stats come straight off the artifact
-files.  Section geometry and import libraries prefer the PE when one is on
-disk (exact header values) and fall back to the listing, where virtual size
-is the address span and raw size is the count of listed bytes.  The two
-4-gram groups always come from the listing; a dump alone carries no token
-stream.  `digest_sample` is the only place that makes the PE/listing choice,
-and it parses each artifact at most once: a listing is folded by
+`digest_sample` reads one sample and returns a `SampleDigest`: what the
+groups need from its artifacts, with no reference to any vocabulary.  Sizes
+and compression stats come straight off the artifact files.  Section
+geometry and import libraries prefer the PE when one is on disk (exact
+header values) and fall back to the listing, where virtual size is the
+address span and raw size is the count of listed bytes.  The two 4-gram
+groups always come from the listing; a dump alone carries no token stream.
+`digest_sample` is the only place that makes the PE/listing choice, and it
+parses each artifact at most once: a listing is folded by
 `asm.scan_listing` in a single pass, with no per-line objects, and the
 digest carries that pass's parse-failure count.  The compression stats are
 streamed from the files in fixed chunks, so the listing is read twice (once
@@ -18,28 +18,27 @@ stream through zlib on two helper threads while the calling thread scans the
 listing: zlib releases the interpreter lock and the scan does not, so the two
 overlap.  The helpers live only for that call.
 
-The second half projects a digest into one schema's columns.
-`compile_columns` turns a (schema, vocabulary) pair into a `ColumnLookup`:
-token -> column dicts for the library and 4-gram groups, keyed by the token
-itself (a library name, a gram tuple) rather than by its dimension name, and
-(schema columns, source positions) index arrays for the fixed-size groups.
-A projection then visits only the tokens the sample has, not the whole
-vocabulary, and yields a `FeatureVector` of the schema's leading fixed-size
-values plus (column, value) pairs for the token columns it hits; no dense
-row of the token columns is built unless a caller asks for `values`.
-`assemble` keeps the last lookup it compiled in a one-slot memo compared by
-identity on both the schema and the vocabulary object, so every caller that
-scores many samples against one model compiles once.
+A digest is projected into one schema's columns through a `ColumnLookup`,
+which `compile_columns` builds from a (schema, vocabulary) pair: token ->
+column dicts for the library and 4-gram groups, keyed by the token itself (a
+library name, a gram tuple) rather than by its dimension name, and (schema
+columns, source positions) index arrays for the fixed-size groups.  A
+projection visits only the tokens the sample has, not the whole vocabulary,
+and gives the schema's leading fixed-size values plus (column, value) pairs
+for the token columns it hits; no dense row of the token columns is built.
+The vocabulary keeps the last lookup it compiled (`Vocabulary.lookup`, one
+slot compared by identity of the schema), so every caller that scores many
+samples against one model compiles once, and the lookup dies with its
+vocabulary.
 
-`assemble` digests a sample and projects it; `project_digest` projects a
-digest taken earlier, so a training run that has digested its train samples
-for the vocabulary projects them without reading them again.  Both go
-through the same lookup and the same checks.  `build_vocab` folds digests of
-its open-ended groups; `feat_ngrams`,
-`feat_import_lib` and `group_dims` stay as the by-name reference for the
-projection.  The listing half is checked in the tests against one oracle,
-which folds the line reader's `AsmLine`s into the same `ListingScan` the
-scanner returns.
+There is one projection path: `checked_lookup` (version checks, then the
+vocabulary's lookup) and `project_row` (projection, then the finiteness
+check).  `assemble` is those two around one `digest_sample` call and returns
+a `FeatureVector`; `extract_matrix` runs the same steps for a whole
+manifest.  `feat_ngrams`, `feat_import_lib` and `group_dims` stay as the
+by-name reference for the projection.  The listing half is checked in the
+tests against one oracle, which folds the line reader's `AsmLine`s into the
+same `ListingScan` the scanner returns.
 """
 from __future__ import annotations
 
@@ -259,7 +258,7 @@ class SampleDigest:
     complexity: np.ndarray | None = None  # stream_complexity of the listing, then the dump
     sections: dict[str, SectionStats] = field(default_factory=dict)
     libraries: frozenset[str] = frozenset()
-    # gram counts: a Counter, or `vocab.HeldGrams` in a digest a train pass holds
+    # gram counts: a Counter, or `vocab.HeldGrams` in a digest `build_vocab` holds
     api_grams: Counter = field(default_factory=Counter)
     opcode_grams: Counter = field(default_factory=Counter)
     parse_failures: int = 0  # listing lines that failed to parse; 0 when none was read
@@ -432,68 +431,34 @@ def compile_columns(schema: FeatureSchema, vocab) -> ColumnLookup:
     )
 
 
-# (schema, vocab, lookup) of the last compile.  Read once per call, so a
-# thread never pairs one call's objects with another's lookup; two threads
-# that miss together both compile the same lookup, and either may stay.
-_last_lookup: tuple[FeatureSchema, object, ColumnLookup] | None = None
-
-
-def _lookup_for(schema: FeatureSchema, vocab) -> ColumnLookup:
-    global _last_lookup
-    memo = _last_lookup
-    if memo is None or memo[0] is not schema or memo[1] is not vocab:
-        memo = (schema, vocab, compile_columns(schema, vocab))
-        _last_lookup = memo
-    return memo[2]
-
-
 # ---------------------------------------------------------------------------
 # full vector
 # ---------------------------------------------------------------------------
 
-def _checked_lookup(schema: FeatureSchema, vocab) -> ColumnLookup:
+def checked_lookup(schema: FeatureSchema, vocab) -> ColumnLookup:
+    """The vocabulary's lookup for `schema`, once both versions are checked."""
     from .vocab import VOCAB_VERSION  # local: vocab imports this module
 
     if schema.version != SCHEMA_VERSION:
         raise ExtractionError(f"schema version {schema.version} unsupported")
     if getattr(vocab, "version", VOCAB_VERSION) != VOCAB_VERSION:
         raise ExtractionError(f"vocabulary version {vocab.version} unsupported")
-    return _lookup_for(schema, vocab)
+    return vocab.lookup(schema)
 
 
-def _vector(
-    lookup: ColumnLookup, sample_id: str, digest: SampleDigest, schema: FeatureSchema,
-    binary_ngrams: bool,
-) -> FeatureVector:
+def project_row(
+    lookup: ColumnLookup, schema: FeatureSchema, sample_id: str, digest: SampleDigest,
+    binary_ngrams: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`lookup.project` of the digest, refusing a non-finite value.
+
+    The digest must hold every group of the schema; it may hold more.
+    """
     lead, cols, vals = lookup.project(digest, binary_ngrams)
     if not (np.isfinite(lead).all() and np.isfinite(vals).all()):
         at = min([*np.flatnonzero(~np.isfinite(lead)).tolist(), *cols[~np.isfinite(vals)].tolist()])
         raise ExtractionError(f"sample {sample_id}: non-finite value in {schema.names[at]}")
-    return FeatureVector(
-        lead=lead,
-        cols=cols,
-        vals=vals,
-        width=lookup.width,
-        parse_failures=digest.parse_failures,
-        imports_degraded=digest.imports_degraded,
-    )
-
-
-def project_digest(
-    sample_id: str,
-    digest: SampleDigest,
-    schema: FeatureSchema,
-    vocab,
-    *,
-    binary_ngrams: bool = False,
-) -> FeatureVector:
-    """The feature vector of a digest already taken, in schema order.
-
-    The digest must hold every group of the schema; it may hold more.
-    Applies the same version and finiteness checks as `assemble`.
-    """
-    lookup = _checked_lookup(schema, vocab)
-    return _vector(lookup, sample_id, digest, schema, binary_ngrams)
+    return lead, cols, vals
 
 
 def assemble(
@@ -508,6 +473,14 @@ def assemble(
 
     Artifacts are parsed once even when several groups draw on them.
     """
-    lookup = _checked_lookup(schema, vocab)
+    lookup = checked_lookup(schema, vocab)
     digest = digest_sample(sample, lookup.groups, prefer)
-    return _vector(lookup, sample.id, digest, schema, binary_ngrams)
+    lead, cols, vals = project_row(lookup, schema, sample.id, digest, binary_ngrams)
+    return FeatureVector(
+        lead=lead,
+        cols=cols,
+        vals=vals,
+        width=lookup.width,
+        parse_failures=digest.parse_failures,
+        imports_degraded=digest.imports_degraded,
+    )

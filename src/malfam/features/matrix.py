@@ -4,9 +4,10 @@ A `FeatureMatrix` holds its values as one `SparseMatrix`: the schema's
 leading fixed-size columns as a dense block, and the library and 4-gram
 columns, almost all zeros, as CSC columns.  `extract_matrix` builds it from
 each sample's dense-block values and (column, value) pairs, so no dense row
-of the token columns is ever built.  Digests taken earlier are projected on
-the calling thread; samples that must be read are digested on worker
-threads.  `values` densifies the matrix for a caller that asks.
+of the token columns is ever built.  Its digests come from the caller, or
+from worker threads that only digest; every row is projected on the calling
+thread, since the projection is pure Python under the interpreter lock.
+`values` densifies the matrix for a caller that asks.
 
 The CSV layout is `id,label,<dim...>` with one row per sample.  Floats are
 written with repr so a save/load round trip is bit-exact (zeros, most cells of
@@ -28,7 +29,7 @@ import numpy as np
 from ..corpus import CorpusManifest
 from ..errors import CorpusError
 from ..sparse import SparseMatrix
-from .extract import SampleDigest, assemble, project_digest
+from .extract import SampleDigest, checked_lookup, digest_sample, project_row
 from .schema import FeatureSchema, group_of_dim
 
 
@@ -110,34 +111,25 @@ def extract_matrix(
     """Extract every sample in manifest order. Row order never depends on threads.
 
     `digests`, when given, is parallel to the manifest's samples and holds
-    every group of the schema: each digest is projected as it stands, on the
-    calling thread (the projection is pure Python, so worker threads would
-    only contend for the interpreter lock), and no sample is read.
-    Otherwise each sample is read and projected on up to `threads` workers.
+    every group of the schema, and no sample is read.  Otherwise each sample
+    is digested on up to `threads` workers.  Every row is projected on the
+    calling thread, with the checks of `assemble`.
     """
     samples = manifest.samples
+    lookup = checked_lookup(schema, vocab)
     if digests is None:
-        vectors = map_samples(
-            lambda sample: assemble(
-                sample, schema, vocab, prefer=prefer, binary_ngrams=binary_ngrams
-            ),
-            samples,
-            threads,
+        digests = map_samples(
+            lambda sample: digest_sample(sample, lookup.groups, prefer), samples, threads
         )
     elif len(digests) != len(samples):
         raise ValueError("digests must be parallel to the manifest's samples")
-    else:
-        vectors = (
-            project_digest(sample.id, digest, schema, vocab, binary_ngrams=binary_ngrams)
-            for sample, digest in zip(samples, digests)
-        )
-    lead = np.empty((len(samples), schema.dense_width()))
+    lead = np.empty((len(samples), lookup.n_dense))
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    for i, vector in enumerate(vectors):
-        lead[i] = vector.lead
-        cols.append(vector.cols)
-        vals.append(vector.vals)
+    for i, (sample, digest) in enumerate(zip(samples, digests)):
+        lead[i], row_cols, row_vals = project_row(lookup, schema, sample.id, digest, binary_ngrams)
+        cols.append(row_cols)
+        vals.append(row_vals)
     return FeatureMatrix(
         schema,
         tuple(s.id for s in samples),

@@ -4,10 +4,12 @@ Section names, import libraries, and both 4-gram alphabets are ranked by
 document frequency (how many samples mention the token at least once) and
 capped.  Ties break lexicographically so the cut is reproducible.
 
-A training run holds every train digest from the vocabulary to the train
-matrix, with its gram counts as `HeldGrams`: one shared tuple per distinct
-gram and one int32 count per entry, where a fresh `Counter` entry keeps a
-tuple of its own.
+`build_vocab` is the one place a corpus is digested for a vocabulary: it
+digests each sample once, for every group asked, and returns the digests
+with the vocabulary, so the caller projects them without reading a sample
+again.  It holds each digest's gram counts as `HeldGrams`: one shared tuple
+per distinct gram and one int32 count per entry, where a fresh `Counter`
+entry keeps a tuple of its own.
 """
 from __future__ import annotations
 
@@ -21,18 +23,9 @@ import numpy as np
 
 from ..errors import CorpusError
 from ..util import read_json, write_json
-from .extract import N_GRAM, SampleDigest, digest_sample
-from .schema import (
-    GROUP_API_4GRAM,
-    GROUP_IMPORT_LIB,
-    GROUP_OPCODE_4GRAM,
-    GROUP_ORDER,
-    GROUP_SECTION_SIZE,
-    group_dims,
-)
-
-# the groups whose dimensions a vocabulary names
-OPEN_GROUPS = (GROUP_SECTION_SIZE, GROUP_IMPORT_LIB, GROUP_API_4GRAM, GROUP_OPCODE_4GRAM)
+from .extract import N_GRAM, ColumnLookup, SampleDigest, compile_columns, digest_sample
+from .matrix import map_samples
+from .schema import GROUP_ORDER, GROUP_SECTION_SIZE, FeatureSchema, group_dims
 
 VOCAB_VERSION = 1
 
@@ -64,6 +57,11 @@ class Vocabulary:
     _dims: dict[str, tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # [(schema, its lookup)] of the last compile, filled by `lookup`.  Read
+    # once per call, so a thread never pairs one schema with another's
+    # lookup; two threads that miss together compile equal lookups, and
+    # either may stay
+    _lookup: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     def dims(self, group: str) -> tuple[str, ...]:
         """The group's full (pre-selection) dimension names, built on first use."""
@@ -71,6 +69,18 @@ class Vocabulary:
         if names is None:
             names = self._dims[group] = group_dims(group, self)
         return names
+
+    def lookup(self, schema: FeatureSchema) -> ColumnLookup:
+        """The schema's column lookup under this vocabulary.
+
+        One slot, compared by identity of the schema, so a caller that scores
+        many samples against one model compiles once; the lookup lives as
+        long as the vocabulary.
+        """
+        memo = self._lookup[0]
+        if memo is None or memo[0] is not schema:
+            memo = self._lookup[0] = (schema, compile_columns(schema, self))
+        return memo[1]
 
 
 class HeldGrams:
@@ -118,35 +128,40 @@ def build_vocab(
     groups: Sequence[str] = GROUP_ORDER,
     prefer: str = "pe",
     *,
-    digests: Iterable[SampleDigest] | None = None,
-) -> Vocabulary:
-    """Scan a manifest (the train split) and rank tokens by document frequency.
+    threads: int = 1,
+) -> tuple[Vocabulary, list[SampleDigest]]:
+    """Digest a manifest (the train split) and rank tokens by document frequency.
 
-    `digests`, when given, holds one digest per manifest sample, taken for at
-    least the open groups among `groups`; it is folded in place of digesting
-    the samples.  A digest may hold more groups: section names are counted
-    only when `groups` asks for section sizes.
+    Each sample is digested once, for every group in `groups`, on up to
+    `threads` workers in manifest order; each digest is held with
+    `hold_digest` and folded as it streams in.  Section names are counted
+    only when `groups` asks for section sizes.  Returns the vocabulary and
+    the held digests, in manifest order.
     """
-    asked = tuple(g for g in OPEN_GROUPS if g in groups)
-    if digests is None:
-        digests = (digest_sample(sample, asked, prefer) for sample in manifest.samples)
-    want_sections = GROUP_SECTION_SIZE in asked
+    want_sections = GROUP_SECTION_SIZE in groups
+    shared: dict = {}  # one tuple per distinct gram, for every held digest
+    held: list[SampleDigest] = []
     section_freq: Counter = Counter()
     library_freq: Counter = Counter()
     api_freq: Counter = Counter()
     opcode_freq: Counter = Counter()
-    for digest in digests:
+    for digest in map_samples(
+        lambda sample: digest_sample(sample, groups, prefer), manifest.samples, threads
+    ):
+        digest = hold_digest(digest, shared)
+        held.append(digest)
         if want_sections:
             section_freq.update(digest.sections.keys())
         library_freq.update(digest.libraries)
         api_freq.update(digest.api_grams.keys())
         opcode_freq.update(digest.opcode_grams.keys())
-    return Vocabulary(
+    vocab = Vocabulary(
         section_names=tuple(_top_k(section_freq, caps.sections)),
         libraries=tuple(_top_k(library_freq, caps.libraries)),
         api_grams=tuple(_top_k(api_freq, caps.api_grams)),
         opcode_grams=tuple(_top_k(opcode_freq, caps.opcode_grams)),
     )
+    return vocab, held
 
 
 def save_vocab(vocab: Vocabulary, path: str | Path) -> None:

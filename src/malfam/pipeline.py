@@ -4,29 +4,28 @@ The CLI is a thin argv wrapper over these functions; tests drive them
 directly.  Every artifact written here is byte-stable for a fixed
 (config, seed, corpus) triple.
 
-A train pass digests each train sample once and holds every digest, its
-gram counts held compactly, from the vocabulary to the train matrix.  It
-projects the held digests into the budgeted groups, all that selection
-reads, then into the final schema for the train matrix, and drops them.
-Both matrices are `SparseMatrix` values, a dense block of the fixed-size
-groups beside CSC columns of the token groups, and the fit and every CV
-fold read the train matrix in place; no dense copy of it is made.
+A train pass digests each train sample once, in `build_vocab`, which holds
+every digest, its gram counts held compactly, and returns them with the
+vocabulary; `extract --build-vocab` takes the same path.  The pass projects
+the held digests into the budgeted groups, all that selection reads, then
+into the final schema for the train matrix, and drops them.  Both matrices
+are `SparseMatrix` values, a dense block of the fixed-size groups beside CSC
+columns of the token groups, and the fit and every CV fold read the train
+matrix in place; no dense copy of it is made.
 """
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import RunConfig, save_config, load_config
 from .corpus import CorpusManifest, save_manifest, stratified_split
 from .errors import ModelError, TrainingError
-from .features.extract import SampleDigest, digest_sample
-from .features.matrix import FeatureMatrix, extract_matrix, map_samples, save_matrix_csv
+from .features.matrix import FeatureMatrix, extract_matrix, save_matrix_csv
 from .features.schema import GROUP_ORDER, FeatureSchema, build_schema
 from .features.select import load_selection, save_selection, select_by_importance
-from .features.vocab import Vocabulary, build_vocab, hold_digest, load_vocab, save_vocab
+from .features.vocab import Vocabulary, build_vocab, load_vocab, save_vocab
 from .forest import (
     ForestParams,
     Metrics,
@@ -99,34 +98,6 @@ def compute_selection(matrix: FeatureMatrix, config: RunConfig) -> dict[str, lis
     return out
 
 
-def _vocab_and_digests(
-    train_man: CorpusManifest, config: RunConfig
-) -> tuple[Vocabulary, list[SampleDigest]]:
-    """Digest each train sample once for every group of the config, hold the
-    digest with its gram counts as `HeldGrams`, and fold it into the
-    vocabulary as it streams from the workers.
-
-    Returns the vocabulary and the held digests, in manifest order.
-    """
-    held: list[SampleDigest] = []
-    shared: dict = {}  # one tuple per distinct gram, for every held digest
-
-    def holding(digests: Iterable[SampleDigest]) -> Iterator[SampleDigest]:
-        for digest in digests:
-            held.append(hold_digest(digest, shared))
-            yield held[-1]
-
-    digests = map_samples(
-        lambda sample: digest_sample(sample, config.groups, config.prefer),
-        train_man.samples,
-        config.threads,
-    )
-    vocab = build_vocab(
-        train_man, config.caps, config.groups, config.prefer, digests=holding(digests)
-    )
-    return vocab, held
-
-
 def fit_pipeline(
     train_man: CorpusManifest,
     test_man: CorpusManifest,
@@ -136,8 +107,7 @@ def fit_pipeline(
 ) -> TrainResult:
     """Vocabulary, selection, and model all come from the train manifest only.
 
-    Each train sample is digested once (see `_vocab_and_digests`).  The held
-    digests are projected into the budgeted groups' dimensions, the matrix
+    Each train sample is digested once, by `build_vocab`.  The held digests are projected into the budgeted groups' dimensions, the matrix
     selection reads and drops, and then into the final schema: the train
     matrix, which the fit and every CV fold read in place.  A grid search's
     cross-validation of its winner is the run's.
@@ -145,7 +115,9 @@ def fit_pipeline(
     overlap = train_man.ids() & test_man.ids()
     if overlap:
         raise TrainingError(f"train/test manifests overlap: {sorted(overlap)[:3]}")
-    vocab, held = _vocab_and_digests(train_man, config)
+    vocab, held = build_vocab(
+        train_man, config.caps, config.groups, config.prefer, threads=config.threads
+    )
     log.info("vocabulary built: %s",
              {g: len(vocab.dims(g)) for g in GROUP_ORDER if g in config.groups and vocab.dims(g)})
     options = dict(prefer=config.prefer, binary_ngrams=config.binary_ngrams, threads=config.threads)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,16 @@ import pytest
 from malfam import cli as cli_mod
 from malfam.cli import format_report, main
 from malfam.config import RunConfig, save_config
+from malfam.features import extract as extract_module
+from malfam.features import matrix as matrix_module
+from malfam.features import vocab as vocab_module
 from malfam.forest import ForestParams
 from malfam.features.schema import (
     GROUP_COMPLEXITY,
     GROUP_SECTION_PERM,
     GROUP_SECTION_SIZE,
 )
+from malfam.synth import gen_synthetic
 
 from pe_fixtures import SectionSpec, build_pe
 
@@ -133,6 +138,35 @@ def test_extract_builds_vocab_and_prints_group_sizes(cli_env, tmp_path, capsys):
     assert "section_perm: 9" in out
     assert out.strip().endswith("total: 42")  # 6 + 9 sections x 3 + 9
     assert (tmp_path / "vocab.json").is_file()
+
+
+def test_extract_build_vocab_digests_each_sample_once(tmp_path, monkeypatch):
+    corpus = gen_synthetic(4, 5, tmp_path / "corpus")
+    calls: Counter = Counter()
+    original = extract_module.digest_sample
+
+    def counted(sample, *args, **kwargs):
+        calls[sample.id] += 1
+        return original(sample, *args, **kwargs)
+
+    for module in (vocab_module, matrix_module, extract_module):
+        monkeypatch.setattr(module, "digest_sample", counted)
+
+    def extract(out: str, *vocab_args: str, threads: str = "1") -> bytes:
+        assert main(["extract", "--quiet", "--corpus", str(corpus.root), *vocab_args,
+                     "--threads", threads, "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out).read_bytes()
+
+    built = extract("built.csv", "--build-vocab", str(tmp_path / "vocab.json"))
+    assert len(corpus) == 36
+    assert calls == Counter({s.id: 1 for s in corpus.samples})
+    # the digests build_vocab held project to the matrix that reading every
+    # sample again under the saved vocabulary gives, at any thread count
+    assert extract("t2.csv", "--build-vocab", str(tmp_path / "v2.json"), threads="2") == built
+    assert (tmp_path / "v2.json").read_bytes() == (tmp_path / "vocab.json").read_bytes()
+    for threads in ("1", "2"):
+        assert extract("reread.csv", "--vocab", str(tmp_path / "vocab.json"), threads=threads) == built
+    assert calls == Counter({s.id: 4 for s in corpus.samples})
 
 
 def test_extract_config_controls_groups(cli_env, tmp_path, capsys):

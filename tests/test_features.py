@@ -49,6 +49,8 @@ from malfam.features import (
     select_by_importance,
 )
 from malfam.features import extract
+from malfam.features import matrix as matrix_module
+from malfam.features import vocab as vocab_module
 from malfam.features.matrix import map_samples
 from malfam.features.vocab import hold_digest
 from malfam.features.extract import (
@@ -333,7 +335,7 @@ def test_vocab_document_frequency_not_occurrences(tmp_path):
     stream_b = (".text:00401000 90 b1 x\n.text:00401001 90 b2 x\n"
                 ".text:00401002 90 b3 x\n.text:00401003 90 b4 x\n") * 50
     manifest = corpus_from_asm(tmp_path, {"s1": stream_a, "s2": stream_a, "s3": stream_b})
-    vocab = build_vocab(manifest, VocabCaps(1, 1, 1, 1), prefer="asm")
+    vocab, _ = build_vocab(manifest, VocabCaps(1, 1, 1, 1), prefer="asm")
     # (a1..a4) is in two documents, (b1..b4) only in one despite 50 repeats
     assert vocab.opcode_grams == (("a1", "a2", "a3", "a4"),)
 
@@ -342,7 +344,7 @@ def test_vocab_tie_breaks_lexicographically(tmp_path):
     text_z = ".zz:00401000 90 nop\n"
     text_a = ".aa:00401000 90 nop\n"
     manifest = corpus_from_asm(tmp_path, {"s1": text_z + text_a})
-    vocab = build_vocab(manifest, VocabCaps(sections=1, libraries=1, api_grams=1, opcode_grams=1), prefer="asm")
+    vocab, _ = build_vocab(manifest, VocabCaps(sections=1, libraries=1, api_grams=1, opcode_grams=1), prefer="asm")
     assert vocab.section_names == ("aa",)
 
 
@@ -351,14 +353,14 @@ def test_vocab_caps_respected(tmp_path):
     for k in range(6):
         rows.append(f".sec{k}:0040100{k} 90 nop")
     manifest = corpus_from_asm(tmp_path, {"s1": "\n".join(rows)})
-    vocab = build_vocab(manifest, VocabCaps(sections=4, libraries=1, api_grams=1, opcode_grams=1), prefer="asm")
+    vocab, _ = build_vocab(manifest, VocabCaps(sections=4, libraries=1, api_grams=1, opcode_grams=1), prefer="asm")
     assert len(vocab.section_names) == 4
     assert vocab.section_names == ("sec0", "sec1", "sec2", "sec3")
 
 
 def test_vocab_empty_corpus(tmp_path):
     manifest = scan_corpus(tmp_path)
-    vocab = build_vocab(manifest)
+    vocab, _ = build_vocab(manifest)
     assert vocab.section_names == () and vocab.libraries == ()
     assert vocab.api_grams == () and vocab.opcode_grams == ()
 
@@ -577,7 +579,7 @@ def test_selection_rejects_bad_k():
 # ---------------------------------------------------------------------------
 
 def test_assemble_is_pure(small_corpus):
-    vocab = build_vocab(small_corpus, VocabCaps(8, 8, 32, 32), prefer="asm")
+    vocab, _ = build_vocab(small_corpus, VocabCaps(8, 8, 32, 32), prefer="asm")
     schema = build_schema(vocab)
     sample = small_corpus.samples[0]
     first = assemble(sample, schema, vocab, prefer="asm")
@@ -588,7 +590,7 @@ def test_assemble_is_pure(small_corpus):
 
 
 def test_assemble_version_mismatch(small_corpus):
-    vocab = build_vocab(small_corpus, VocabCaps(4, 4, 4, 4), prefer="asm")
+    vocab, _ = build_vocab(small_corpus, VocabCaps(4, 4, 4, 4), prefer="asm")
     schema = build_schema(vocab)
     stale = FeatureSchema(names=schema.names, groups=schema.groups, version=99)
     with pytest.raises(ExtractionError, match="version"):
@@ -655,7 +657,7 @@ def test_overlap_digest_equals_inline(small_corpus, large_sample, monkeypatch):
 
 def test_overlap_matrix_equals_inline(small_corpus, large_sample, monkeypatch):
     manifest = CorpusManifest(small_corpus.root, (*small_corpus.samples[:4], large_sample))
-    vocab = build_vocab(manifest, VocabCaps(8, 8, 32, 32), prefer="asm")
+    vocab, _ = build_vocab(manifest, VocabCaps(8, 8, 32, 32), prefer="asm")
     schema = build_schema(vocab)
     baseline = threading.active_count()
     matrices = []
@@ -830,7 +832,7 @@ def assert_matches_oracle(samples, schema, vocab, **kwargs) -> None:
 
 @pytest.fixture(scope="module")
 def oracle_vocab(small_corpus):
-    return build_vocab(small_corpus, prefer="asm")
+    return build_vocab(small_corpus, prefer="asm")[0]
 
 
 def test_projection_matches_oracle_default_config(small_corpus, oracle_vocab):
@@ -912,7 +914,7 @@ def pe_manifest(small_corpus, tmp_path_factory):
 
 @pytest.mark.parametrize("prefer", ["pe", "asm"])
 def test_projection_matches_oracle_with_pe_files(pe_manifest, prefer):
-    vocab = build_vocab(pe_manifest, prefer=prefer)
+    vocab, _ = build_vocab(pe_manifest, prefer=prefer)
     rng = np.random.default_rng(8)
     schemas = [
         build_schema(vocab),
@@ -951,72 +953,137 @@ def test_projection_ignores_sample_gram_whose_name_collides(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the column-lookup memo
+# the column lookup, cached on its vocabulary
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
 def compile_counter(monkeypatch):
-    """Counts compile_columns calls, starting from an empty memo."""
+    """Counts compile_columns calls made for `Vocabulary.lookup`."""
     calls = []
-    original = extract.compile_columns
+    original = vocab_module.compile_columns
 
     def counting(schema, vocab):
         calls.append((schema, vocab))
         return original(schema, vocab)
 
-    monkeypatch.setattr(extract, "_last_lookup", None)
-    monkeypatch.setattr(extract, "compile_columns", counting)
+    monkeypatch.setattr(vocab_module, "compile_columns", counting)
     return calls
 
 
+def fresh(vocab: Vocabulary) -> Vocabulary:
+    """An equal vocabulary with no lookup compiled yet."""
+    return dataclasses.replace(vocab)
+
+
 def test_lookup_compiles_once_per_schema_and_vocab(small_corpus, oracle_vocab, compile_counter):
-    schema = build_schema(oracle_vocab)
+    vocab = fresh(oracle_vocab)
+    schema = build_schema(vocab)
     for sample in small_corpus.samples[:4]:
-        assemble(sample, schema, oracle_vocab, prefer="asm")
+        assemble(sample, schema, vocab, prefer="asm")
+    for threads in (1, 2):
+        extract_matrix(small_corpus, schema, vocab, prefer="asm", threads=threads)
     assert len(compile_counter) == 1
-    # the memo compares by identity: an equal but distinct schema recompiles
+    assert compile_counter[0][0] is schema and compile_counter[0][1] is vocab
+    # the slot compares by identity: an equal but distinct schema recompiles
     twin = FeatureSchema(schema.names, schema.groups)
-    assemble(small_corpus.samples[0], twin, oracle_vocab, prefer="asm")
-    assert len(compile_counter) == 2
-    assert compile_counter[1][0] is twin
+    assemble(small_corpus.samples[0], twin, vocab, prefer="asm")
+    assert len(compile_counter) == 2 and compile_counter[1][0] is twin
+    # and an equal vocabulary keeps a lookup of its own
+    other = fresh(oracle_vocab)
+    assemble(small_corpus.samples[0], twin, other, prefer="asm")
+    assert len(compile_counter) == 3 and compile_counter[2][1] is other
 
 
 def test_lookup_alternating_schemas_never_goes_stale(small_corpus, oracle_vocab, compile_counter):
-    # fit_pipeline extracts the full schema, then the selected one, in one process
+    # fit_pipeline extracts the budgeted schema, then the selected one, with
+    # one vocabulary
+    vocab = fresh(oracle_vocab)
     rng = np.random.default_rng(9)
-    full = build_schema(oracle_vocab)
-    selected = build_schema(
-        oracle_vocab, GROUP_ORDER, shuffled_selection(oracle_vocab, GROUP_ORDER, rng)
-    )
+    full = build_schema(vocab)
+    selected = build_schema(vocab, GROUP_ORDER, shuffled_selection(vocab, GROUP_ORDER, rng))
     for sample in small_corpus.samples[:6]:
         for schema in (full, selected, full):
-            got = assemble(sample, schema, oracle_vocab, prefer="asm").values
-            want = reference_assemble(sample, schema, oracle_vocab, prefer="asm").values
+            got = assemble(sample, schema, vocab, prefer="asm").values
+            want = reference_assemble(sample, schema, vocab, prefer="asm").values
             assert got.tobytes() == want.tobytes()
     # every switch recompiles: three for the first sample, two for each later one
     assert len(compile_counter) == 3 + 2 * 5
 
 
 def test_lookup_rejects_dim_absent_from_vocabulary(small_corpus, oracle_vocab, compile_counter):
-    schema = FeatureSchema(("fsz_asm", "api_x|y|z|w"), (GROUP_FILE_SIZE, GROUP_API_4GRAM))
+    vocab = fresh(oracle_vocab)
+    good = build_schema(vocab)
+    assemble(small_corpus.samples[0], good, vocab, prefer="asm")
+    bad = FeatureSchema(("fsz_asm", "api_x|y|z|w"), (GROUP_FILE_SIZE, GROUP_API_4GRAM))
     message = r"^schema names dimension 'api_x\|y\|z\|w' absent from the vocabulary$"
-    for _ in range(2):  # a failed compile leaves nothing in the memo
+    for _ in range(2):
         with pytest.raises(ValueError, match=message):
-            assemble(small_corpus.samples[0], schema, oracle_vocab, prefer="asm")
-    assert len(compile_counter) == 2
+            assemble(small_corpus.samples[0], bad, vocab, prefer="asm")
     with pytest.raises(ValueError, match=message):
-        reference_assemble(small_corpus.samples[0], schema, oracle_vocab, prefer="asm")
+        extract_matrix(small_corpus, bad, vocab, prefer="asm")
+    # each failure compiled afresh, and the good schema's lookup stayed
+    assemble(small_corpus.samples[1], good, vocab, prefer="asm")
+    assert [call[0] for call in compile_counter] == [good, bad, bad, bad]
+    with pytest.raises(ValueError, match=message):
+        reference_assemble(small_corpus.samples[0], bad, vocab, prefer="asm")
 
 
-def test_extract_matrix_threads_share_the_memo(small_corpus, oracle_vocab, compile_counter):
+def test_lookup_slot_never_pairs_a_schema_with_another_schemas_lookup(oracle_vocab):
+    vocab = fresh(oracle_vocab)
+    schemas = [build_schema(vocab, (group,)) for group in GROUP_ORDER]
+    wrong = []
+
+    def worker(k: int) -> None:
+        for i in range(60):
+            schema = schemas[(i + k) % len(schemas)]
+            lookup = vocab.lookup(schema)
+            if (lookup.groups, lookup.width) != (schema.groups[:1], len(schema)):
+                wrong.append((k, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+
+
+def test_extract_matrix_projects_on_the_calling_thread(small_corpus, oracle_vocab, monkeypatch):
+    projected, digested = [], []
+    project, digest = extract.ColumnLookup.project, matrix_module.digest_sample
+
+    def spy_project(self, *args, **kwargs):
+        projected.append(threading.get_ident())
+        return project(self, *args, **kwargs)
+
+    def spy_digest(*args, **kwargs):
+        digested.append(threading.get_ident())
+        return digest(*args, **kwargs)
+
+    monkeypatch.setattr(extract.ColumnLookup, "project", spy_project)
+    monkeypatch.setattr(matrix_module, "digest_sample", spy_digest)
     rng = np.random.default_rng(10)
     selected = build_schema(
         oracle_vocab, GROUP_ORDER, shuffled_selection(oracle_vocab, GROUP_ORDER, rng)
     )
+    caller = threading.get_ident()
     for schema in (build_schema(oracle_vocab), selected):
         one = extract_matrix(small_corpus, schema, oracle_vocab, prefer="asm", threads=1)
+        projected.clear()
+        digested.clear()
         four = extract_matrix(small_corpus, schema, oracle_vocab, prefer="asm", threads=4)
-        assert one.values.tobytes() == four.values.tobytes()
+        # workers only digest; every row is projected where the matrix is built
+        assert projected == [caller] * len(small_corpus)
+        assert len(digested) == len(small_corpus) and caller not in digested
+        for name in ("dense", "start", "length", "rows", "values"):
+            a, b = getattr(one.cells, name), getattr(four.cells, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         want = np.vstack([
             reference_assemble(s, schema, oracle_vocab, prefer="asm").values
             for s in small_corpus.samples
@@ -1025,7 +1092,7 @@ def test_extract_matrix_threads_share_the_memo(small_corpus, oracle_vocab, compi
 
 
 def test_extract_matrix_thread_invariant(small_corpus):
-    vocab = build_vocab(small_corpus, VocabCaps(8, 8, 16, 16), prefer="asm")
+    vocab, _ = build_vocab(small_corpus, VocabCaps(8, 8, 16, 16), prefer="asm")
     schema = build_schema(vocab)
     one = extract_matrix(small_corpus, schema, vocab, prefer="asm", threads=1)
     four = extract_matrix(small_corpus, schema, vocab, prefer="asm", threads=4)
@@ -1051,7 +1118,7 @@ def test_map_samples_keeps_order_and_stops_at_the_first_error():
 
 
 def test_matrix_csv_round_trip(tmp_path, small_corpus):
-    vocab = build_vocab(small_corpus, VocabCaps(4, 4, 8, 8), prefer="asm")
+    vocab, _ = build_vocab(small_corpus, VocabCaps(4, 4, 8, 8), prefer="asm")
     schema = build_schema(vocab)
     matrix = extract_matrix(small_corpus, schema, vocab, prefer="asm")
     path = tmp_path / "m.csv"
@@ -1168,7 +1235,7 @@ def test_labeled_shares_the_values_exactly_when_every_row_is_labeled():
 def test_projected_csc_equals_the_csc_of_the_dense_matrix(small_corpus, binary):
     """The matrix built from each sample's (column, value) pairs, read or
     held, equals the by-name oracle's dense matrix converted to CSC."""
-    vocab = build_vocab(small_corpus, VocabCaps(6, 6, 12, 12), prefer="asm")
+    vocab, _ = build_vocab(small_corpus, VocabCaps(6, 6, 12, 12), prefer="asm")
     schema = build_schema(vocab)
     dense = np.array([
         reference_assemble(s, schema, vocab, prefer="asm", binary_ngrams=binary).values
@@ -1193,7 +1260,7 @@ def test_projected_csc_equals_the_csc_of_the_dense_matrix(small_corpus, binary):
 def test_extract_matrix_projects_held_digests_without_reading_a_sample(
     small_corpus, monkeypatch, binary
 ):
-    vocab = build_vocab(small_corpus, VocabCaps(6, 6, 12, 12), prefer="asm")
+    vocab, _ = build_vocab(small_corpus, VocabCaps(6, 6, 12, 12), prefer="asm")
     full = extract_matrix(small_corpus, build_schema(vocab), vocab, prefer="asm", binary_ngrams=binary)
     shared: dict = {}
     held = [hold_digest(digest_sample(s, prefer="asm"), shared) for s in small_corpus.samples]
@@ -1222,7 +1289,7 @@ def test_extract_matrix_projects_held_digests_without_reading_a_sample(
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_matrix_csv_rejects_non_finite_cells(tmp_path, small_corpus, cell):
-    vocab = build_vocab(small_corpus, VocabCaps(4, 4, 8, 8), prefer="asm")
+    vocab, _ = build_vocab(small_corpus, VocabCaps(4, 4, 8, 8), prefer="asm")
     schema = build_schema(vocab)
     path = tmp_path / "m.csv"
     save_matrix_csv(extract_matrix(small_corpus, schema, vocab, prefer="asm"), path)

@@ -1294,7 +1294,6 @@ def test_model_dir_load_and_first_assemble_build_each_groups_names_once(
     # every binding a caller could reach the builder through
     for module in (schema_module, vocab_module, extract_module, malfam.features):
         monkeypatch.setattr(module, "group_dims", counting, raising=False)
-    monkeypatch.setattr(extract_module, "_last_lookup", None)
     bundle = load_model_dir(tmp_path)
     for sample in small_corpus.samples[:2]:
         assemble(sample, bundle.schema, bundle.vocab)

@@ -1,8 +1,10 @@
 """Config plumbing and end-to-end pipeline tests (vocab -> selection -> forest)."""
 from __future__ import annotations
 
+import gc
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -20,6 +22,7 @@ from malfam.config import (
 )
 from malfam.errors import CorpusError, MalfamError, ModelError, TrainingError
 from malfam.features import (
+    assemble,
     build_vocab,
     build_schema,
     extract_matrix,
@@ -29,6 +32,7 @@ from malfam.features import (
     VocabCaps,
 )
 from malfam.features import extract as extract_module
+from malfam.features import matrix as matrix_module
 from malfam.features import vocab as vocab_module
 from malfam.features.vocab import hold_digest
 from malfam.features.extract import digest_sample
@@ -198,7 +202,7 @@ def test_fit_pipeline_rejects_overlapping_manifests(small_corpus, fast_config):
 
 
 def test_compute_selection_budgets_and_grouping(small_corpus, fast_config):
-    vocab = build_vocab(small_corpus, fast_config.caps, fast_config.groups, prefer="asm")
+    vocab, _ = build_vocab(small_corpus, fast_config.caps, fast_config.groups, prefer="asm")
     schema = build_schema(vocab, fast_config.groups)
     matrix = extract_matrix(small_corpus, schema, vocab, prefer="asm")
     selection = compute_selection(matrix, fast_config)
@@ -227,7 +231,7 @@ def test_load_selection_rejects_unknown_group(tmp_path):
 
 
 def test_subset_columns_reorders_by_name(small_corpus, fast_config):
-    vocab = build_vocab(small_corpus, fast_config.caps, fast_config.groups, prefer="asm")
+    vocab, _ = build_vocab(small_corpus, fast_config.caps, fast_config.groups, prefer="asm")
     schema = build_schema(vocab, fast_config.groups)
     matrix = extract_matrix(small_corpus, schema, vocab, prefer="asm")
     narrow_schema = build_schema(
@@ -334,7 +338,7 @@ def count_digests(monkeypatch) -> tuple[Counter, Counter]:
         grams[sample.id] += len(digest.api_grams) + len(digest.opcode_grams)
         return digest
 
-    for module in (pipeline_module, vocab_module, extract_module):
+    for module in (vocab_module, matrix_module, extract_module):
         monkeypatch.setattr(module, "digest_sample", counted)
     return calls, grams
 
@@ -417,21 +421,28 @@ def test_train_pass_peak_memory_is_bounded_by_the_train_matrix(tmp_path):
     assert peak <= 0.9 * dense_nbytes
 
 
+def test_a_dropped_train_result_frees_its_vocabulary(small_corpus, fast_config):
+    result, _, _ = train_pipeline(small_corpus, fast_config)
+    # a classify-style call compiles a lookup for the final schema as well
+    assemble(small_corpus.samples[0], result.schema, result.vocab, prefer=fast_config.prefer)
+    vocab, schema = weakref.ref(result.vocab), weakref.ref(result.schema)
+    del result
+    gc.collect()
+    # no module-level cache keeps the vocabulary, its schema or its lookup
+    assert vocab() is None and schema() is None
+
+
 @pytest.mark.parametrize("name", sorted(DIGEST_ONCE_CONFIGS))
 def test_train_dir_equals_the_two_pass_build(tmp_path, monkeypatch, small_corpus, name):
     config = DIGEST_ONCE_CONFIGS[name]
+    open_groups = (GROUP_SECTION_SIZE, GROUP_IMPORT_LIB, GROUP_API_4GRAM, GROUP_OPCODE_4GRAM)
     with monkeypatch.context() as two_pass:
-        # the vocabulary and the full train matrix each digest every train
-        # sample on their own, as they did before the digests were shared
+        # the vocabulary digests only the groups it ranks, and every matrix
+        # reads its samples again, as before the digests were shared
         two_pass.setattr(
             pipeline_module, "build_vocab",
-            lambda manifest, caps, groups, prefer, *, digests: build_vocab(
-                manifest, caps, groups, prefer),
-        )
-        two_pass.setattr(
-            pipeline_module, "extract_matrix",
-            lambda manifest, schema, vocab, *, digests=None, **options: extract_matrix(
-                manifest, schema, vocab, **options),
+            lambda manifest, caps, groups, prefer, *, threads: (build_vocab(
+                manifest, caps, [g for g in groups if g in open_groups], prefer)[0], None),
         )
         want = saved_train_files(tmp_path, small_corpus, config)
     assert saved_train_files(tmp_path, small_corpus, config) == want
