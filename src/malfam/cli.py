@@ -59,10 +59,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
         help="override the config seed",
     )
     parser.add_argument(
-        "--threads", type=int, default=argparse.SUPPRESS,
-        help="worker threads for extraction and fitting",
-    )
-    parser.add_argument(
         "--quiet", action="store_true", default=argparse.SUPPRESS,
         help="suppress informational logging",
     )
@@ -135,11 +131,7 @@ def build_parser() -> _Parser:
 def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     path = getattr(ns, "config", None)
     config = load_config(path) if path else RunConfig()
-    config = with_overrides(
-        config,
-        seed=getattr(ns, "seed", None),
-        threads=getattr(ns, "threads", None),
-    )
+    config = with_overrides(config, seed=getattr(ns, "seed", None))
     log.info("resolved config: %s", json.dumps(config_to_dict(config), sort_keys=True))
     return config
 
@@ -211,9 +203,7 @@ def cmd_extract(ns: argparse.Namespace, config: RunConfig) -> int:
     if ns.vocab:
         vocab = load_vocab(ns.vocab)
     elif ns.build_vocab:
-        vocab, held = build_vocab(
-            manifest, config.caps, config.groups, config.prefer, threads=config.threads
-        )
+        vocab, held = build_vocab(manifest, config.caps, config.groups, config.prefer)
         save_vocab(vocab, ns.build_vocab)
     else:
         raise UsageError(
@@ -230,7 +220,6 @@ def cmd_extract(ns: argparse.Namespace, config: RunConfig) -> int:
         manifest, schema, vocab,
         prefer=config.prefer,
         binary_ngrams=config.binary_ngrams,
-        threads=config.threads,
         digests=held,
     )
     save_matrix_csv(matrix, ns.out)
@@ -320,7 +309,6 @@ def cmd_eval(ns: argparse.Namespace, config: RunConfig) -> int:
             manifest, bundle.schema, bundle.vocab,
             prefer=bundle.config.prefer,
             binary_ngrams=bundle.config.binary_ngrams,
-            threads=config.threads,
         )
     values, labels = matrix.labeled()
     metrics = evaluate(bundle.forest, values, labels)
@@ -410,9 +398,6 @@ def cmd_classify(ns: argparse.Namespace, config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    threads = getattr(ns, "threads", None)
-    if threads is not None and threads < 1:
-        parser.error("--threads must be >= 1")
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.WARNING if getattr(ns, "quiet", False) else logging.INFO,

@@ -27,6 +27,8 @@ class RunConfig:
     folds: int = 5
     forest: ForestParams = field(default_factory=ForestParams)
     seed: int = 0
+    # read from and written to config files, so that older ones still load;
+    # it starts no thread and changes no result
     threads: int = 1
     prefer: str = "pe"
     binary_ngrams: bool = False
@@ -133,11 +135,7 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(read_json(path, "config", MalfamError, None))
 
 
-def with_overrides(
-    config: RunConfig, *, seed: int | None = None, threads: int | None = None
-) -> RunConfig:
+def with_overrides(config: RunConfig, *, seed: int | None = None) -> RunConfig:
     if seed is not None:
         config = replace(config, seed=seed, forest=replace(config.forest, seed=seed))
-    if threads is not None:
-        config = replace(config, threads=threads)
     return config

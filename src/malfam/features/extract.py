@@ -16,7 +16,9 @@ whole for the scan, once in chunks for zlib) and the dump is never held
 whole.  For a listing of at least `OVERLAP_MIN_BYTES` the two artifacts
 stream through zlib on two helper threads while the calling thread scans the
 listing: zlib releases the interpreter lock and the scan does not, so the two
-overlap.  The helpers live only for that call.
+overlap.  The helpers live only for that call, and they are the only threads
+malfam starts: every other step, here and in the callers, runs on the
+calling thread.
 
 A digest is projected into one schema's columns through a `ColumnLookup`,
 which `compile_columns` builds from a (schema, vocabulary) pair: token ->
@@ -86,7 +88,7 @@ COMPRESS_CHUNK = 256 * 1024
 # during its scan.  Below it the overlap does not pay: each time a helper
 # returns from zlib it waits for the scanning thread to give up the
 # interpreter lock, and on a small listing those waits cost more than the
-# overlap saves (ROADMAP item 4 has the crossover).
+# overlap saves (ROADMAP.md records the measurement).
 OVERLAP_MIN_BYTES = 1 << 20
 
 

@@ -4,9 +4,10 @@ A `FeatureMatrix` holds its values as one `SparseMatrix`: the schema's
 leading fixed-size columns as a dense block, and the library and 4-gram
 columns, almost all zeros, as CSC columns.  `extract_matrix` builds it from
 each sample's dense-block values and (column, value) pairs, so no dense row
-of the token columns is ever built.  Its digests come from the caller, or
-from worker threads that only digest; every row is projected on the calling
-thread, since the projection is pure Python under the interpreter lock.
+of the token columns is ever built.  Its digests come from the caller or are
+taken one sample at a time, and every row is projected as it comes, all on
+the calling thread: the listing scan and the projection are Python under the
+interpreter lock, so a pool of digest threads measured no faster.
 `values` densifies the matrix for a caller that asks.
 
 The CSV layout is `id,label,<dim...>` with one row per sample.  Floats are
@@ -18,9 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import deque
-from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,31 +72,6 @@ class FeatureMatrix:
         return self.cells.take(keep), y
 
 
-def map_samples(fn: Callable, items: Sequence, threads: int = 1) -> Iterator:
-    """Yield fn(item) for each item in order, on up to `threads` worker threads.
-
-    At most two results per worker are computed ahead of the one yielded, so
-    a caller that folds and drops each result holds a bounded number of them.
-    """
-    if threads <= 1 or len(items) <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        try:
-            for item in items:
-                pending.append(pool.submit(fn, item))
-                if len(pending) > 2 * threads:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            # after an error, or when the caller stops early, the work
-            # not yet started is dropped rather than run to no use
-            for future in pending:
-                future.cancel()
-
-
 def extract_matrix(
     manifest: CorpusManifest,
     schema: FeatureSchema,
@@ -108,19 +82,18 @@ def extract_matrix(
     threads: int = 1,
     digests: Sequence[SampleDigest] | None = None,
 ) -> FeatureMatrix:
-    """Extract every sample in manifest order. Row order never depends on threads.
+    """Extract every sample in manifest order, on the calling thread.
 
     `digests`, when given, is parallel to the manifest's samples and holds
     every group of the schema, and no sample is read.  Otherwise each sample
-    is digested on up to `threads` workers.  Every row is projected on the
-    calling thread, with the checks of `assemble`.
+    is digested just before its row is projected.  Every row gets the checks
+    of `assemble`.  `threads` is accepted for callers that still pass it; it
+    starts nothing and changes nothing.
     """
     samples = manifest.samples
     lookup = checked_lookup(schema, vocab)
     if digests is None:
-        digests = map_samples(
-            lambda sample: digest_sample(sample, lookup.groups, prefer), samples, threads
-        )
+        digests = (digest_sample(sample, lookup.groups, prefer) for sample in samples)
     elif len(digests) != len(samples):
         raise ValueError("digests must be parallel to the manifest's samples")
     lead = np.empty((len(samples), lookup.n_dense))
@@ -178,6 +151,10 @@ def save_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
 
 
 def load_matrix_csv(path: str | Path) -> FeatureMatrix:
+    """Read a matrix CSV row by row into the `SparseMatrix` the writer's
+    matrix held: each row is parsed into one float64 array and split into
+    its block values and its nonzero (or -0.0) cells past the block, so no
+    dense copy of the token columns is built."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
@@ -190,9 +167,12 @@ def load_matrix_csv(path: str | Path) -> FeatureMatrix:
             names = tuple(header[2:])
             groups = tuple(group_of_dim(n) for n in names)
             schema = FeatureSchema(names, groups)
+            width = schema.dense_width()
             ids: list[str] = []
             labels: list[int | None] = []
-            rows: list[list[float]] = []
+            lead: list[np.ndarray] = []
+            cols: list[np.ndarray] = []
+            vals: list[np.ndarray] = []
             for line_no, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise CorpusError(
@@ -200,17 +180,23 @@ def load_matrix_csv(path: str | Path) -> FeatureMatrix:
                     )
                 ids.append(row[0])
                 labels.append(int(row[1]) if row[1] else None)
-                rows.append([float(cell) for cell in row[2:]])
+                cells = np.fromiter(map(float, row[2:]), dtype=np.float64, count=len(names))
+                if not np.isfinite(cells).all():
+                    col = int(np.flatnonzero(~np.isfinite(cells))[0])
+                    raise CorpusError(
+                        f"{path}:{line_no}: non-finite value {cells[col]} in column {names[col]}"
+                    )
+                tail = cells[width:]
+                at = np.flatnonzero((tail != 0) | np.signbit(tail))
+                lead.append(cells[:width].copy())
+                cols.append(at + width)
+                vals.append(tail[at])
     except OSError as exc:
         raise CorpusError(f"cannot read matrix {path}: {exc}") from exc
     except csv.Error as exc:  # e.g. a cell past the csv module's field size limit
         raise CorpusError(f"{path}:{reader.line_num}: malformed matrix: {exc}") from exc
     except ValueError as exc:
         raise CorpusError(f"{path}: malformed matrix: {exc}") from exc
-    values = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
-    if not np.isfinite(values).all():
-        row, col = np.argwhere(~np.isfinite(values))[0]
-        raise CorpusError(
-            f"{path}:{row + 2}: non-finite value {values[row, col]} in column {names[col]}"
-        )
+    block = np.array(lead) if lead else np.zeros((0, width))
+    values = SparseMatrix.from_rows(block, cols, vals, len(names))
     return FeatureMatrix(schema=schema, ids=tuple(ids), labels=tuple(labels), values=values)

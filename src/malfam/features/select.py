@@ -20,7 +20,6 @@ def select_by_importance(
     k: int,
     params: ForestParams = ForestParams(),
     seed: int | None = None,
-    threads: int = 1,
 ) -> list[int]:
     """Rank dimensions by mean decrease in impurity and keep the top k.
 
@@ -34,7 +33,7 @@ def select_by_importance(
         raise ValueError(f"k must be in 1..{X.shape[1]}, not {k}")
     if seed is not None:
         params = replace(params, seed=seed)
-    forest = fit_forest(X, labels, params, threads=threads)
+    forest = fit_forest(X, labels, params)
     importance = feature_importance(forest)
     order = sorted(range(X.shape[1]), key=lambda i: (-importance[i], i))
     return order[:k]

@@ -5,11 +5,11 @@ document frequency (how many samples mention the token at least once) and
 capped.  Ties break lexicographically so the cut is reproducible.
 
 `build_vocab` is the one place a corpus is digested for a vocabulary: it
-digests each sample once, for every group asked, and returns the digests
-with the vocabulary, so the caller projects them without reading a sample
-again.  It holds each digest's gram counts as `HeldGrams`: one shared tuple
-per distinct gram and one int32 count per entry, where a fresh `Counter`
-entry keeps a tuple of its own.
+digests each sample once, for every group asked, in manifest order on the
+calling thread, and returns the digests with the vocabulary, so the caller
+projects them without reading a sample again.  It holds each digest's gram
+counts as `HeldGrams`: one shared tuple per distinct gram and one int32
+count per entry, where a fresh `Counter` entry keeps a tuple of its own.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ import numpy as np
 from ..errors import CorpusError
 from ..util import read_json, write_json
 from .extract import N_GRAM, ColumnLookup, SampleDigest, compile_columns, digest_sample
-from .matrix import map_samples
 from .schema import GROUP_ORDER, GROUP_SECTION_SIZE, FeatureSchema, group_dims
 
 VOCAB_VERSION = 1
@@ -52,15 +51,16 @@ class Vocabulary:
     api_grams: tuple[tuple[str, ...], ...] = ()
     opcode_grams: tuple[tuple[str, ...], ...] = ()
     version: int = VOCAB_VERSION
-    # group -> its full dimension names, filled by `dims`; two threads that
-    # miss together build equal tuples, and either may stay
+    # group -> its full dimension names, filled by `dims`.  malfam itself
+    # reads a vocabulary from one thread; callers that share one across
+    # threads and miss together build equal tuples, and either may stay
     _dims: dict[str, tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     # [(schema, its lookup)] of the last compile, filled by `lookup`.  Read
-    # once per call, so a thread never pairs one schema with another's
-    # lookup; two threads that miss together compile equal lookups, and
-    # either may stay
+    # once per call, so a caller that shares the vocabulary across threads
+    # never pairs one schema with another's lookup; two callers that miss
+    # together compile equal lookups, and either may stay
     _lookup: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     def dims(self, group: str) -> tuple[str, ...]:
@@ -127,16 +127,14 @@ def build_vocab(
     caps: VocabCaps = VocabCaps(),
     groups: Sequence[str] = GROUP_ORDER,
     prefer: str = "pe",
-    *,
-    threads: int = 1,
 ) -> tuple[Vocabulary, list[SampleDigest]]:
     """Digest a manifest (the train split) and rank tokens by document frequency.
 
-    Each sample is digested once, for every group in `groups`, on up to
-    `threads` workers in manifest order; each digest is held with
-    `hold_digest` and folded as it streams in.  Section names are counted
-    only when `groups` asks for section sizes.  Returns the vocabulary and
-    the held digests, in manifest order.
+    Each sample is digested once, for every group in `groups`, in manifest
+    order on the calling thread; each digest is held with `hold_digest` and
+    folded as it comes.  Section names are counted only when `groups` asks
+    for section sizes.  Returns the vocabulary and the held digests, in
+    manifest order.
     """
     want_sections = GROUP_SECTION_SIZE in groups
     shared: dict = {}  # one tuple per distinct gram, for every held digest
@@ -145,10 +143,8 @@ def build_vocab(
     library_freq: Counter = Counter()
     api_freq: Counter = Counter()
     opcode_freq: Counter = Counter()
-    for digest in map_samples(
-        lambda sample: digest_sample(sample, groups, prefer), manifest.samples, threads
-    ):
-        digest = hold_digest(digest, shared)
+    for sample in manifest.samples:
+        digest = hold_digest(digest_sample(sample, groups, prefer), shared)
         held.append(digest)
         if want_sections:
             section_freq.update(digest.sections.keys())

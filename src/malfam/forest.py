@@ -32,19 +32,21 @@ scoring it would give.  The rows of every node split in a step are sent left
 or right by one lookup of their cells (`SparseMatrix.cells`), which predict
 also reads; nothing densifies the matrix.
 
+The whole forest is one lockstep on the calling thread.  A step's search is
+numpy, but the preorder stacks and the step's bookkeeping are Python under
+the interpreter lock, so a pool of threads, each growing a slice of the
+trees, measured slower than one lockstep.
+
 Determinism contract: every tree draws from its own PCG64 generator seeded by
 mix_seed(seed, "tree", index), so refitting with the same seed reproduces the
-forest node for node regardless of thread count: each thread grows a
-contiguous slice of the tree indices, and the slices are joined in tree
-order.  Ties in the split search resolve to the lowest dimension index, then
-the lowest threshold.
+forest node for node.  Ties in the split search resolve to the lowest
+dimension index, then the lowest threshold.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -420,9 +422,8 @@ def best_split(values, labels, dims=None, min_samples_leaf: int = 1):
     )
 
 
-def _grow_trees(X: SparseMatrix, rows, y_codes, n_classes, params: ForestParams,
-                trees: range) -> list:
-    """Grow trees `trees` of the forest on X[rows] in lockstep.
+def _grow_trees(X: SparseMatrix, rows, y_codes, n_classes, params: ForestParams) -> list:
+    """Grow every tree of the forest on X[rows] in lockstep.
 
     Each tree pops nodes off its own preorder stack (left child first) and
     settles leaves at once.  When every unfinished tree has reached a node to
@@ -436,7 +437,7 @@ def _grow_trees(X: SparseMatrix, rows, y_codes, n_classes, params: ForestParams,
     depth_cap = params.max_depth if params.max_depth is not None else math.inf
     min_leaf = params.min_samples_leaf
     rngs, stacks, grown = [], [], []
-    for index in trees:
+    for index in range(params.n_trees):
         rng = np.random.Generator(np.random.PCG64(mix_seed(params.seed, "tree", index)))
         # the draw picks positions in `rows`, as it would rows of X[rows]
         tree_rows = rows[rng.integers(0, n, size=n)] if params.bootstrap else rows
@@ -494,19 +495,21 @@ def fit_forest(
     values,
     labels,
     params: ForestParams = ForestParams(),
-    threads: int = 1,
     rows=None,
     *,
     checked: bool = False,
+    threads: int = 1,
 ) -> RandomForest:
-    """Fit `params.n_trees` trees on (values, labels).
+    """Fit `params.n_trees` trees on (values, labels), on the calling thread.
 
     `values` is a SparseMatrix or a dense 2-d array.  `rows`, when given,
-    indexes the rows of `values` and `labels` to train on, in order, so that
-    a caller with one matrix fits on part of it without copying that part: the forest equals, node for node, the one
-    fitted on `values[rows]`, `labels[rows]`, as each bootstrap draw picks
-    positions in `rows`.  `checked=True` skips the finiteness check of
-    `values`, for a caller that has made it on the same matrix.
+    indexes the rows of `values` and `labels` to train on, in order, so
+    that a caller with one matrix fits on part of it without copying that
+    part: the forest equals, node for node, the one fitted on
+    `values[rows]`, `labels[rows]`, as each bootstrap draw picks positions
+    in `rows`.  `checked=True` skips the finiteness check of `values`, for
+    a caller that has made it on the same matrix.  `threads` is accepted
+    for callers that still pass it; it starts nothing and changes nothing.
     """
     X = as_matrix(values)
     y = np.asarray(labels)
@@ -529,19 +532,7 @@ def fit_forest(
     # codes of rows outside `rows` are never read
     y_codes = np.zeros(X.shape[0], dtype=np.intp)
     y_codes[rows] = np.searchsorted(classes, y_rows)
-
-    def grow(trees: range) -> list:
-        return _grow_trees(X, rows, y_codes, classes.size, params, trees)
-
-    workers = min(threads, params.n_trees)
-    if workers > 1:
-        # one contiguous slice of tree indices per thread, joined in tree order
-        bounds = [params.n_trees * w // workers for w in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slices = list(pool.map(grow, [range(a, b) for a, b in zip(bounds, bounds[1:])]))
-        trees = [tree for grown in slices for tree in grown]
-    else:
-        trees = grow(range(params.n_trees))
+    trees = _grow_trees(X, rows, y_codes, classes.size, params)
     feature, threshold, left, right, counts = (np.concatenate(field) for field in zip(*trees))
     sizes = [len(tree[0]) for tree in trees]
     roots = np.cumsum([0] + sizes[:-1])
@@ -679,7 +670,6 @@ def cross_validate(
     params: ForestParams = ForestParams(),
     folds: int = 5,
     seed: int = 0,
-    threads: int = 1,
 ) -> Metrics:
     """Stratified k-fold: shuffle within each class, deal round-robin to folds.
 
@@ -718,9 +708,7 @@ def cross_validate(
     for fold in range(folds):
         held = fold_of == fold
         fold_params = replace(params, seed=mix_seed(seed, "fold", fold))
-        forest = fit_forest(
-            X, y, fold_params, threads=threads, rows=np.flatnonzero(~held), checked=True,
-        )
+        forest = fit_forest(X, y, fold_params, rows=np.flatnonzero(~held), checked=True)
         metrics = evaluate(forest, X.take(np.flatnonzero(held)), y[held])
         accuracies.append(metrics.accuracy)
         conf_total += np.asarray(metrics.confusion, dtype=np.int64)
@@ -741,7 +729,6 @@ def grid_search(
     feature_rules: Sequence[int | str] = FEATURE_RULES,
     folds: int = 5,
     seed: int = 0,
-    threads: int = 1,
 ) -> tuple[ForestParams, Metrics, list[tuple[ForestParams, float]]]:
     """Cross-validate every (n_trees, features_per_split) cell; best mean wins.
 
@@ -754,7 +741,7 @@ def grid_search(
     for n_trees in tree_counts:
         for rule in feature_rules:
             params = replace(base, n_trees=n_trees, features_per_split=rule)
-            metrics = cross_validate(values, labels, params, folds=folds, seed=seed, threads=threads)
+            metrics = cross_validate(values, labels, params, folds=folds, seed=seed)
             results.append((params, metrics.accuracy))
             if best is None or metrics.accuracy > best[1].accuracy:
                 best = (params, metrics)

@@ -12,6 +12,11 @@ into the final schema for the train matrix, and drops them.  Both matrices
 are `SparseMatrix` values, a dense block of the fixed-size groups beside CSC
 columns of the token groups, and the fit and every CV fold read the train
 matrix in place; no dense copy of it is made.
+
+Every stage runs on the calling thread.  The only threads a pass starts are
+the two zlib helpers `digest_sample` takes for a listing of at least
+`OVERLAP_MIN_BYTES`, joined before it returns.  `RunConfig.threads` is kept
+in config files and has no effect.
 """
 from __future__ import annotations
 
@@ -92,7 +97,6 @@ def compute_selection(matrix: FeatureMatrix, config: RunConfig) -> dict[str, lis
             k,
             config.forest,
             seed=mix_seed(config.seed, "select", group),
-            threads=config.threads,
         )
         out[group] = [matrix.schema.names[int(idx[i])] for i in order]
     return out
@@ -107,20 +111,19 @@ def fit_pipeline(
 ) -> TrainResult:
     """Vocabulary, selection, and model all come from the train manifest only.
 
-    Each train sample is digested once, by `build_vocab`.  The held digests are projected into the budgeted groups' dimensions, the matrix
-    selection reads and drops, and then into the final schema: the train
-    matrix, which the fit and every CV fold read in place.  A grid search's
+    Each train sample is digested once, by `build_vocab`.  The held digests
+    are projected into the budgeted groups' dimensions, the matrix selection
+    reads and drops, and then into the final schema: the train matrix, which
+    the fit and every CV fold read in place.  A grid search's
     cross-validation of its winner is the run's.
     """
     overlap = train_man.ids() & test_man.ids()
     if overlap:
         raise TrainingError(f"train/test manifests overlap: {sorted(overlap)[:3]}")
-    vocab, held = build_vocab(
-        train_man, config.caps, config.groups, config.prefer, threads=config.threads
-    )
+    vocab, held = build_vocab(train_man, config.caps, config.groups, config.prefer)
     log.info("vocabulary built: %s",
              {g: len(vocab.dims(g)) for g in GROUP_ORDER if g in config.groups and vocab.dims(g)})
-    options = dict(prefer=config.prefer, binary_ngrams=config.binary_ngrams, threads=config.threads)
+    options = dict(prefer=config.prefer, binary_ngrams=config.binary_ngrams)
     budgeted = build_schema(vocab, tuple(config.active_selection()))
     to_select = extract_matrix(train_man, budgeted, vocab, digests=held, **options)
     selection = compute_selection(to_select, config)
@@ -142,7 +145,6 @@ def fit_pipeline(
             config.forest,
             folds=config.folds,
             seed=config.seed,
-            threads=config.threads,
         )
         log.info("grid winner: n_trees=%d features_per_split=%s",
                  params.n_trees, params.features_per_split)
@@ -153,9 +155,8 @@ def fit_pipeline(
             params,
             folds=config.folds,
             seed=config.seed,
-            threads=config.threads,
         )
-    forest = fit_forest(train_values, train_labels, params, threads=config.threads)
+    forest = fit_forest(train_values, train_labels, params)
 
     test_values, test_labels = test_matrix.labeled()
     if len(test_labels) != len(test_matrix):
@@ -203,7 +204,7 @@ def save_train_dir(
 ) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # thread count steers execution, not results; normalize so rerun
+    # a config's thread count has no effect; normalize it so rerun
     # directories diff clean
     save_config(replace(result.config, threads=1), out / CONFIG_FILE)
     save_vocab(result.vocab, out / VOCAB_FILE)

@@ -152,21 +152,20 @@ def test_extract_build_vocab_digests_each_sample_once(tmp_path, monkeypatch):
     for module in (vocab_module, matrix_module, extract_module):
         monkeypatch.setattr(module, "digest_sample", counted)
 
-    def extract(out: str, *vocab_args: str, threads: str = "1") -> bytes:
+    def extract(out: str, *vocab_args: str) -> bytes:
         assert main(["extract", "--quiet", "--corpus", str(corpus.root), *vocab_args,
-                     "--threads", threads, "--out", str(tmp_path / out)]) == 0
+                     "--out", str(tmp_path / out)]) == 0
         return (tmp_path / out).read_bytes()
 
     built = extract("built.csv", "--build-vocab", str(tmp_path / "vocab.json"))
     assert len(corpus) == 36
     assert calls == Counter({s.id: 1 for s in corpus.samples})
     # the digests build_vocab held project to the matrix that reading every
-    # sample again under the saved vocabulary gives, at any thread count
-    assert extract("t2.csv", "--build-vocab", str(tmp_path / "v2.json"), threads="2") == built
+    # sample again under the saved vocabulary gives
+    assert extract("again.csv", "--build-vocab", str(tmp_path / "v2.json")) == built
     assert (tmp_path / "v2.json").read_bytes() == (tmp_path / "vocab.json").read_bytes()
-    for threads in ("1", "2"):
-        assert extract("reread.csv", "--vocab", str(tmp_path / "vocab.json"), threads=threads) == built
-    assert calls == Counter({s.id: 4 for s in corpus.samples})
+    assert extract("reread.csv", "--vocab", str(tmp_path / "vocab.json")) == built
+    assert calls == Counter({s.id: 3 for s in corpus.samples})
 
 
 def test_extract_config_controls_groups(cli_env, tmp_path, capsys):
@@ -539,7 +538,7 @@ def test_parser_reserves_exit_code_two_for_data_errors(tmp_path):
         main(["frobnicate"])
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
-        main(["gen", "--synthetic", "--threads", "0", "--out", str(tmp_path / "x")])
+        main(["gen", "--synthetic", "--seed", "x", "--out", str(tmp_path / "x")])
     assert exc.value.code == 1
 
 

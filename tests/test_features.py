@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 import zlib
 from collections import Counter
 from collections.abc import Mapping
@@ -51,7 +52,6 @@ from malfam.features import (
 from malfam.features import extract
 from malfam.features import matrix as matrix_module
 from malfam.features import vocab as vocab_module
-from malfam.features.matrix import map_samples
 from malfam.features.vocab import hold_digest
 from malfam.features.extract import (
     SampleDigest,
@@ -663,7 +663,7 @@ def test_overlap_matrix_equals_inline(small_corpus, large_sample, monkeypatch):
     matrices = []
     for threshold in (ALWAYS, NEVER):
         monkeypatch.setattr(extract, "OVERLAP_MIN_BYTES", threshold)
-        matrices.append(extract_matrix(manifest, schema, vocab, prefer="asm", threads=2))
+        matrices.append(extract_matrix(manifest, schema, vocab, prefer="asm"))
         assert threading.active_count() == baseline
     assert matrices[0].ids == matrices[1].ids
     assert matrices[0].values.tobytes() == matrices[1].values.tobytes()
@@ -980,8 +980,8 @@ def test_lookup_compiles_once_per_schema_and_vocab(small_corpus, oracle_vocab, c
     schema = build_schema(vocab)
     for sample in small_corpus.samples[:4]:
         assemble(sample, schema, vocab, prefer="asm")
-    for threads in (1, 2):
-        extract_matrix(small_corpus, schema, vocab, prefer="asm", threads=threads)
+    for _ in range(2):
+        extract_matrix(small_corpus, schema, vocab, prefer="asm")
     assert len(compile_counter) == 1
     assert compile_counter[0][0] is schema and compile_counter[0][1] is vocab
     # the slot compares by identity: an equal but distinct schema recompiles
@@ -1074,47 +1074,17 @@ def test_extract_matrix_projects_on_the_calling_thread(small_corpus, oracle_voca
     )
     caller = threading.get_ident()
     for schema in (build_schema(oracle_vocab), selected):
-        one = extract_matrix(small_corpus, schema, oracle_vocab, prefer="asm", threads=1)
         projected.clear()
         digested.clear()
-        four = extract_matrix(small_corpus, schema, oracle_vocab, prefer="asm", threads=4)
-        # workers only digest; every row is projected where the matrix is built
+        got = extract_matrix(small_corpus, schema, oracle_vocab, prefer="asm")
+        # every sample is digested and projected where the matrix is built
         assert projected == [caller] * len(small_corpus)
-        assert len(digested) == len(small_corpus) and caller not in digested
-        for name in ("dense", "start", "length", "rows", "values"):
-            a, b = getattr(one.cells, name), getattr(four.cells, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert digested == [caller] * len(small_corpus)
         want = np.vstack([
             reference_assemble(s, schema, oracle_vocab, prefer="asm").values
             for s in small_corpus.samples
         ])
-        assert one.values.tobytes() == want.tobytes()
-
-
-def test_extract_matrix_thread_invariant(small_corpus):
-    vocab, _ = build_vocab(small_corpus, VocabCaps(8, 8, 16, 16), prefer="asm")
-    schema = build_schema(vocab)
-    one = extract_matrix(small_corpus, schema, vocab, prefer="asm", threads=1)
-    four = extract_matrix(small_corpus, schema, vocab, prefer="asm", threads=4)
-    assert one.ids == four.ids
-    assert np.array_equal(one.values, four.values)
-
-
-def test_map_samples_keeps_order_and_stops_at_the_first_error():
-    assert list(map_samples(lambda i: i * i, range(200), threads=3)) == [i * i for i in range(200)]
-    started = []
-
-    def fail_at_three(i):
-        started.append(i)
-        if i == 3:
-            raise ValueError("sample 3")
-        return i
-
-    with pytest.raises(ValueError, match="sample 3"):
-        list(map_samples(fail_at_three, range(100), threads=2))
-    # items are submitted at most two per worker ahead of the one read, so
-    # no more than items 0..7 were ever handed to the pool
-    assert max(started) <= 7
+        assert got.values.tobytes() == want.tobytes()
 
 
 def test_matrix_csv_round_trip(tmp_path, small_corpus):
@@ -1128,6 +1098,56 @@ def test_matrix_csv_round_trip(tmp_path, small_corpus):
     assert loaded.labels == matrix.labels
     assert loaded.schema.names == matrix.schema.names
     assert np.array_equal(loaded.values, matrix.values)
+
+
+def assert_same_cells(a: SparseMatrix, b: SparseMatrix) -> None:
+    for name in ("dense", "start", "length", "rows", "values", "keys"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+def test_matrix_csv_round_trips_the_sparse_cells(tmp_path):
+    """-0.0 keeps its sign in the block and stays a held cell past it."""
+    names = ("fsz_a", "cpx_b", "lib_c", "lib_d", "api_e")
+    schema = FeatureSchema(names, tuple(group_of_dim(n) for n in names))
+    values = np.array([
+        [-0.0, 1.5, -0.0, 0.0, 2.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [3.0, -0.0, 7.0, -1e-300, -0.0],
+    ])
+    matrix = FeatureMatrix(schema, ("a", "b", "c"), (1, None, 2), values)
+    assert matrix.cells.n_dense == 2 and matrix.cells.values.size == 5
+    path = tmp_path / "m.csv"
+    save_matrix_csv(matrix, path)
+    loaded = load_matrix_csv(path)
+    assert (loaded.ids, loaded.labels, loaded.schema) == (matrix.ids, matrix.labels, matrix.schema)
+    assert_same_cells(loaded.cells, matrix.cells)
+    assert loaded.values.tobytes() == values.tobytes()
+
+
+def test_loading_a_mostly_zero_matrix_csv_builds_no_dense_copy(tmp_path):
+    rows, width = 400, 3000
+    names = ("fsz_a", "cpx_b", *(f"lib_{j}" for j in range(width)))
+    schema = FeatureSchema(names, tuple(group_of_dim(n) for n in names))
+    rng = np.random.default_rng(3)
+    values = np.where(rng.random((rows, len(names))) < 0.01, rng.integers(1, 9, (rows, len(names))), 0.0)
+    values[:, :2] = rng.random((rows, 2))
+    matrix = FeatureMatrix(schema, tuple(map(str, range(rows))), (1,) * rows, values)
+    path = tmp_path / "m.csv"
+    save_matrix_csv(matrix, path)
+    load_matrix_csv(path)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        loaded = load_matrix_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert_same_cells(loaded.cells, matrix.cells)
+    # Rows are parsed one at a time, so the peak is the header, one row's
+    # cell strings and the sparse result with its build: 1.48 MB, 0.15x the
+    # 9.6 MB of the dense matrix, on CPython 3.11 with numpy 2.4.  A list of
+    # every cell's float and the dense array built from it took 5.4x.
+    assert peak <= 0.25 * values.nbytes
 
 
 def csv_writer_matrix_text(matrix: FeatureMatrix) -> str:
@@ -1278,7 +1298,7 @@ def test_extract_matrix_projects_held_digests_without_reading_a_sample(
     })
     for schema in (narrow, build_schema(vocab, (GROUP_SECTION_SIZE, GROUP_API_4GRAM))):
         got = extract_matrix(
-            small_corpus, schema, vocab, binary_ngrams=binary, threads=2, digests=held
+            small_corpus, schema, vocab, binary_ngrams=binary, digests=held
         )
         cols = [full.schema.names.index(name) for name in schema.names]
         assert np.array_equal(got.values, full.values[:, cols])

@@ -553,7 +553,7 @@ def test_fit_forest_on_sparse_data_equals_per_dim_loop(monkeypatch, params, sour
     assert lockstep.feature.size > params.n_trees * 5  # deep enough to compare many splits
     assert_same_nodes(lockstep, node_by_node_forest(X, y, params, split=per_dim_best_split, rows=rows))
     assert_same_nodes(
-        fit_forest(matrix, y, params, threads=2),
+        fit_forest(matrix, y, params),
         node_by_node_forest(X, y, params, split=per_dim_best_split),
     )
 
@@ -590,9 +590,9 @@ def test_fit_and_cross_validate_read_the_sparse_matrix_in_place(monkeypatch):
 
     monkeypatch.setattr(SparseMatrix, "take", take)
     monkeypatch.setattr(SparseMatrix, "toarray", toarray)
-    forest = fit_forest(matrix, y, ForestParams(n_trees=4, seed=0), threads=2)
+    forest = fit_forest(matrix, y, ForestParams(n_trees=4, seed=0))
     assert taken == []
-    cross_validate(matrix, y, ForestParams(n_trees=4, seed=0), folds=4, seed=0, threads=2)
+    cross_validate(matrix, y, ForestParams(n_trees=4, seed=0), folds=4, seed=0)
     # every row is held out once
     assert len(taken) == 4 and sorted(row for rows in taken for row in rows) == list(range(80))
     monkeypatch.setattr(SparseMatrix, "toarray", real_toarray)
@@ -706,16 +706,6 @@ def test_fit_forest_tree_count_and_determinism():
     assert a.roots.size == 12
     probes = rng.normal(size=(10, 4)) * 15
     assert np.array_equal(predict_proba(a, probes), predict_proba(b, probes))
-
-
-def test_fit_forest_thread_count_does_not_change_predictions():
-    rng = np.random.default_rng(4)
-    X, y = separable_data(rng)
-    params = ForestParams(n_trees=8, seed=5)
-    serial = fit_forest(X, y, params, threads=1)
-    parallel = fit_forest(X, y, params, threads=4)
-    probes = rng.normal(size=(16, 4)) * 15
-    assert np.array_equal(predict_proba(serial, probes), predict_proba(parallel, probes))
 
 
 def test_fit_forest_separable_training_accuracy():
@@ -1022,10 +1012,10 @@ def test_cross_validate_folds_match_round_robin_dealing(monkeypatch):
     held_out = []
     real_fit = forest_module.fit_forest
 
-    def spy(values, labels, params, threads=1, rows=None, **kwargs):
+    def spy(values, labels, params, rows=None, **kwargs):
         trained = values.toarray() if rows is None else values.take(np.unique(rows)).toarray()
         held_out.append(sorted(set(range(y.size)) - {int(v) for v in trained[:, 0]}))
-        return real_fit(values, labels, params, threads=threads, rows=rows, **kwargs)
+        return real_fit(values, labels, params, rows=rows, **kwargs)
 
     monkeypatch.setattr(forest_module, "fit_forest", spy)
     cross_validate(X, y, ForestParams(n_trees=2, seed=0), folds=4, seed=9)
@@ -1053,7 +1043,7 @@ def test_cross_validate_equals_fitting_each_fold_on_a_copy(monkeypatch, folds, p
         return real_fit(values, *args, **kwargs)
 
     monkeypatch.setattr(forest_module, "fit_forest", spy)
-    got = cross_validate(X, y, params, folds=folds, seed=21, threads=2)
+    got = cross_validate(X, y, params, folds=folds, seed=21)
     # every fold fits on one wrap of X, not on a copy of its rows
     assert len(fitted_on) == folds and all(values is fitted_on[0] for values in fitted_on)
     assert np.shares_memory(fitted_on[0].dense, X)

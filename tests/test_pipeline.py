@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import math
+import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -180,10 +181,9 @@ def test_loaders_refuse_a_top_level_array(tmp_path, what, error, load):
 
 
 def test_config_overrides_steer_both_seeds():
-    config = with_overrides(RunConfig(), seed=17, threads=4)
+    config = with_overrides(RunConfig(), seed=17)
     assert config.seed == 17
     assert config.forest.seed == 17
-    assert config.threads == 4
 
 
 def test_active_selection_ignores_disabled_groups():
@@ -441,12 +441,11 @@ def test_train_dir_equals_the_two_pass_build(tmp_path, monkeypatch, small_corpus
         # reads its samples again, as before the digests were shared
         two_pass.setattr(
             pipeline_module, "build_vocab",
-            lambda manifest, caps, groups, prefer, *, threads: (build_vocab(
+            lambda manifest, caps, groups, prefer: (build_vocab(
                 manifest, caps, [g for g in groups if g in open_groups], prefer)[0], None),
         )
         want = saved_train_files(tmp_path, small_corpus, config)
     assert saved_train_files(tmp_path, small_corpus, config) == want
-    assert saved_train_files(tmp_path, small_corpus, replace(config, threads=2)) == want
 
 
 def test_saved_run_loads_and_predicts(trained_dir):
@@ -464,6 +463,21 @@ def test_saved_run_loads_and_predicts(trained_dir):
     probs = predict_proba(bundle.forest, test_matrix.values)
     assert probs.shape == (len(test_matrix.ids), 9)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_a_train_pass_starts_no_thread(monkeypatch, small_corpus, fast_config):
+    # a config's thread count is read and has no effect; listings below
+    # OVERLAP_MIN_BYTES take no zlib helpers either
+    started = []
+    real_start = threading.Thread.start
+
+    def spy(self):
+        started.append(self.name)
+        return real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    train_pipeline(small_corpus, replace(fast_config, threads=4))
+    assert started == []
 
 
 def test_saved_config_normalizes_thread_count(tmp_path, small_corpus, fast_config):
