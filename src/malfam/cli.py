@@ -176,23 +176,24 @@ def cmd_gen(ns: argparse.Namespace, config: RunConfig) -> int:
         return 0
 
     out.mkdir(parents=True, exist_ok=True)
-    written = 0
+    written: set[str] = set()  # the dump names this call has written
     failed = 0
     for raw in ns.from_pe:
         src = Path(raw)
+        name = src.stem + ".bytes"
         try:
+            if name in written:
+                raise MalfamError(f"{out / name} already holds an earlier input's dump")
             data = src.read_bytes()
             summary = pe.parse_pe(data)
             payload = data[summary.size_of_headers:] if ns.strip_headers else data
-            (out / (src.stem + ".bytes")).write_text(
-                pe.dump_bytes(payload), encoding="ascii"
-            )
-            written += 1
+            (out / name).write_text(pe.dump_bytes(payload), encoding="ascii")
+            written.add(name)
         except (OSError, MalfamError) as exc:
             failed += 1
             print(f"error: {src}: {exc}", file=sys.stderr)
-    print(f"wrote {written} dump(s) to {out}")
-    return 2 if written == 0 and failed else 0
+    print(f"wrote {len(written)} dump(s) to {out}")
+    return 2 if not written and failed else 0
 
 
 def cmd_extract(ns: argparse.Namespace, config: RunConfig) -> int:

@@ -26,8 +26,8 @@ column dicts for the library and 4-gram groups, keyed by the token itself (a
 library name, a gram tuple) rather than by its dimension name, and (schema
 columns, source positions) index arrays for the fixed-size groups.  A
 projection visits only the tokens the sample has, not the whole vocabulary,
-and gives the schema's leading fixed-size values plus (column, value) pairs
-for the token columns it hits; no dense row of the token columns is built.
+and gives (column, value) pairs: every fixed-size column, and the token
+columns it hits; no dense row of the token columns is built.
 The vocabulary keeps the last lookup it compiled (`Vocabulary.lookup`, one
 slot compared by identity of the schema), so every caller that scores many
 samples against one model compiles once, and the lookup dies with its
@@ -353,20 +353,20 @@ class ColumnLookup:
     """Where each digest value lands in one schema's vector under one vocabulary."""
 
     width: int
-    n_dense: int  # the schema's dense_width(): every fixed-size column lies before it
     groups: tuple[str, ...]  # the schema's groups, in canonical order
     section_names: tuple[str, ...]
-    dense: tuple[tuple[str, np.ndarray, np.ndarray], ...]  # (group, schema cols, source positions)
+    fixed: tuple[tuple[str, np.ndarray, np.ndarray], ...]  # (group, schema cols, source positions)
     libraries: dict[str, int] = field(default_factory=dict)
     api_grams: dict[tuple[str, ...], int] = field(default_factory=dict)
     opcode_grams: dict[tuple[str, ...], int] = field(default_factory=dict)
 
     def project(
         self, digest: SampleDigest, binary_ngrams: bool = False
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The digest's dense-block values, and its token columns with values."""
-        lead = np.zeros(self.n_dense, dtype=np.float64)
-        for group, cols, positions in self.dense:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The digest's fixed-size columns and the token columns it hits,
+        with their values."""
+        cols, vals = [], []
+        for group, columns, positions in self.fixed:
             if group == GROUP_FILE_SIZE:
                 full = digest.file_size
             elif group == GROUP_COMPLEXITY:
@@ -375,10 +375,12 @@ class ColumnLookup:
                 full = feat_section_size(digest.sections, self.section_names)
             else:
                 full = feat_section_perm(digest.sections)
-            lead[cols] = full[positions]
+            cols.append(columns)
+            vals.append(full[positions])
         libs = np.array([c for c in map(self.libraries.get, digest.libraries) if c is not None],
                         dtype=np.intp)
-        cols, vals = [libs], [np.ones(libs.size)]
+        cols.append(libs)
+        vals.append(np.ones(libs.size))
         for counts, columns in (
             (digest.api_grams, self.api_grams),
             (digest.opcode_grams, self.opcode_grams),
@@ -393,7 +395,7 @@ class ColumnLookup:
                 vals.append(np.ones(hit.size))
             else:
                 vals.append(np.fromiter(counts.values(), dtype=np.float64, count=found.size)[hit])
-        return lead, np.concatenate(cols), np.concatenate(vals)
+        return np.concatenate(cols), np.concatenate(vals)
 
 
 def compile_columns(schema: FeatureSchema, vocab) -> ColumnLookup:
@@ -402,16 +404,13 @@ def compile_columns(schema: FeatureSchema, vocab) -> ColumnLookup:
     A column is matched through its dimension name, read from the same
     `Vocabulary.dims` tuple the schema was built from; when two tokens share
     a name the later one wins.  Raises ValueError for a column that no token
-    of the vocabulary names, and for a fixed-size column after a token one.
+    of the vocabulary names.
     """
     cols_of: dict[str, list[int]] = {}
     for col, group in enumerate(schema.groups):
         cols_of.setdefault(group, []).append(col)
     groups = tuple(g for g in GROUP_ORDER if g in cols_of)
-    n_dense = schema.dense_width()
-    if any(cols_of[g][-1] >= n_dense for g in groups if g not in TOKEN_GROUPS):
-        raise ValueError("schema places a fixed-size group after a token group")
-    dense = []
+    fixed = []
     token_cols: dict[str, dict] = {}
     for group in groups:
         names = vocab.dims(group)
@@ -427,10 +426,8 @@ def compile_columns(schema: FeatureSchema, vocab) -> ColumnLookup:
         if token_field:
             token_cols[token_field] = dict(zip(tokens, cols))
         else:
-            dense.append((group, np.array(cols, dtype=np.intp), np.array(tokens, dtype=np.intp)))
-    return ColumnLookup(
-        len(schema), n_dense, groups, tuple(vocab.section_names), tuple(dense), **token_cols
-    )
+            fixed.append((group, np.array(cols, dtype=np.intp), np.array(tokens, dtype=np.intp)))
+    return ColumnLookup(len(schema), groups, tuple(vocab.section_names), tuple(fixed), **token_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +448,16 @@ def checked_lookup(schema: FeatureSchema, vocab) -> ColumnLookup:
 def project_row(
     lookup: ColumnLookup, schema: FeatureSchema, sample_id: str, digest: SampleDigest,
     binary_ngrams: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """`lookup.project` of the digest, refusing a non-finite value.
 
     The digest must hold every group of the schema; it may hold more.
     """
-    lead, cols, vals = lookup.project(digest, binary_ngrams)
-    if not (np.isfinite(lead).all() and np.isfinite(vals).all()):
-        at = min([*np.flatnonzero(~np.isfinite(lead)).tolist(), *cols[~np.isfinite(vals)].tolist()])
+    cols, vals = lookup.project(digest, binary_ngrams)
+    if not np.isfinite(vals).all():
+        at = int(cols[~np.isfinite(vals)].min())
         raise ExtractionError(f"sample {sample_id}: non-finite value in {schema.names[at]}")
-    return lead, cols, vals
+    return cols, vals
 
 
 def assemble(
@@ -477,9 +474,8 @@ def assemble(
     """
     lookup = checked_lookup(schema, vocab)
     digest = digest_sample(sample, lookup.groups, prefer)
-    lead, cols, vals = project_row(lookup, schema, sample.id, digest, binary_ngrams)
+    cols, vals = project_row(lookup, schema, sample.id, digest, binary_ngrams)
     return FeatureVector(
-        lead=lead,
         cols=cols,
         vals=vals,
         width=lookup.width,

@@ -1,19 +1,19 @@
 """Feature matrices: extraction and CSV persistence.
 
-A `FeatureMatrix` holds its values as one `SparseMatrix`: the schema's
-leading fixed-size columns as a dense block, and the library and 4-gram
-columns, almost all zeros, as CSC columns.  `extract_matrix` builds it from
-each sample's dense-block values and (column, value) pairs, so no dense row
-of the token columns is ever built.  Its digests come from the caller or are
-taken one sample at a time, and every row is projected as it comes, all on
-the calling thread: the listing scan and the projection are Python under the
-interpreter lock, so a pool of digest threads measured no faster.
-`values` densifies the matrix for a caller that asks.
+A `FeatureMatrix` holds its values as one `SparseMatrix`, every column
+compressed by column (CSC).  `extract_matrix` builds it from each sample's
+(column, value) pairs, so no dense row of the matrix is ever built.  Its
+digests come from the caller or are taken one sample at a time, and every
+row is projected as it comes, all on the calling thread: the listing scan
+and the projection are Python under the interpreter lock, so a pool of
+digest threads measured no faster.  `values` densifies the matrix for a
+caller that asks.
 
 The CSV layout is `id,label,<dim...>` with one row per sample.  Floats are
 written with repr so a save/load round trip is bit-exact (zeros, most cells of
 a gram matrix, as a ready-made "0.0"); the label cell is empty for unlabeled
-samples.
+samples.  The writer reprs each row's held cells and the loader keeps each
+row's nonzero (or -0.0) cells, so neither builds the dense matrix.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from ..corpus import CorpusManifest
 from ..errors import CorpusError
-from ..sparse import SparseMatrix
+from ..sparse import SparseMatrix, as_matrix, held
 from .extract import SampleDigest, checked_lookup, digest_sample, project_row
 from .schema import FeatureSchema, group_of_dim
 
@@ -40,10 +40,8 @@ class FeatureMatrix:
     cells: SparseMatrix
 
     def __init__(self, schema: FeatureSchema, ids, labels, values) -> None:
-        """`values` is a SparseMatrix, or a dense array whose first
-        `schema.dense_width()` columns become the dense block."""
-        if not isinstance(values, SparseMatrix):
-            values = SparseMatrix.from_dense(values, schema.dense_width())
+        """`values` is a SparseMatrix, or a dense array, which is converted."""
+        values = as_matrix(values)
         if values.shape != (len(ids), len(schema)):
             raise ValueError("values shape disagrees with ids/schema")
         if len(labels) != len(ids):
@@ -96,18 +94,17 @@ def extract_matrix(
         digests = (digest_sample(sample, lookup.groups, prefer) for sample in samples)
     elif len(digests) != len(samples):
         raise ValueError("digests must be parallel to the manifest's samples")
-    lead = np.empty((len(samples), lookup.n_dense))
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    for i, (sample, digest) in enumerate(zip(samples, digests)):
-        lead[i], row_cols, row_vals = project_row(lookup, schema, sample.id, digest, binary_ngrams)
+    for sample, digest in zip(samples, digests):
+        row_cols, row_vals = project_row(lookup, schema, sample.id, digest, binary_ngrams)
         cols.append(row_cols)
         vals.append(row_vals)
     return FeatureMatrix(
         schema,
         tuple(s.id for s in samples),
         tuple(s.label for s in samples),
-        SparseMatrix.from_rows(lead, cols, vals, len(schema)),
+        SparseMatrix.from_rows(cols, vals, len(schema)),
     )
 
 
@@ -130,19 +127,11 @@ def save_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
 
         handle.write(cells(["id", "label", *matrix.schema.names]) + "\n")
         zeros = ["0.0"] * len(matrix.schema)  # repr(0.0)
-        sparse_cols, sparse_vals = matrix.cells.row_cells()
-        for sample_id, label, lead, cols, vals in zip(
-            matrix.ids, matrix.labels, matrix.cells.dense, sparse_cols, sparse_vals
-        ):
+        for sample_id, label, cols, vals in zip(matrix.ids, matrix.labels, *matrix.cells.row_cells()):
             handle.write(cells([sample_id, label]))
             if zeros:
-                # only the block cells that do not print as 0.0 are repr'd:
-                # -0.0 equals 0 but keeps its sign, and nan differs from 0;
-                # the CSC part holds no other cells
+                # only the held cells are repr'd: every other cell is +0.0
                 text = zeros.copy()
-                at = np.flatnonzero((lead != 0) | np.signbit(lead))
-                for i, value in zip(at.tolist(), lead[at].tolist()):
-                    text[i] = repr(value)
                 for i, value in zip(cols.tolist(), vals.tolist()):
                     text[i] = repr(value)
                 handle.write(",")
@@ -152,9 +141,9 @@ def save_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
 
 def load_matrix_csv(path: str | Path) -> FeatureMatrix:
     """Read a matrix CSV row by row into the `SparseMatrix` the writer's
-    matrix held: each row is parsed into one float64 array and split into
-    its block values and its nonzero (or -0.0) cells past the block, so no
-    dense copy of the token columns is built."""
+    matrix held: each row is parsed into one float64 array and reduced to
+    its nonzero (or -0.0) cells, so no dense copy of the matrix is built."""
+    line_no = 1
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
@@ -167,13 +156,12 @@ def load_matrix_csv(path: str | Path) -> FeatureMatrix:
             names = tuple(header[2:])
             groups = tuple(group_of_dim(n) for n in names)
             schema = FeatureSchema(names, groups)
-            width = schema.dense_width()
             ids: list[str] = []
             labels: list[int | None] = []
-            lead: list[np.ndarray] = []
             cols: list[np.ndarray] = []
             vals: list[np.ndarray] = []
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
+                line_no = reader.line_num  # the last line of the row, past any newline in a cell
                 if len(row) != len(header):
                     raise CorpusError(
                         f"{path}:{line_no}: expected {len(header)} cells, found {len(row)}"
@@ -186,17 +174,14 @@ def load_matrix_csv(path: str | Path) -> FeatureMatrix:
                     raise CorpusError(
                         f"{path}:{line_no}: non-finite value {cells[col]} in column {names[col]}"
                     )
-                tail = cells[width:]
-                at = np.flatnonzero((tail != 0) | np.signbit(tail))
-                lead.append(cells[:width].copy())
-                cols.append(at + width)
-                vals.append(tail[at])
+                at = np.flatnonzero(held(cells))
+                cols.append(at)
+                vals.append(cells[at])
     except OSError as exc:
         raise CorpusError(f"cannot read matrix {path}: {exc}") from exc
     except csv.Error as exc:  # e.g. a cell past the csv module's field size limit
         raise CorpusError(f"{path}:{reader.line_num}: malformed matrix: {exc}") from exc
-    except ValueError as exc:
-        raise CorpusError(f"{path}: malformed matrix: {exc}") from exc
-    block = np.array(lead) if lead else np.zeros((0, width))
-    values = SparseMatrix.from_rows(block, cols, vals, len(names))
+    except ValueError as exc:  # a header name, label or cell that does not parse
+        raise CorpusError(f"{path}:{line_no}: malformed matrix: {exc}") from exc
+    values = SparseMatrix.from_rows(cols, vals, len(names))
     return FeatureMatrix(schema=schema, ids=tuple(ids), labels=tuple(labels), values=values)

@@ -5,6 +5,8 @@ a matrix column maps back to its group without side tables.  `group_dims`
 spells a group's full names under a vocabulary; `Vocabulary.dims` keeps what
 it built, so a schema and the column lookup compiled for it read one tuple.
 The digest binds a model to its schema: BLAKE2b-64 over the names.
+A `FeatureVector` is one sample's values as (column, value) pairs, the
+form a `SparseMatrix` row is built from.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ GROUP_ORDER: tuple[str, ...] = (
 )
 
 # groups whose columns are vocabulary tokens, mostly zeros; every other group
-# is a fixed-size vector, and all of those come first in GROUP_ORDER
+# is a fixed-size vector
 TOKEN_GROUPS = (GROUP_IMPORT_LIB, GROUP_API_4GRAM, GROUP_OPCODE_4GRAM)
 
 FILE_SIZE_DIMS = ("fsz_asm", "fsz_bytes", "fsz_ratio")
@@ -120,19 +122,13 @@ class FeatureSchema:
             sizes[group] = sizes.get(group, 0) + 1
         return sizes
 
-    def dense_width(self) -> int:
-        """The columns before the first token-group column: those a matrix
-        holds in its dense block."""
-        return next((i for i, g in enumerate(self.groups) if g in TOKEN_GROUPS), len(self.groups))
-
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """One sample's values: the schema's dense-block columns, then the other
-    columns that are nonzero, as (column, value) pairs."""
+    """One sample's values as (column, value) pairs: every fixed-size column,
+    and the token columns the sample has; every other column is 0."""
 
-    lead: np.ndarray  # float64, the schema's first dense_width() columns
-    cols: np.ndarray  # intp, later columns, distinct, in any order
+    cols: np.ndarray  # intp, distinct, in any order
     vals: np.ndarray  # float64, parallel to cols
     width: int
     parse_failures: int = 0  # listing lines that failed to parse; 0 when none was read
@@ -142,7 +138,6 @@ class FeatureVector:
     def values(self) -> np.ndarray:
         """The dense vector, in schema order."""
         out = np.zeros(self.width)
-        out[:self.lead.size] = self.lead
         out[self.cols] = self.vals
         return out
 

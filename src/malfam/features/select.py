@@ -23,10 +23,10 @@ def select_by_importance(
 ) -> list[int]:
     """Rank dimensions by mean decrease in impurity and keep the top k.
 
-    `values` is a SparseMatrix or a dense 2-d array.  Returns column indices
-    ordered by (importance desc, index asc).  A k equal to the column count
-    returns every index, so selection with a full budget degrades to a
-    ranking.
+    `values` is a SparseMatrix or a dense 2-d array, which is converted.
+    Returns column indices ordered by (importance desc, index asc).  A k
+    equal to the column count returns every index, so selection with a full
+    budget degrades to a ranking.
     """
     X = as_matrix(values)
     if not 1 <= k <= X.shape[1]:

@@ -10,12 +10,12 @@ predict, importance and ``model.json`` all read and write these arrays.
 The trees of a forest grow in lockstep.  Each keeps its own generator and
 preorder stack; at each step, the next node of every unfinished tree that
 needs a split is scored in one batched search, in chunks of at most
-CHUNK_CELLS cells.  The search reads a `SparseMatrix`: a dense block of the
-leading columns and CSC columns after it (see ``sparse.py``), and only the
-nonzero cells of each (node, dim) segment.  A segment of a CSC column that
-holds fewer cells than the node has rows reads the column's cells and counts
-each as often as its row is in the node (bootstrap draws repeat rows); any
-other segment gathers the node's rows and drops the zeros.  The segment's
+CHUNK_CELLS cells.  The search reads a `SparseMatrix`, every column of it
+CSC (see ``sparse.py``), and only the nonzero cells of each (node, dim)
+segment.  A segment of a column that holds fewer cells than the node has
+rows reads the column's cells and counts each as often as its row is in the
+node (bootstrap draws repeat rows); any other segment gathers the node's
+rows, looks their cells up and drops the zeros.  The segment's
 zeros, +0.0 and -0.0 alike, are never gathered or sorted: they are one run
 between its negative and positive values, whose class counts are the node's
 counts less those of its nonzero cells.  The nonzero cells and one stand-in
@@ -149,8 +149,8 @@ def gini(counts) -> float:
 
 # Cells that one batched split search handles at most; a node with more is
 # searched a slice of its dims at a time.  A (node, dim) segment costs one
-# cell per row it gathers or per CSC cell it reads, plus one for its zero
-# run, and a node one per row for its row list.
+# cell per row it gathers or per cell of its column it reads, plus one for
+# its zero run, and a node one per row for its row list.
 CHUNK_CELLS = 32_768
 
 def _best_split(X, row_idx, y_codes, n_classes, dims, min_leaf):
@@ -220,21 +220,18 @@ def _best_splits(X, y_codes, n_classes, nodes, min_leaf) -> list:
 
 
 def _list_lengths(X: SparseMatrix, dims: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The cells each segment of a dim on n rows reads from its CSC column,
-    or -1 where it gathers its rows instead: for a block column, and for a
-    CSC column holding at least n cells."""
-    length = np.full(dims.size, -1, dtype=np.intp)
-    csc = dims >= X.n_dense
-    length[csc] = X.length[dims[csc] - X.n_dense]
-    length[length >= n] = -1
-    return length
+    """The cells each segment of a dim on n rows reads from its column, or
+    -1 where it gathers its rows instead: where the column holds at least n
+    cells."""
+    length = X.length[dims]
+    return np.where(length < n, length, -1)
 
 
 def _search_chunk(X: SparseMatrix, y_codes, n_classes, pieces, min_leaf) -> list:
     """Best split of each (_, row_idx, dims) piece, or None, scored at once.
 
     Only the nonzero cells of each (piece, dim) segment are read: the cells
-    of a CSC column holding fewer than the piece has rows (each as many
+    of a column holding fewer than the piece has rows (each as many
     times as its row is in the piece), or else the piece's rows, looked up,
     zeros dropped.  A segment's zeros (+0.0 and -0.0 alike) are one run
     between its negative and positive values, whose class counts are the
@@ -247,7 +244,7 @@ def _search_chunk(X: SparseMatrix, y_codes, n_classes, pieces, min_leaf) -> list
     every gain is the float it computes.
     """
     k = n_classes
-    n_total, n_dense = X.shape[0], X.n_dense
+    n_total = X.shape[0]
     piece_n = np.array([rows.size for _, rows, _ in pieces], dtype=np.intp)
     piece_rows = np.concatenate([rows for _, rows, _ in pieces])
     piece_of_row = np.repeat(np.arange(len(pieces)), piece_n)
@@ -260,10 +257,10 @@ def _search_chunk(X: SparseMatrix, y_codes, n_classes, pieces, min_leaf) -> list
     length = _list_lengths(X, seg_dim, seg_n)
     from_list = length >= 0
 
-    # Listed segments: each cell of the CSC column, as many times as its row
-    # is in the piece, found by binary search in the pieces' sorted rows.
+    # Listed segments: each cell of the column, as many times as its row is
+    # in the piece, found by binary search in the pieces' sorted rows.
     seg = np.flatnonzero(from_list)
-    entries = ranges(X.start[seg_dim[seg] - n_dense], length[seg])
+    entries = ranges(X.start[seg_dim[seg]], length[seg])
     list_seg = np.repeat(seg, length[seg])
     times = np.zeros(0, dtype=np.intp)
     if entries.size:
@@ -288,7 +285,7 @@ def _search_chunk(X: SparseMatrix, y_codes, n_classes, pieces, min_leaf) -> list
     vals = np.concatenate([list_vals, gather_vals])
     cell_row = np.concatenate([list_row, gather_row])
     del list_seg, list_row, list_vals, gather_seg, gather_row, gather_vals
-    nonzero = vals != 0  # a CSC column may hold -0.0
+    nonzero = vals != 0  # a column may hold -0.0
     if not nonzero.all():
         cell_seg, vals, cell_row = cell_seg[nonzero], vals[nonzero], cell_row[nonzero]
     del nonzero
@@ -392,18 +389,13 @@ def _require_finite(X: SparseMatrix) -> None:
     # one side, so the same node would be split again without end.  min and
     # max carry a NaN or an inf through, so a finite matrix is checked with
     # no temporary the size of the matrix.
-    bad = []
-    if X.dense.size and not (np.isfinite(X.dense.min()) and np.isfinite(X.dense.max())):
-        row, col = np.argwhere(~np.isfinite(X.dense))[0]
-        bad.append((row, col, X.dense[row, col]))
     if X.values.size and not (np.isfinite(X.values.min()) and np.isfinite(X.values.max())):
         at = np.flatnonzero(~np.isfinite(X.values))
-        rows, cols = X.rows[at], X.entry_columns()[at] + X.n_dense
+        rows, cols = X.rows[at], X.entry_columns()[at]
         first = np.lexsort((cols, rows))[0]
-        bad.append((rows[first], cols[first], X.values[at[first]]))
-    if bad:
-        row, col, value = min(bad, key=lambda cell: cell[:2])
-        raise ValueError(f"non-finite value {value} at row {row}, column {col}")
+        raise ValueError(
+            f"non-finite value {X.values[at[first]]} at row {rows[first]}, column {cols[first]}"
+        )
 
 
 def best_split(values, labels, dims=None, min_samples_leaf: int = 1):
@@ -502,14 +494,15 @@ def fit_forest(
 ) -> RandomForest:
     """Fit `params.n_trees` trees on (values, labels), on the calling thread.
 
-    `values` is a SparseMatrix or a dense 2-d array.  `rows`, when given,
-    indexes the rows of `values` and `labels` to train on, in order, so
-    that a caller with one matrix fits on part of it without copying that
-    part: the forest equals, node for node, the one fitted on
-    `values[rows]`, `labels[rows]`, as each bootstrap draw picks positions
-    in `rows`.  `checked=True` skips the finiteness check of `values`, for
-    a caller that has made it on the same matrix.  `threads` is accepted
-    for callers that still pass it; it starts nothing and changes nothing.
+    `values` is a SparseMatrix, or a dense 2-d array, which is converted.
+    `rows`, when given, indexes the rows of `values` and `labels` to train
+    on, in order, so that a caller with one matrix fits on part of it
+    without copying that part: the forest equals, node for node, the one
+    fitted on `values[rows]`, `labels[rows]`, as each bootstrap draw picks
+    positions in `rows`.  `checked=True` skips the finiteness check of
+    `values`, for a caller that has made it on the same matrix.  `threads`
+    is accepted for callers that still pass it; it starts nothing and
+    changes nothing.
     """
     X = as_matrix(values)
     y = np.asarray(labels)

@@ -9,9 +9,9 @@ every digest, its gram counts held compactly, and returns them with the
 vocabulary; `extract --build-vocab` takes the same path.  The pass projects
 the held digests into the budgeted groups, all that selection reads, then
 into the final schema for the train matrix, and drops them.  Both matrices
-are `SparseMatrix` values, a dense block of the fixed-size groups beside CSC
-columns of the token groups, and the fit and every CV fold read the train
-matrix in place; no dense copy of it is made.
+are `SparseMatrix` values, every column held compressed (CSC), and the fit
+and every CV fold read the train matrix in place; no dense copy of it is
+made.
 
 Every stage runs on the calling thread.  The only threads a pass starts are
 the two zlib helpers `digest_sample` takes for a listing of at least

@@ -103,6 +103,22 @@ def test_gen_from_pe_writes_dump(tmp_path, capsys):
     assert len(stripped.splitlines()) < len(full.splitlines())
 
 
+def test_gen_from_pe_refuses_a_second_input_with_the_same_stem(tmp_path, capsys):
+    first, second = tmp_path / "a" / "x.exe", tmp_path / "b" / "x.exe"
+    for path, payload in ((first, b"\x90" * 64), (second, b"\xcc" * 64)):
+        path.parent.mkdir()
+        path.write_bytes(build_pe([SectionSpec("text", 64, 64, executable=True, payload=payload)]))
+    out = tmp_path / "dumps"
+    assert main(["gen", "--from-pe", str(first), str(second), "--strip-headers",
+                 "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "wrote 1 dump(s)" in captured.out
+    assert f"error: {second}: " in captured.err and "x.bytes" in captured.err
+    # the first input's dump stays
+    assert [p.name for p in out.iterdir()] == ["x.bytes"]
+    assert (out / "x.bytes").read_text(encoding="ascii").startswith("00000000 90 90")
+
+
 def test_gen_from_pe_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.exe"
     bad.write_bytes(b"not a pe at all")

@@ -1101,13 +1101,14 @@ def test_matrix_csv_round_trip(tmp_path, small_corpus):
 
 
 def assert_same_cells(a: SparseMatrix, b: SparseMatrix) -> None:
-    for name in ("dense", "start", "length", "rows", "values", "keys"):
+    assert a.n_rows == b.n_rows
+    for name in ("start", "length", "rows", "values", "keys"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
 def test_matrix_csv_round_trips_the_sparse_cells(tmp_path):
-    """-0.0 keeps its sign in the block and stays a held cell past it."""
+    """-0.0 keeps its sign and stays a held cell in every column."""
     names = ("fsz_a", "cpx_b", "lib_c", "lib_d", "api_e")
     schema = FeatureSchema(names, tuple(group_of_dim(n) for n in names))
     values = np.array([
@@ -1116,7 +1117,7 @@ def test_matrix_csv_round_trips_the_sparse_cells(tmp_path):
         [3.0, -0.0, 7.0, -1e-300, -0.0],
     ])
     matrix = FeatureMatrix(schema, ("a", "b", "c"), (1, None, 2), values)
-    assert matrix.cells.n_dense == 2 and matrix.cells.values.size == 5
+    assert matrix.cells.values.size == 9
     path = tmp_path / "m.csv"
     save_matrix_csv(matrix, path)
     loaded = load_matrix_csv(path)
@@ -1227,6 +1228,30 @@ def test_matrix_csv_oversized_cell_is_a_corpus_error(tmp_path):
         load_matrix_csv(path)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("id,label,fsz_asm\na,1,1.5\nb,2,0.0\nc,x1,2.0\n",
+     r"m\.csv:4: malformed matrix: invalid literal for int\(\) with base 10: 'x1'"),
+    ("id,label,fsz_asm\na,1,1.5\nb,2,zz\n",
+     r"m\.csv:3: malformed matrix: could not convert string to float: 'zz'"),
+    ('id,label,fsz_asm\n"a\nb",1,1.5\nc,x1,2.0\n',
+     r"m\.csv:4: malformed matrix: invalid literal for int\(\) with base 10: 'x1'"),
+    ('id,label,fsz_asm\n"a\nb",1,1.5\nc,1,2.0,3\n', r"m\.csv:4: expected 3 cells, found 4"),
+    ("id,label,fsz_asm,bad_name\na,1,1.5,2.0\n",
+     r"m\.csv:1: malformed matrix: dimension 'bad_name' carries no known group prefix"),
+    ("id,label,fsz_asm,fsz_asm\na,1,1.5,2.0\n",
+     r"m\.csv:1: malformed matrix: dimension names must be unique"),
+], ids=["label", "cell", "label-after-a-two-line-id", "cells-after-a-two-line-id",
+        "unknown-prefix", "duplicate-name"])
+def test_matrix_csv_fault_names_its_line(tmp_path, text, error):
+    """A label or cell that is not a number, or a row of the wrong length,
+    names its row's line in the file, counting the newlines inside quoted
+    ids; a header fault names line 1."""
+    path = tmp_path / "m.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError, match=error):
+        load_matrix_csv(path)
+
+
 @pytest.mark.parametrize("sample_id", ["a\rb", "\r", "a\r\nb", "a\n\rb", "\rlead", "trail\r"])
 def test_matrix_csv_round_trips_an_id_with_a_carriage_return(tmp_path, sample_id):
     schema = FeatureSchema(("fsz_asm",), ("file_size",))
@@ -1242,13 +1267,45 @@ def test_labeled_shares_the_values_exactly_when_every_row_is_labeled():
     schema = FeatureSchema(("fsz_asm", "lib_a", "lib_b"), ("file_size",) + ("import_lib",) * 2)
     values = np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 3.0], [4.0, 5.0, -0.0]])
     full = FeatureMatrix(schema, ("a", "b", "c"), (1, 2, 1), values)
-    assert full.cells.n_dense == 1 and full.values.tobytes() == values.tobytes()
+    assert full.values.tobytes() == values.tobytes()
     got, labels = full.labeled()
     assert got is full.cells and labels.tolist() == [1, 2, 1]
     part = FeatureMatrix(schema, ("a", "b", "c"), (1, None, 1), values)
     got, labels = part.labeled()
-    assert not np.shares_memory(got.dense, part.cells.dense)
+    assert not np.shares_memory(got.values, part.cells.values)
     assert got.toarray().tobytes() == values[[0, 2]].tobytes() and labels.tolist() == [1, 1]
+
+
+def test_every_constructor_holds_the_nonzero_and_negative_zero_cells():
+    """Whatever builds the matrix, a +0.0 cell given to it is dropped and
+    every other cell, -0.0 included, is held, so the result equals
+    `from_dense` of the same values."""
+    X = np.array([
+        [5.0, 0.0, 1.0, -0.0, 2.0],
+        [0.0, 3.0, 0.0, 0.0, 2.0],
+        [-0.0, 0.0, -1.0, 0.0, 2.0],
+    ])
+    want = SparseMatrix.from_dense(X)
+    assert want.values.size == 9
+    rows, cols = np.indices(X.shape)  # every cell, +0.0 ones too
+    assert_same_cells(SparseMatrix.from_csc(cols.ravel(), rows.ravel(), X.ravel(), X.shape), want)
+    assert_same_cells(SparseMatrix.from_rows([np.arange(5)] * 3, list(X), 5), want)
+    assert_same_cells(want.take([0, 1, 2]), want)
+
+
+def test_sparse_matrix_columns_in_any_order_equal_the_dense_columns():
+    """Any order of a matrix's columns, repeats and fixed-size columns after
+    token columns among them, selects what the dense matrix's columns hold."""
+    names = ("fsz_a", "cpx_b", "sec_c", *(f"lib_{j}" for j in range(9)))
+    schema = FeatureSchema(names, tuple(group_of_dim(n) for n in names))
+    rng = np.random.default_rng(23)
+    X = np.where(rng.random((30, 12)) < 0.3, rng.choice([-2.0, -0.0, 1.0, 4.5], size=(30, 12)), 0.0)
+    X[:, :3] = rng.normal(size=(30, 3))  # fixed-size: nonzero on every row
+    cells = FeatureMatrix(schema, tuple(map(str, range(30))), (1,) * 30, X).cells
+    for idx in ([11, 0], [5, 2, 9, 1], list(range(12))[::-1], [3, 3, 0], [], rng.permutation(12)):
+        got = cells.columns(idx)
+        assert got.toarray().tobytes() == cells.toarray()[:, idx].tobytes()
+        assert_same_cells(got, SparseMatrix.from_dense(X[:, idx]))
 
 
 @pytest.mark.parametrize("binary", [False, True])
@@ -1261,19 +1318,38 @@ def test_projected_csc_equals_the_csc_of_the_dense_matrix(small_corpus, binary):
         reference_assemble(s, schema, vocab, prefer="asm", binary_ngrams=binary).values
         for s in small_corpus.samples
     ])
-    want = SparseMatrix.from_dense(dense, schema.dense_width())
-    assert schema.dense_width() == len(schema) - sum(
-        len(vocab.dims(g)) for g in (GROUP_IMPORT_LIB, GROUP_API_4GRAM, GROUP_OPCODE_4GRAM)
-    )
-    assert 0 < want.values.size < dense.size - want.dense.size  # some token cells are zero
+    want = SparseMatrix.from_dense(dense)
+    token = np.isin(schema.groups, (GROUP_IMPORT_LIB, GROUP_API_4GRAM, GROUP_OPCODE_4GRAM))
+    assert 0 < np.count_nonzero(dense[:, token]) < dense[:, token].size  # some token cells are zero
     held = [digest_sample(s, prefer="asm") for s in small_corpus.samples]
     for digests in (None, held):
         got = extract_matrix(
             small_corpus, schema, vocab, prefer="asm", binary_ngrams=binary, digests=digests
         ).cells
-        for name in ("dense", "start", "length", "rows", "values"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert_same_cells(got, want)
+
+
+def test_projected_signed_zeros_in_fixed_size_columns_equal_the_dense_matrix(small_corpus, tmp_path):
+    """Fixed-size values of +0.0 and -0.0 are projected into the matrix as
+    `from_dense` of its dense form holds them (-0.0 held, +0.0 not), and the
+    matrix round-trips through the CSV bit for bit."""
+    vocab, _ = build_vocab(small_corpus, VocabCaps(6, 6, 12, 12), prefer="asm")
+    schema = build_schema(vocab)
+    held = []
+    for i, sample in enumerate(small_corpus.samples):
+        digest = digest_sample(sample, prefer="asm")
+        signed = np.array([-0.0, 0.0, -0.0]) if i % 2 else np.array([0.0, -0.0, 4.0])
+        held.append(dataclasses.replace(digest, file_size=signed, complexity=-0.0 * digest.complexity))
+    matrix = extract_matrix(small_corpus, schema, vocab, prefer="asm", digests=held)
+    dense = matrix.values
+    fixed = np.isin(schema.groups, (GROUP_FILE_SIZE, GROUP_COMPLEXITY))
+    assert np.signbit(dense[:, fixed]).any() and (~np.signbit(dense[:, fixed]) & (dense[:, fixed] == 0)).any()
+    assert_same_cells(matrix.cells, SparseMatrix.from_dense(dense))
+    path = tmp_path / "m.csv"
+    save_matrix_csv(matrix, path)
+    loaded = load_matrix_csv(path)
+    assert_same_cells(loaded.cells, matrix.cells)
+    assert loaded.values.tobytes() == dense.tobytes()
 
 
 @pytest.mark.parametrize("binary", [False, True])

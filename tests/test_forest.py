@@ -369,22 +369,28 @@ def sparse_nodes(seed: int, count: int):
 
 
 def in_layout(X: np.ndarray, source: str) -> SparseMatrix:
-    """X as a SparseMatrix whose segments read their nonzero cells from
-    `source`: "list" (every column a CSC column), "gather" (every column in
-    the dense block), or "rule" (the leading third in the dense block and
-    the rest CSC, as a schema's groups split them)."""
-    n_dense = {"list": 0, "gather": X.shape[1], "rule": X.shape[1] // 3}[source]
-    matrix = SparseMatrix.from_dense(X, n_dense)
-    assert matrix.toarray().tobytes() == X.tobytes()
+    """X as a SparseMatrix whose segments take their nonzero cells by
+    `source`: "list" (X as it is; a column holding fewer cells than a node
+    has rows is read cell by cell), "gather" (every +0.0 of X held as -0.0,
+    so every column holds a cell on every row and every segment gathers its
+    node's rows), or "rule" (the leading third gathered and the rest as it
+    is, as a schema's fixed-size and token groups are).  The values equal
+    X's, so the per-dim loop on X is the oracle for all three."""
+    held = {"list": 0, "gather": X.shape[1], "rule": X.shape[1] // 3}[source]
+    stored = X.copy()
+    stored[:, :held] = np.where(stored[:, :held] == 0, -0.0, stored[:, :held])
+    matrix = SparseMatrix.from_dense(stored)
+    assert matrix.toarray().tobytes() == stored.tobytes()
+    assert (matrix.length[:held] == X.shape[0]).all()
     return matrix
 
 
 @pytest.mark.parametrize("chunk_cells", [1, forest_module.CHUNK_CELLS])
 @pytest.mark.parametrize("source", ["rule", "list", "gather"])
 def test_split_search_on_sparse_nodes_equals_per_dim_loop(monkeypatch, source, chunk_cells):
-    """Both sources of a segment's nonzero cells, CSC columns and the dense
-    block, alone or split as a schema's groups split them, give every node
-    the per-dim loop's split."""
+    """Both ways a segment takes its nonzero cells, reading its column's
+    cells and gathering its node's rows, alone or mixed as a schema's groups
+    mix them, give every node the per-dim loop's split."""
     monkeypatch.setattr(forest_module, "CHUNK_CELLS", chunk_cells)
     found = 0
     for X, rows, y_codes, k, dims, min_leaf in sparse_nodes(seed=2026, count=400):
@@ -438,27 +444,29 @@ def test_sparse_matrix_holds_the_csc_columns():
         [-0.0, 0.0, -1.0, 0.0, 2.0],
         [1.5, 0.0, 0.0, 0.0, 2.0],
     ])
-    matrix = SparseMatrix.from_dense(X, 1)
-    assert (matrix.shape, matrix.n_dense) == ((4, 5), 1)
-    assert matrix.dense.tobytes() == X[:, :1].tobytes()
+    matrix = SparseMatrix.from_dense(X)
+    assert (matrix.shape, matrix.n_rows) == ((4, 5), 4)
     # -0.0 is held, so that the matrix densifies bit for bit
-    assert matrix.length.tolist() == [1, 2, 1, 4]
-    assert matrix.start.tolist() == [0, 1, 3, 4]
-    assert matrix.rows.tolist() == [1, 0, 2, 0, 0, 1, 2, 3]
-    assert matrix.values.tobytes() == np.array([3.0, 1.0, -1.0, -0.0, 2.0, 2.0, 2.0, 2.0]).tobytes()
+    assert matrix.length.tolist() == [3, 1, 2, 1, 4]
+    assert matrix.start.tolist() == [0, 3, 4, 6, 7]
+    assert matrix.rows.tolist() == [0, 2, 3, 1, 0, 2, 0, 0, 1, 2, 3]
+    assert matrix.values.tobytes() == np.array(
+        [5.0, -0.0, 1.5, 3.0, 1.0, -1.0, -0.0, 2.0, 2.0, 2.0, 2.0]
+    ).tobytes()
     assert matrix.toarray().tobytes() == X.tobytes()
     assert matrix.take([3, 0]).toarray().tobytes() == X[[3, 0]].tobytes()
-    assert matrix.keys.tolist() == [1, 4, 6, 8, 12, 13, 14, 15]
+    assert matrix.keys.tolist() == [0, 2, 3, 5, 8, 10, 12, 16, 17, 18, 19]
     rows, cols = np.repeat(np.arange(4), 5), np.tile(np.arange(5), 4)
     assert matrix.cells(rows, cols).tobytes() == X.ravel().tobytes()
     assert matrix.columns([0, 2, 4]).toarray().tobytes() == X[:, [0, 2, 4]].tobytes()
-    with pytest.raises(ValueError, match="dense column follows"):
-        matrix.columns([2, 0])
     cols, vals = matrix.row_cells()
-    assert [c.tolist() for c in cols] == [[2, 3, 4], [1, 4], [2, 4], [4]]
-    assert [v.tolist() for v in vals] == [[1.0, -0.0, 2.0], [3.0, 2.0], [-1.0, 2.0], [2.0]]
-    assert as_matrix(X).dense is not None and as_matrix(matrix) is matrix
-    assert np.shares_memory(as_matrix(X).dense, X)  # a dense array is wrapped, not copied
+    assert [c.tolist() for c in cols] == [[0, 2, 3, 4], [1, 4], [0, 2, 4], [0, 4]]
+    assert [v.tolist() for v in vals] == [[5.0, 1.0, -0.0, 2.0], [3.0, 2.0], [-0.0, -1.0, 2.0], [1.5, 2.0]]
+    assert as_matrix(matrix) is matrix
+    converted = as_matrix(X)  # a dense array is converted, not wrapped
+    assert not np.shares_memory(converted.values, X)
+    assert converted.keys.tolist() == matrix.keys.tolist()
+    assert converted.values.tobytes() == matrix.values.tobytes()
 
 
 def test_public_best_split_sorts_unsorted_and_duplicate_dims():
@@ -560,17 +568,24 @@ def test_fit_forest_on_sparse_data_equals_per_dim_loop(monkeypatch, params, sour
 
 @pytest.mark.parametrize("source", ["rule", "list"])
 def test_fit_and_cross_validate_on_the_sparse_matrix_equal_the_dense_array(source):
-    """Node for node and fold for fold, with negative values and -0.0 cells in
-    the CSC columns, and bootstrap draws that repeat rows."""
+    """Node for node and fold for fold, the per-dim loop's forests, with
+    negative values and -0.0 cells in the columns, and bootstrap draws that
+    repeat rows."""
     X, y = very_sparse_counts()
     X[:, -1] = np.where(np.arange(80) % 3 == 0, -0.0, X[:, -1])
     matrix = in_layout(X, source)
     assert np.signbit(matrix.values).any() and (matrix.values < 0).any()
     rows = np.random.default_rng(4).permutation(80)[:60]
     for params in (ForestParams(n_trees=5, seed=19), ForestParams(n_trees=3, seed=20, bootstrap=False)):
-        assert_same_nodes(fit_forest(matrix, y, params), fit_forest(X, y, params))
-        assert_same_nodes(fit_forest(matrix, y, params, rows=rows), fit_forest(X, y, params, rows=rows))
-        assert cross_validate(matrix, y, params, folds=3, seed=2) == cross_validate(X, y, params, folds=3, seed=2)
+        assert_same_nodes(
+            fit_forest(matrix, y, params), node_by_node_forest(X, y, params, split=per_dim_best_split)
+        )
+        assert_same_nodes(
+            fit_forest(matrix, y, params, rows=rows),
+            node_by_node_forest(X, y, params, split=per_dim_best_split, rows=rows),
+        )
+        got = cross_validate(matrix, y, params, folds=3, seed=2)
+        assert got == copying_cross_validate(X, y, params, folds=3, seed=2)
 
 
 def test_fit_and_cross_validate_read_the_sparse_matrix_in_place(monkeypatch):
@@ -638,16 +653,17 @@ def test_block_split_memory_is_linear_in_the_block():
     X = rng.integers(0, 50, size=(n, m)).astype(np.float64)
     y_codes = rng.integers(0, k, size=n).astype(np.intp)
     rows, dims = np.arange(n), np.arange(m)
+    matrix = SparseMatrix.from_dense(X)
     tracemalloc.start()
     try:
-        forest_module._best_split(X, rows, y_codes, k, dims, 1)
+        forest_module._best_split(matrix, rows, y_codes, k, dims, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The search works a chunk of cells at a time and wraps the dense block
-    # without a copy: 1.81 MB measured (0.45x the block's 4 MB) on CPython
-    # 3.11 with numpy 2.4.  A per-search nonzero list of the whole block
-    # peaked at 12.3 MB, and an n x m x k one-hot tensor would pass 40x.
+    # The search works a chunk of cells at a time: 1.84 MB measured (0.46x
+    # the dense array's 4 MB) on CPython 3.11 with numpy 2.4.  A per-search
+    # nonzero list of the whole block peaked at 12.3 MB, and an n x m x k
+    # one-hot tensor would pass 40x.
     assert peak < n * m * 8
 
 
@@ -1044,9 +1060,8 @@ def test_cross_validate_equals_fitting_each_fold_on_a_copy(monkeypatch, folds, p
 
     monkeypatch.setattr(forest_module, "fit_forest", spy)
     got = cross_validate(X, y, params, folds=folds, seed=21)
-    # every fold fits on one wrap of X, not on a copy of its rows
+    # every fold fits on one conversion of X, not on a copy of its rows
     assert len(fitted_on) == folds and all(values is fitted_on[0] for values in fitted_on)
-    assert np.shares_memory(fitted_on[0].dense, X)
     want = copying_cross_validate(X, y, params, folds=folds, seed=21)
     assert got.per_fold == want.per_fold
     assert got.confusion == want.confusion
