@@ -71,6 +71,13 @@ def _object(doc: Mapping, key: str, default: Mapping) -> Mapping:
     return value
 
 
+def _known(doc: Mapping, keys, where: str = "") -> None:
+    """Refuse a key outside `keys`, so a misspelt one is not read as its default."""
+    unknown = sorted(set(doc) - set(keys), key=str)
+    if unknown:
+        raise ValueError(f"unknown key {where}{unknown[0]}")
+
+
 def _number(value, what: str) -> float:
     """A JSON number field, never a boolean or a string."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -98,12 +105,16 @@ def config_from_dict(doc: Mapping) -> RunConfig:
         raise MalfamError(f"unsupported config version {version!r}")
     defaults = RunConfig()
     try:
+        _known(doc, config_to_dict(defaults))
         caps_doc = _object(doc, "caps", {})
+        _known(caps_doc, asdict(defaults.caps), "caps.")
         caps = VocabCaps(**{
             name: json_int(caps_doc.get(name, default), f"caps.{name}")
             for name, default in asdict(defaults.caps).items()
         })
-        forest = params_from_dict({**params_to_dict(defaults.forest), **_object(doc, "forest", {})})
+        forest_doc = _object(doc, "forest", {})
+        _known(forest_doc, params_to_dict(defaults.forest), "forest.")
+        forest = params_from_dict({**params_to_dict(defaults.forest), **forest_doc})
         selection_doc = _object(doc, "selection", DEFAULT_SELECTION)
         selection = {str(g): json_int(k, f"selection.{g}") for g, k in selection_doc.items()}
         binary_ngrams = doc.get("binary_ngrams", defaults.binary_ngrams)

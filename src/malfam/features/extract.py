@@ -33,12 +33,13 @@ slot compared by identity of the schema), so every caller that scores many
 samples against one model compiles once, and the lookup dies with its
 vocabulary.
 
-There is one projection path: `checked_lookup` (version checks, then the
-vocabulary's lookup) and `project_row` (projection, then the finiteness
-check).  `assemble` is those two around one `digest_sample` call and returns
-a `FeatureVector`; `extract_matrix` runs the same steps for a whole
-manifest.  `feat_ngrams`, `feat_import_lib` and `group_dims` stay as the
-by-name reference for the projection.  The listing half is checked in the
+There is one projection path, `ColumnLookup.project`, which refuses a
+non-finite value.  `assemble` runs it on one `digest_sample` call and
+returns a `FeatureVector`; `extract_matrix` runs it on every sample of a
+manifest, and a train pass on each held train digest once, into every
+enabled group's columns, before it drops the digests and selects.
+`feat_ngrams`, `feat_import_lib` and `group_dims` stay as the by-name
+reference for the projection.  The listing half is checked in the
 tests against one oracle, which folds the line reader's `AsmLine`s into the
 same `ListingScan` the scanner returns.
 """
@@ -61,7 +62,6 @@ from ..pe import PeSummary, parse_pe
 from .schema import (
     FeatureSchema,
     FeatureVector,
-    SCHEMA_VERSION,
     GROUP_API_4GRAM,
     GROUP_COMPLEXITY,
     GROUP_FILE_SIZE,
@@ -352,7 +352,7 @@ _TOKEN_FIELDS = dict(zip(TOKEN_GROUPS, ("libraries", "api_grams", "opcode_grams"
 class ColumnLookup:
     """Where each digest value lands in one schema's vector under one vocabulary."""
 
-    width: int
+    names: tuple[str, ...]  # the schema's dimension names
     groups: tuple[str, ...]  # the schema's groups, in canonical order
     section_names: tuple[str, ...]
     fixed: tuple[tuple[str, np.ndarray, np.ndarray], ...]  # (group, schema cols, source positions)
@@ -361,10 +361,13 @@ class ColumnLookup:
     opcode_grams: dict[tuple[str, ...], int] = field(default_factory=dict)
 
     def project(
-        self, digest: SampleDigest, binary_ngrams: bool = False
+        self, digest: SampleDigest, sample_id: str, binary_ngrams: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """The digest's fixed-size columns and the token columns it hits,
-        with their values."""
+        with their values; a non-finite value raises ExtractionError.
+
+        The digest must hold every group of the schema; it may hold more.
+        """
         cols, vals = [], []
         for group, columns, positions in self.fixed:
             if group == GROUP_FILE_SIZE:
@@ -395,7 +398,11 @@ class ColumnLookup:
                 vals.append(np.ones(hit.size))
             else:
                 vals.append(np.fromiter(counts.values(), dtype=np.float64, count=found.size)[hit])
-        return np.concatenate(cols), np.concatenate(vals)
+        cols, vals = np.concatenate(cols), np.concatenate(vals)
+        if not np.isfinite(vals).all():
+            at = int(cols[~np.isfinite(vals)].min())
+            raise ExtractionError(f"sample {sample_id}: non-finite value in {self.names[at]}")
+        return cols, vals
 
 
 def compile_columns(schema: FeatureSchema, vocab) -> ColumnLookup:
@@ -427,38 +434,12 @@ def compile_columns(schema: FeatureSchema, vocab) -> ColumnLookup:
             token_cols[token_field] = dict(zip(tokens, cols))
         else:
             fixed.append((group, np.array(cols, dtype=np.intp), np.array(tokens, dtype=np.intp)))
-    return ColumnLookup(len(schema), groups, tuple(vocab.section_names), tuple(fixed), **token_cols)
+    return ColumnLookup(schema.names, groups, tuple(vocab.section_names), tuple(fixed), **token_cols)
 
 
 # ---------------------------------------------------------------------------
 # full vector
 # ---------------------------------------------------------------------------
-
-def checked_lookup(schema: FeatureSchema, vocab) -> ColumnLookup:
-    """The vocabulary's lookup for `schema`, once both versions are checked."""
-    from .vocab import VOCAB_VERSION  # local: vocab imports this module
-
-    if schema.version != SCHEMA_VERSION:
-        raise ExtractionError(f"schema version {schema.version} unsupported")
-    if getattr(vocab, "version", VOCAB_VERSION) != VOCAB_VERSION:
-        raise ExtractionError(f"vocabulary version {vocab.version} unsupported")
-    return vocab.lookup(schema)
-
-
-def project_row(
-    lookup: ColumnLookup, schema: FeatureSchema, sample_id: str, digest: SampleDigest,
-    binary_ngrams: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """`lookup.project` of the digest, refusing a non-finite value.
-
-    The digest must hold every group of the schema; it may hold more.
-    """
-    cols, vals = lookup.project(digest, binary_ngrams)
-    if not np.isfinite(vals).all():
-        at = int(cols[~np.isfinite(vals)].min())
-        raise ExtractionError(f"sample {sample_id}: non-finite value in {schema.names[at]}")
-    return cols, vals
-
 
 def assemble(
     sample: Sample,
@@ -472,13 +453,13 @@ def assemble(
 
     Artifacts are parsed once even when several groups draw on them.
     """
-    lookup = checked_lookup(schema, vocab)
+    lookup = vocab.lookup(schema)
     digest = digest_sample(sample, lookup.groups, prefer)
-    cols, vals = project_row(lookup, schema, sample.id, digest, binary_ngrams)
+    cols, vals = lookup.project(digest, sample.id, binary_ngrams)
     return FeatureVector(
         cols=cols,
         vals=vals,
-        width=lookup.width,
+        width=len(schema),
         parse_failures=digest.parse_failures,
         imports_degraded=digest.imports_degraded,
     )

@@ -28,7 +28,7 @@ import numpy as np
 from ..corpus import CorpusManifest
 from ..errors import CorpusError
 from ..sparse import SparseMatrix, as_matrix, held
-from .extract import SampleDigest, checked_lookup, digest_sample, project_row
+from .extract import SampleDigest, digest_sample
 from .schema import FeatureSchema, group_of_dim
 
 
@@ -69,6 +69,15 @@ class FeatureMatrix:
             return self.cells, y
         return self.cells.take(keep), y
 
+    def columns(self, schema: FeatureSchema) -> FeatureMatrix:
+        """The matrix of `schema`'s columns, found by name; ValueError for a name it lacks."""
+        at = {name: col for col, name in enumerate(self.schema.names)}
+        try:
+            idx = [at[name] for name in schema.names]
+        except KeyError as exc:
+            raise ValueError(f"matrix lacks dimension {exc.args[0]!r}") from None
+        return FeatureMatrix(schema, self.ids, self.labels, self.cells.columns(idx))
+
 
 def extract_matrix(
     manifest: CorpusManifest,
@@ -84,12 +93,12 @@ def extract_matrix(
 
     `digests`, when given, is parallel to the manifest's samples and holds
     every group of the schema, and no sample is read.  Otherwise each sample
-    is digested just before its row is projected.  Every row gets the checks
-    of `assemble`.  `threads` is accepted for callers that still pass it; it
-    starts nothing and changes nothing.
+    is digested just before its row is projected, as `assemble` projects
+    it.  `threads` is accepted for callers that still pass it; it starts
+    nothing and changes nothing.
     """
     samples = manifest.samples
-    lookup = checked_lookup(schema, vocab)
+    lookup = vocab.lookup(schema)
     if digests is None:
         digests = (digest_sample(sample, lookup.groups, prefer) for sample in samples)
     elif len(digests) != len(samples):
@@ -97,7 +106,7 @@ def extract_matrix(
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     for sample, digest in zip(samples, digests):
-        row_cols, row_vals = project_row(lookup, schema, sample.id, digest, binary_ngrams)
+        row_cols, row_vals = lookup.project(digest, sample.id, binary_ngrams)
         cols.append(row_cols)
         vals.append(row_vals)
     return FeatureMatrix(

@@ -22,8 +22,6 @@ try:
 except ImportError:  # pragma: no cover - interpreters built without _blake2
     from hashlib import blake2b
 
-SCHEMA_VERSION = 1
-
 GROUP_FILE_SIZE = "file_size"
 GROUP_COMPLEXITY = "complexity"
 GROUP_SECTION_SIZE = "section_size"
@@ -97,7 +95,6 @@ class FeatureSchema:
 
     names: tuple[str, ...]
     groups: tuple[str, ...]
-    version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         if len(self.names) != len(self.groups):

@@ -50,7 +50,6 @@ class Vocabulary:
     libraries: tuple[str, ...] = ()
     api_grams: tuple[tuple[str, ...], ...] = ()
     opcode_grams: tuple[tuple[str, ...], ...] = ()
-    version: int = VOCAB_VERSION
     # group -> its full dimension names, filled by `dims`.  malfam itself
     # reads a vocabulary from one thread; callers that share one across
     # threads and miss together build equal tuples, and either may stay
@@ -162,7 +161,7 @@ def build_vocab(
 
 def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
     doc = {
-        "version": vocab.version,
+        "version": VOCAB_VERSION,
         "section_names": list(vocab.section_names),
         "libraries": list(vocab.libraries),
         "api_grams": [list(g) for g in vocab.api_grams],

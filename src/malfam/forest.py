@@ -489,7 +489,6 @@ def fit_forest(
     params: ForestParams = ForestParams(),
     rows=None,
     *,
-    checked: bool = False,
     threads: int = 1,
 ) -> RandomForest:
     """Fit `params.n_trees` trees on (values, labels), on the calling thread.
@@ -499,10 +498,8 @@ def fit_forest(
     on, in order, so that a caller with one matrix fits on part of it
     without copying that part: the forest equals, node for node, the one
     fitted on `values[rows]`, `labels[rows]`, as each bootstrap draw picks
-    positions in `rows`.  `checked=True` skips the finiteness check of
-    `values`, for a caller that has made it on the same matrix.  `threads`
-    is accepted for callers that still pass it; it starts nothing and
-    changes nothing.
+    positions in `rows`.  `threads` is accepted for callers that still pass
+    it; it starts nothing and changes nothing.
     """
     X = as_matrix(values)
     y = np.asarray(labels)
@@ -514,8 +511,7 @@ def fit_forest(
         rows = np.asarray(rows, dtype=np.intp)
         if rows.ndim != 1 or ((rows < 0) | (rows >= X.shape[0])).any():
             raise ValueError("rows must be a 1-d index into the rows of values")
-    if not checked:
-        _require_finite(X)
+    _require_finite(X)
     if rows.size == 0:
         raise TrainingError("cannot fit a forest on an empty training set")
     y_rows = y[rows]
@@ -693,15 +689,13 @@ def cross_validate(
         perm = rng.permutation(idx.size)
         fold_of[idx[perm]] = np.arange(idx.size) % folds
 
-    # every fold fits on rows of this one matrix, so it is checked once
-    _require_finite(X)
     accuracies: list[float] = []
     k = classes.size
     conf_total = np.zeros((k, k), dtype=np.int64)
     for fold in range(folds):
         held = fold_of == fold
         fold_params = replace(params, seed=mix_seed(seed, "fold", fold))
-        forest = fit_forest(X, y, fold_params, rows=np.flatnonzero(~held), checked=True)
+        forest = fit_forest(X, y, fold_params, rows=np.flatnonzero(~held))
         metrics = evaluate(forest, X.take(np.flatnonzero(held)), y[held])
         accuracies.append(metrics.accuracy)
         conf_total += np.asarray(metrics.confusion, dtype=np.int64)

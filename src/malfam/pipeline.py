@@ -7,11 +7,12 @@ directly.  Every artifact written here is byte-stable for a fixed
 A train pass digests each train sample once, in `build_vocab`, which holds
 every digest, its gram counts held compactly, and returns them with the
 vocabulary; `extract --build-vocab` takes the same path.  The pass projects
-the held digests into the budgeted groups, all that selection reads, then
-into the final schema for the train matrix, and drops them.  Both matrices
-are `SparseMatrix` values, every column held compressed (CSC), and the fit
-and every CV fold read the train matrix in place; no dense copy of it is
-made.
+the held digests once, into every dimension of the enabled groups, and drops
+them before selection.  Selection reads its groups' columns of that matrix,
+and the train matrix is the final schema's columns of it
+(`FeatureMatrix.columns`).  Both are `SparseMatrix` values, every column
+held compressed (CSC), and the fit and every CV fold read the train matrix
+in place; no dense copy of it is made.
 
 Every stage runs on the calling thread.  The only threads a pass starts are
 the two zlib helpers `digest_sample` takes for a listing of at least
@@ -111,10 +112,11 @@ def fit_pipeline(
 ) -> TrainResult:
     """Vocabulary, selection, and model all come from the train manifest only.
 
-    Each train sample is digested once, by `build_vocab`.  The held digests
-    are projected into the budgeted groups' dimensions, the matrix selection
-    reads and drops, and then into the final schema: the train matrix, which
-    the fit and every CV fold read in place.  A grid search's
+    Each train sample is digested once, by `build_vocab`, and its digest is
+    projected once, into every dimension of the enabled groups; the digests
+    are dropped before selection.  Selection reads its groups' columns of
+    that matrix, and the train matrix, which the fit and every CV fold read
+    in place, is the final schema's columns of it.  A grid search's
     cross-validation of its winner is the run's.
     """
     overlap = train_man.ids() & test_man.ids()
@@ -124,13 +126,13 @@ def fit_pipeline(
     log.info("vocabulary built: %s",
              {g: len(vocab.dims(g)) for g in GROUP_ORDER if g in config.groups and vocab.dims(g)})
     options = dict(prefer=config.prefer, binary_ngrams=config.binary_ngrams)
-    budgeted = build_schema(vocab, tuple(config.active_selection()))
-    to_select = extract_matrix(train_man, budgeted, vocab, digests=held, **options)
-    selection = compute_selection(to_select, config)
-    del to_select
+    full = extract_matrix(train_man, build_schema(vocab, config.groups), vocab,
+                          digests=held, **options)
+    del held  # nothing after the projection reads the digests
+    selection = compute_selection(full, config)
     schema = build_schema(vocab, config.groups, selection or None)
-    train_matrix = extract_matrix(train_man, schema, vocab, digests=held, **options)
-    del held  # the forest never needs the digests
+    train_matrix = full.columns(schema)
+    del full
     test_matrix = extract_matrix(test_man, schema, vocab, **options)
     train_values, train_labels = train_matrix.labeled()
     if len(train_labels) != len(train_matrix):

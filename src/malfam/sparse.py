@@ -86,9 +86,12 @@ class SparseMatrix:
         X = np.asarray(values, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("values must be 2-d")
-        # column after column, each one's rows ascending
+        # column after column, each one's rows ascending: already the order
+        # of the held cells, so they are neither filtered nor sorted again
         cols, rows = np.nonzero(held(X).T)
-        return cls.from_csc(cols, rows, X[rows, cols], X.shape)
+        length = np.bincount(cols, minlength=X.shape[1])
+        return cls(n_rows=X.shape[0], start=np.cumsum(length) - length, length=length,
+                   rows=rows.astype(np.int32), values=X[rows, cols])
 
     def entry_columns(self) -> np.ndarray:
         """The column of each held cell."""

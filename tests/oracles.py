@@ -11,8 +11,9 @@ whole bytes in one `zlib.compress`, the reference for `stream_complexity`,
 which streams them from the files in chunks.
 
 `subset_columns` reprojects a full matrix onto a selected schema by copying
-columns, as the train pass once did; `copying_cross_validate` fits each fold
-on a copy of its rows.
+its dense columns, the reference for `FeatureMatrix.columns`;
+`copying_cross_validate` fits each fold on a copy of its rows.
+`assert_same_cells` compares two `SparseMatrix` values array for array.
 
 `node_by_node_forest` grows a forest one tree and one node at a time, calling
 a given split search once per node, as `fit_forest` did before it grew all
@@ -41,6 +42,7 @@ from malfam.features.extract import COMPRESSION_LEVEL
 from malfam.features.matrix import FeatureMatrix
 from malfam.features.schema import FeatureSchema
 from malfam.forest import ForestParams, Metrics, RandomForest, _candidate_count, evaluate, fit_forest
+from malfam.sparse import SparseMatrix
 from malfam.util import mix_seed
 
 
@@ -100,6 +102,13 @@ def subset_columns(matrix: FeatureMatrix, schema: FeatureSchema) -> FeatureMatri
         labels=matrix.labels,
         values=np.ascontiguousarray(matrix.values[:, cols]),
     )
+
+
+def assert_same_cells(a: SparseMatrix, b: SparseMatrix) -> None:
+    assert a.n_rows == b.n_rows
+    for name in ("start", "length", "rows", "values", "keys"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
 def copying_cross_validate(X, y, params, folds: int, seed: int) -> Metrics:

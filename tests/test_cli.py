@@ -578,6 +578,15 @@ def test_config_of_wrong_shape_is_a_data_error(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: invalid config")
 
 
+def test_config_with_an_unknown_key_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"forest": {"n_tress": 10}}), encoding="utf-8")
+    code = main(["gen", "--synthetic", "--config", str(path), "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: invalid config value: unknown key forest.n_tress\n"
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("version", [True, 1.0, "1"])
 def test_config_version_must_be_an_exact_integer(tmp_path, capsys, version):
     path = tmp_path / "config.json"

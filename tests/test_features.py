@@ -75,7 +75,7 @@ from malfam.features.schema import (
 from malfam.forest import ForestParams
 from malfam.pe import PeSummary
 from malfam.sparse import SparseMatrix
-from oracles import feat_complexity, reference_scan
+from oracles import assert_same_cells, feat_complexity, reference_scan
 
 
 def sample_with(tmp_path, sample_id="s", asm: bytes | None = None, dump: bytes | None = None) -> Sample:
@@ -589,14 +589,6 @@ def test_assemble_is_pure(small_corpus):
     assert len(first.values) == len(schema)
 
 
-def test_assemble_version_mismatch(small_corpus):
-    vocab, _ = build_vocab(small_corpus, VocabCaps(4, 4, 4, 4), prefer="asm")
-    schema = build_schema(vocab)
-    stale = FeatureSchema(names=schema.names, groups=schema.groups, version=99)
-    with pytest.raises(ExtractionError, match="version"):
-        assemble(small_corpus.samples[0], stale, vocab, prefer="asm")
-
-
 def test_assemble_missing_listing_names_sample(tmp_path):
     sample = Sample(id="gone", asm_path=tmp_path / "gone.asm")
     vocab = Vocabulary(opcode_grams=(("a", "b", "c", "d"),))
@@ -995,8 +987,9 @@ def test_lookup_compiles_once_per_schema_and_vocab(small_corpus, oracle_vocab, c
 
 
 def test_lookup_alternating_schemas_never_goes_stale(small_corpus, oracle_vocab, compile_counter):
-    # fit_pipeline extracts the budgeted schema, then the selected one, with
-    # one vocabulary
+    # fit_pipeline extracts the full schema for its train samples, then the
+    # selected one for its test samples, with one vocabulary; a classify
+    # caller may switch between two such schemas on every sample
     vocab = fresh(oracle_vocab)
     rng = np.random.default_rng(9)
     full = build_schema(vocab)
@@ -1037,7 +1030,7 @@ def test_lookup_slot_never_pairs_a_schema_with_another_schemas_lookup(oracle_voc
         for i in range(60):
             schema = schemas[(i + k) % len(schemas)]
             lookup = vocab.lookup(schema)
-            if (lookup.groups, lookup.width) != (schema.groups[:1], len(schema)):
+            if (lookup.groups, len(lookup.names)) != (schema.groups[:1], len(schema)):
                 wrong.append((k, i))
 
     interval = sys.getswitchinterval()
@@ -1098,13 +1091,6 @@ def test_matrix_csv_round_trip(tmp_path, small_corpus):
     assert loaded.labels == matrix.labels
     assert loaded.schema.names == matrix.schema.names
     assert np.array_equal(loaded.values, matrix.values)
-
-
-def assert_same_cells(a: SparseMatrix, b: SparseMatrix) -> None:
-    assert a.n_rows == b.n_rows
-    for name in ("start", "length", "rows", "values", "keys"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
 def test_matrix_csv_round_trips_the_sparse_cells(tmp_path):
@@ -1293,6 +1279,28 @@ def test_every_constructor_holds_the_nonzero_and_negative_zero_cells():
     assert_same_cells(want.take([0, 1, 2]), want)
 
 
+def test_from_dense_peaks_at_four_times_a_dense_matrix():
+    """`from_dense` builds the CSC arrays straight from the held cells,
+    which come in column order, without filtering or sorting them again."""
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(5000, 100))
+    X[::7, 3] = -0.0
+    X[::5, 4] = 0.0
+    SparseMatrix.from_dense(X[:3])  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        got = SparseMatrix.from_dense(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cols, rows = np.indices(X.shape[::-1])  # every cell, column after column
+    assert_same_cells(got, SparseMatrix.from_csc(cols.ravel(), rows.ravel(), X.T.ravel(), X.shape))
+    # A dense 5,000 x 100 array (4.0 MB) peaks at 16.0 MB, 4.0x, on CPython
+    # 3.11 with numpy 2.4: the nonzero index pairs, the gathered values and
+    # the result.  Passing the cells through `from_csc` took 8.1x.
+    assert peak <= 5 * X.nbytes
+
+
 def test_sparse_matrix_columns_in_any_order_equal_the_dense_columns():
     """Any order of a matrix's columns, repeats and fixed-size columns after
     token columns among them, selects what the dense matrix's columns hold."""
@@ -1350,6 +1358,19 @@ def test_projected_signed_zeros_in_fixed_size_columns_equal_the_dense_matrix(sma
     loaded = load_matrix_csv(path)
     assert_same_cells(loaded.cells, matrix.cells)
     assert loaded.values.tobytes() == dense.tobytes()
+
+
+def test_projection_refuses_a_non_finite_value(small_corpus):
+    vocab, _ = build_vocab(small_corpus, VocabCaps(6, 6, 12, 12), prefer="asm")
+    schema = build_schema(vocab)
+    held = [digest_sample(s, prefer="asm") for s in small_corpus.samples]
+    held[2] = dataclasses.replace(held[2], complexity=held[2].complexity * [1, 1, np.inf, 1, np.nan, 1])
+    sample_id = small_corpus.samples[2].id
+    # the first non-finite value in schema order is named
+    with pytest.raises(ExtractionError, match=f"^sample {sample_id}: non-finite value in cpx_asm_ratio$"):
+        extract_matrix(small_corpus, schema, vocab, prefer="asm", digests=held)
+    with pytest.raises(ExtractionError, match=f"^sample {sample_id}: non-finite value in cpx_asm_ratio$"):
+        vocab.lookup(schema).project(held[2], sample_id)
 
 
 @pytest.mark.parametrize("binary", [False, True])

@@ -1068,13 +1068,8 @@ def test_cross_validate_equals_fitting_each_fold_on_a_copy(monkeypatch, folds, p
     assert (got.accuracy, got.classes) == (want.accuracy, want.classes)
 
 
-def test_cross_validate_checks_the_matrix_once(monkeypatch):
+def test_cross_validate_refuses_a_non_finite_matrix():
     X, y = small_dense_counts()
-    checked = []
-    real_check = forest_module._require_finite
-    monkeypatch.setattr(forest_module, "_require_finite", lambda X: checked.append(X) or real_check(X))
-    cross_validate(X, y, ForestParams(n_trees=2, seed=0), folds=3, seed=0)
-    assert len(checked) == 1
     X[5, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite value nan at row 5, column 2"):
         cross_validate(X, y, ForestParams(n_trees=2, seed=0, max_depth=40), folds=3, seed=0)

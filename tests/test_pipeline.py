@@ -40,6 +40,7 @@ from malfam.features.extract import digest_sample
 from malfam.features.schema import (
     GROUP_API_4GRAM,
     GROUP_COMPLEXITY,
+    GROUP_FILE_SIZE,
     GROUP_IMPORT_LIB,
     GROUP_OPCODE_4GRAM,
     GROUP_SECTION_PERM,
@@ -59,7 +60,7 @@ from malfam.pipeline import (
 from malfam.corpus import load_manifest, stratified_split
 from malfam.synth import gen_synthetic
 from malfam.util import json_int
-from oracles import subset_columns
+from oracles import assert_same_cells, subset_columns
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +131,31 @@ def test_config_rejects_bad_values():
     {"groups": ["file_size", 2]},
     {"prefer": 1},
     {"prefer": ["pe"]},
+    {"fold": 3},
+    {"caps": {"api_gram": 5}},
+    {"forest": {"n_tress": 10}},
 ], ids=[
     "selection-list", "caps-list", "forest-number", "binary-ngrams-string",
     "bootstrap-string", "features-per-split-bool", "selection-bool", "folds-fraction",
     "n-trees-fraction", "caps-bool", "seed-string", "train-fraction-string",
     "train-fraction-bool", "train-fraction-null", "groups-object", "groups-string",
     "groups-number-entry", "prefer-number", "prefer-list",
+    "unknown-key", "unknown-caps-key", "unknown-forest-key",
 ])
 def test_config_rejects_wrong_json_types(doc):
     with pytest.raises(MalfamError, match="invalid config"):
+        config_from_dict(doc)
+
+
+def test_config_names_its_first_unknown_key():
+    doc = {"fold": 3, "forest": {"n_tress": 10}, "caps": {"api_gram": 5}}
+    with pytest.raises(MalfamError, match="^invalid config value: unknown key fold$"):
+        config_from_dict(doc)
+    del doc["fold"]
+    with pytest.raises(MalfamError, match=r"^invalid config value: unknown key caps\.api_gram$"):
+        config_from_dict(doc)
+    del doc["caps"]
+    with pytest.raises(MalfamError, match=r"^invalid config value: unknown key forest\.n_tress$"):
         config_from_dict(doc)
 
 
@@ -243,6 +260,22 @@ def test_subset_columns_reorders_by_name(small_corpus, fast_config):
         src = schema.names.index(name)
         dst = narrow_schema.names.index(name)
         assert np.array_equal(narrow.values[:, dst], matrix.values[:, src])
+
+
+def test_feature_matrix_columns_equal_the_dense_subset(small_corpus, fast_config):
+    vocab, _ = build_vocab(small_corpus, fast_config.caps, fast_config.groups, prefer="asm")
+    schema = build_schema(vocab, fast_config.groups)
+    matrix = extract_matrix(small_corpus, schema, vocab, prefer="asm")
+    rng = np.random.default_rng(4)
+    sections = vocab.dims(GROUP_SECTION_SIZE)
+    for chosen in ([sections[10], sections[7]], list(rng.permutation(sections)), list(sections)):
+        narrow_schema = build_schema(vocab, fast_config.groups, {GROUP_SECTION_SIZE: chosen})
+        got = matrix.columns(narrow_schema)
+        want = subset_columns(matrix, narrow_schema)
+        assert (got.schema, got.ids, got.labels) == (want.schema, want.ids, want.labels)
+        assert_same_cells(got.cells, want.cells)
+    with pytest.raises(ValueError, match="^matrix lacks dimension 'fsz_asm'$"):
+        matrix.columns(build_schema(vocab, (GROUP_SECTION_PERM, GROUP_FILE_SIZE)))
 
 
 def test_train_pipeline_end_to_end(small_corpus, fast_config):
@@ -399,6 +432,40 @@ def test_train_matrix_equals_the_selected_columns_of_the_full_matrix(small_corpu
     assert result.train_matrix.labels == want.labels
     assert np.array_equal(result.train_matrix.values, want.values)
     assert compute_selection(full, config) == result.selection
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_ONCE_CONFIGS))
+def test_train_pass_projects_each_sample_once(monkeypatch, small_corpus, name):
+    projected: Counter = Counter()
+    project = extract_module.ColumnLookup.project
+
+    def counted(self, digest, sample_id, *args, **kwargs):
+        projected[sample_id] += 1
+        return project(self, digest, sample_id, *args, **kwargs)
+
+    monkeypatch.setattr(extract_module.ColumnLookup, "project", counted)
+    train_pipeline(small_corpus, DIGEST_ONCE_CONFIGS[name])
+    # each train sample into the full schema, each test sample into the final one
+    assert projected == Counter({s.id: 1 for s in small_corpus.samples})
+
+
+@pytest.mark.parametrize("budget", [7, 10_000], ids=["subsets", "reorders"])
+def test_train_matrix_equals_a_fresh_extraction_of_its_schema(small_corpus, budget):
+    config = replace(DIGEST_ONCE_CONFIGS["three-dense-groups"], selection={GROUP_SECTION_SIZE: budget})
+    result, train_man, _ = train_pipeline(small_corpus, config)
+    sections = result.vocab.dims(GROUP_SECTION_SIZE)
+    chosen = result.selection[GROUP_SECTION_SIZE]
+    if budget < len(sections):
+        assert len(chosen) == budget
+    else:
+        assert sorted(chosen) == sorted(sections) and tuple(chosen) != sections
+    want = extract_matrix(
+        train_man, result.schema, result.vocab,
+        prefer=config.prefer, binary_ngrams=config.binary_ngrams,
+    )
+    got = result.train_matrix
+    assert (got.schema, got.ids, got.labels) == (want.schema, want.ids, want.labels)
+    assert_same_cells(got.cells, want.cells)
 
 
 def test_train_pass_peak_memory_is_bounded_by_the_train_matrix(tmp_path):
