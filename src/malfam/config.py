@@ -28,7 +28,7 @@ class RunConfig:
     forest: ForestParams = field(default_factory=ForestParams)
     seed: int = 0
     # read from and written to config files, so that older ones still load;
-    # it starts no thread and changes no result
+    # it starts no thread and changes no result, so no integer is refused
     threads: int = 1
     prefer: str = "pe"
     binary_ngrams: bool = False
@@ -43,8 +43,6 @@ class RunConfig:
             raise ValueError("train_fraction must be strictly between 0 and 1")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.prefer not in ("pe", "asm"):
             raise ValueError("prefer must be 'pe' or 'asm'")
         bad = set(self.selection) - set(GROUP_ORDER)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 import threading
 import tracemalloc
@@ -97,8 +98,6 @@ def test_config_rejects_bad_values():
         RunConfig(train_fraction=1.0)
     with pytest.raises(ValueError):
         RunConfig(folds=1)
-    with pytest.raises(ValueError):
-        RunConfig(threads=0)
     with pytest.raises(ValueError):
         RunConfig(prefer="midi")
     with pytest.raises(ValueError):
@@ -555,6 +554,52 @@ def test_saved_config_normalizes_thread_count(tmp_path, small_corpus, fast_confi
     out = tmp_path / "run"
     save_train_dir(out, result, train_man, test_man)
     assert load_config(out / "config.json").threads == 1
+
+
+def test_a_config_loads_any_integer_thread_count_and_saves_one(tmp_path, small_corpus, fast_config):
+    # the key has no effect, so no value of it is refused; a non-integer is
+    loaded = config_from_dict({**config_to_dict(fast_config), "threads": 0})
+    assert loaded == replace(fast_config, threads=0)
+    with pytest.raises(MalfamError, match="threads"):
+        config_from_dict({"threads": 1.5})
+    result, train_man, test_man = train_pipeline(small_corpus, loaded)
+    save_train_dir(tmp_path / "run", result, train_man, test_man)
+    assert load_config(tmp_path / "run" / "config.json").threads == 1
+
+
+# sha256 of each file `save_train_dir` writes for `gen_synthetic(4, 5)`,
+# trained with 20 trees and 3 folds; the manifests with the corpus root
+# replaced by "<corpus>", as they store its absolute path
+SAVED_TRAIN_FILES = {
+    "config.json": "3811a31e715e450f21b291d85090c4f33285d834c7f93de91a9cec6eaa38db8f",
+    "vocab.json": "38d3ef2530ad8c6ca7821a12ec9a7e1a5d84543b7a1829fa4470c7d11ca5ca02",
+    "selection.json": "1cdb036d116fa393e4e19e326b0859dadc686ef22169996d144cd704be1e16f2",
+    "model.json": "7b62930109eb5b19429f7e4d2627c1b74c16b503436f1d9fc04691909ae9ec5b",
+    "metrics.json": "ccf8476f0d657069cd7bbad456013d8a6d01717c52bcc1f32621ff0e2b5f2169",
+    "train_matrix.csv": "8373f074ef69611222949ee3936f70a78cb1571111ef78ec4c016ce0a6a430ce",
+    "test_matrix.csv": "07643ec955bae16cd95231cf8a504b399918a9398f960cc856d3cbdd83c9cae9",
+    "train_manifest.json": "0a054d84be0fcbdb571f611d430c3dba0040c4ecad7ca80c10389cb414ddc6b3",
+    "test_manifest.json": "69205669e154a0a4e97684df5741f1fe0cb82bea48ac7977a66e1dac67c49be2",
+}
+
+
+def test_saved_train_files_are_pinned(tmp_path):
+    """Every saved file of a small seeded run, byte for byte.  A change that
+    moves one on purpose updates its constant and says why; a failure on
+    another numpy may also mean its random streams moved."""
+    root = tmp_path / "corpus"
+    manifest = gen_synthetic(4, 5, out_root=root)
+    config = RunConfig(folds=3, forest=ForestParams(n_trees=20))
+    result, train_man, test_man = train_pipeline(manifest, config)
+    save_train_dir(tmp_path / "run", result, train_man, test_man)
+    got = {}
+    for name in SAVED_TRAIN_FILES:
+        data = (tmp_path / "run" / name).read_bytes()
+        if name.endswith("_manifest.json"):
+            data = data.replace(str(root).encode(), b"<corpus>")
+        got[name] = hashlib.sha256(data).hexdigest()
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(SAVED_TRAIN_FILES)
+    assert got == SAVED_TRAIN_FILES
 
 
 def test_load_model_dir_requires_artifacts(tmp_path):
