@@ -117,8 +117,12 @@ def hold_digest(digest: SampleDigest, shared: dict) -> SampleDigest:
 
 
 def _top_k(freq: Counter, cap: int) -> list:
-    ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [token for token, _ in ranked[:cap]]
+    """The `cap` most frequent tokens, ties in token order.
+
+    Two sorts with C-level keys: tokens in order, then by count, falling.
+    A reverse sort is stable, so tied tokens keep their order.
+    """
+    return sorted(sorted(freq), key=freq.__getitem__, reverse=True)[:cap]
 
 
 def build_vocab(

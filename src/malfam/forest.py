@@ -11,26 +11,29 @@ The trees of a forest grow in lockstep.  Each keeps its own generator and
 preorder stack; at each step, the next node of every unfinished tree that
 needs a split is scored in one batched search, in chunks of at most
 CHUNK_CELLS cells.  The search reads a `SparseMatrix`, every column of it
-CSC (see ``sparse.py``), and only the nonzero cells of each (node, dim)
-segment.  A segment of a column that holds fewer cells than the node has
-rows reads the column's cells and counts each as often as its row is in the
-node (bootstrap draws repeat rows); any other segment gathers the node's
-rows, looks their cells up and drops the zeros.  The segment's
-zeros, +0.0 and -0.0 alike, are never gathered or sorted: they are one run
-between its negative and positive values, whose class counts are the node's
-counts less those of its nonzero cells.  The nonzero cells and one stand-in
-per zero run are packed (segment, value rank, class) into one integer key
-each and sorted, so each segment is in value order.  The class counts of every run of equal values come
-from one bincount, and a cumulative sum over the runs gives the counts left of
-every cut where the value changes; only those cuts are scored.  Memory is
-O(chunk * k) for the run counts, whatever the number of trees; no one-hot
-tensor is built.  The counts are exact integers and the gain expression is
-that of a per-dim loop, so gains are the same floats and ties resolve the same
-way.  A candidate dim that is zero (or any one value) on all of a node's rows
-has no cut: it is skipped, not redrawn, so the rng draws and the tree are what
-scoring it would give.  The rows of every node split in a step are sent left
-or right by one lookup of their cells (`SparseMatrix.cells`), which predict
-also reads; nothing densifies the matrix.
+CSC (see ``sparse.py``), and compares values by their rank among the
+matrix's distinct values, worked out once per matrix.  Each (node, dim)
+segment reads its column's cells and counts each as often as its row is in
+the node (bootstrap draws repeat rows), from one (node, row) count table per
+chunk; no binary search is made.  The segment's zeros, +0.0 and -0.0 alike,
+are never read or sorted: they are one run between its negative and
+positive values, whose class counts are the node's counts less those of its
+nonzero cells.  The nonzero cells and one stand-in per zero run are packed
+(segment, rank, class) into one integer key each and sorted, so each
+segment is in value order.  The class counts of every run of equal values
+come from one bincount, and a cumulative sum over the runs gives the counts
+left of every cut where the value changes; only those cuts are scored.
+Memory is O(chunk * k) for the run counts, whatever the number of trees; no
+one-hot tensor is built.  The counts are exact integers and the gain
+expression is that of a per-dim loop, so gains are the same floats and ties
+resolve the same way.  A candidate dim that is zero (or any one value) on
+all of a node's rows has no cut: it is skipped, not redrawn, so the rng
+draws and the tree are what scoring it would give.  The rows of every node
+split in a step are sent left or right by their values, read from a dense
+scratch of those rows and split columns, and the children's class counts
+are those either side of the winning cut; a tree's root is the one node
+whose rows are counted.  No fit looks a cell up (`SparseMatrix.cells`
+serves predict), and nothing densifies the matrix.
 
 The whole forest is one lockstep on the calling thread.  A step's search is
 numpy, but the preorder stacks and the step's bookkeeping are Python under
@@ -149,9 +152,14 @@ def gini(counts) -> float:
 
 # Cells that one batched split search handles at most; a node with more is
 # searched a slice of its dims at a time.  A (node, dim) segment costs one
-# cell per row it gathers or per cell of its column it reads, plus one for
-# its zero run, and a node one per row for its row list.
+# cell per cell of its column, plus one for its zero run, and a node one per
+# row for its row list.
 CHUNK_CELLS = 32_768
+# Entries that a search chunk's count table, or a partition's dense scratch,
+# holds at most; a chunk is flushed early where one would pass it.  A chunk
+# of one node always fits, whatever its size.
+SCRATCH_CELLS = 4 * CHUNK_CELLS
+
 
 def _best_split(X, row_idx, y_codes, n_classes, dims, min_leaf):
     """Exact best (dim, threshold, gain) over candidate dims, or None.
@@ -163,88 +171,88 @@ def _best_split(X, row_idx, y_codes, n_classes, dims, min_leaf):
     one-node case of `_best_splits`.
     """
     dims = np.asarray(dims, dtype=np.intp)
-    return _best_splits(X, y_codes, n_classes, [(row_idx, dims)], min_leaf)[0]
+    found = _best_splits(X, y_codes, n_classes, [(row_idx, dims)], min_leaf)[0]
+    return None if found is None else found[:3]
 
 
-def _best_splits(X, y_codes, n_classes, nodes, min_leaf) -> list:
-    """`_best_split` of every (row_idx, dims) pair in `nodes`.
+def _best_splits(X, y_codes, n_classes, nodes, min_leaf, slot=None) -> list:
+    """(dim, threshold, gain, left counts) of `_best_split` for every
+    (row_idx, dims) pair in `nodes`, or None.
 
-    The nodes are scored in chunks of at most CHUNK_CELLS cells: whole nodes
-    where they fit, slices of a node's dims where one does not.  A slice
-    replaces an earlier slice's split of its node only with a strictly larger
-    gain, so the tie rules hold across slices.
+    The left counts are the class counts of the node's rows whose value is
+    at most the threshold.  The nodes are scored in chunks of at most
+    CHUNK_CELLS cells: whole nodes where they fit, slices of a node's dims
+    where one does not.  A slice replaces an earlier slice's split of its
+    node only with a strictly larger gain, so the tie rules hold across
+    slices.  `slot`, when given, is a zeroed intp array over X's rows that
+    the search borrows and leaves zeroed, so that a fit allocates it once.
     """
     if not nodes:
         return []
     X = as_matrix(X)
+    if slot is None:
+        slot = np.zeros(X.n_rows, dtype=np.intp)
     best: list = [None] * len(nodes)
     chunk: list[tuple[int, np.ndarray, np.ndarray]] = []
-    cells = 0
+    cells = chunk_rows = 0
 
     def flush() -> None:
         for (j, _, _), found in zip(
-            chunk, _search_chunk(X, y_codes, n_classes, chunk, min_leaf)
+            chunk, _search_chunk(X, slot, y_codes, n_classes, chunk, min_leaf)
         ):
             if found is not None and (best[j] is None or found[2] > best[j][2]):
                 best[j] = found
 
-    sizes = [rows.size for rows, _ in nodes]
-    dim_counts = [dims.size for _, dims in nodes]
-    n_of_dim = np.repeat(sizes, dim_counts)
-    length = _list_lengths(X, np.concatenate([dims for _, dims in nodes]), n_of_dim)
     # used[i] is the cells taken by the nodes' dims before dim i, in order
-    used = [0, *np.cumsum(np.where(length >= 0, length, n_of_dim) + 1).tolist()]
-    del n_of_dim, length
+    used = np.zeros(sum(dims.size for _, dims in nodes) + 1, dtype=np.int64)
+    np.cumsum(X.length[np.concatenate([dims for _, dims in nodes])] + 1, out=used[1:])
     stop = 0
     for j, (row_idx, dims) in enumerate(nodes):
-        n, first = sizes[j], stop
-        stop += dim_counts[j]
+        n, first = row_idx.size, stop
+        stop += dims.size
         if n < 2 * min_leaf:  # no cut leaves min_leaf rows on both sides
             continue
         start = first
         while start < stop:
-            room = used[start] + CHUNK_CELLS - cells - n
+            room = int(used[start]) + CHUNK_CELLS - cells - n
             end = stop if used[stop] <= room else bisect.bisect_right(used, room, start, stop) - 1
-            if end <= start:  # not one more dim fits beside the chunk so far
-                if chunk:
-                    flush()
-                    chunk, cells = [], 0
-                    continue
-                end = start + 1
+            # the count table with this node: the chunk's pieces by its
+            # distinct rows, at most
+            table = (len(chunk) + 1) * (min(X.n_rows, chunk_rows + n) + 1)
+            if chunk and (end <= start or table > SCRATCH_CELLS):
+                flush()
+                chunk, cells, chunk_rows = [], 0, 0
+                continue
+            end = max(end, start + 1)
             chunk.append((j, row_idx, dims[start - first:end - first]))
-            cells += n + used[end] - used[start]
+            cells += n + int(used[end] - used[start])
+            chunk_rows += n
             start = end
     if chunk:
         flush()
     return best
 
 
-def _list_lengths(X: SparseMatrix, dims: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The cells each segment of a dim on n rows reads from its column, or
-    -1 where it gathers its rows instead: where the column holds at least n
-    cells."""
-    length = X.length[dims]
-    return np.where(length < n, length, -1)
+def _search_chunk(X: SparseMatrix, slot, y_codes, n_classes, pieces, min_leaf) -> list:
+    """(dim, threshold, gain, left counts) of each (_, row_idx, dims) piece,
+    or None, scored at once.
 
-
-def _search_chunk(X: SparseMatrix, y_codes, n_classes, pieces, min_leaf) -> list:
-    """Best split of each (_, row_idx, dims) piece, or None, scored at once.
-
-    Only the nonzero cells of each (piece, dim) segment are read: the cells
-    of a column holding fewer than the piece has rows (each as many
-    times as its row is in the piece), or else the piece's rows, looked up,
-    zeros dropped.  A segment's zeros (+0.0 and -0.0 alike) are one run
-    between its negative and positive values, whose class counts are the
-    piece's counts less those of its nonzero cells.  The nonzero cells and
-    one stand-in for each zero run are sorted by segment and value, one
-    bincount gives the class counts of every run of equal values, and a
-    cumulative sum over the runs gives the counts left of every cut where
-    the value changes.  The counts are exact
-    integers and the gain is the per-dim loop's expression term for term, so
-    every gain is the float it computes.
+    Each (piece, dim) segment reads its column's cells, each as many times
+    as its row is in the piece, from one (piece, row) count table of the
+    chunk, and drops those that are zero.  Values are compared by their rank
+    in the matrix (`SparseMatrix.ranks`), so -0.0 is a zero.  A segment's
+    zeros are one run between its negative and positive values, whose class
+    counts are the piece's counts less those of its nonzero cells.  The
+    nonzero cells and one stand-in for each zero run are sorted by segment
+    and rank, one bincount gives the class counts of every run of equal
+    values, and a cumulative sum over the runs gives the counts left of
+    every cut where the value changes.  The counts are exact integers and
+    the gain is the per-dim loop's expression term for term, so every gain
+    is the float it computes.
     """
     k = n_classes
-    n_total = X.shape[0]
+    distinct, rank = X.ranks
+    zero = np.count_nonzero(distinct < 0)  # the rank of 0.0
     piece_n = np.array([rows.size for _, rows, _ in pieces], dtype=np.intp)
     piece_rows = np.concatenate([rows for _, rows, _ in pieces])
     piece_of_row = np.repeat(np.arange(len(pieces)), piece_n)
@@ -254,41 +262,28 @@ def _search_chunk(X: SparseMatrix, y_codes, n_classes, pieces, min_leaf) -> list
     seg_dim = np.concatenate([dims for _, _, dims in pieces])
     seg_piece = np.repeat(np.arange(len(pieces)), [dims.size for _, _, dims in pieces])
     seg_n = piece_n[seg_piece]
-    length = _list_lengths(X, seg_dim, seg_n)
-    from_list = length >= 0
 
-    # Listed segments: each cell of the column, as many times as its row is
-    # in the piece, found by binary search in the pieces' sorted rows.
-    seg = np.flatnonzero(from_list)
-    entries = ranges(X.start[seg_dim[seg]], length[seg])
-    list_seg = np.repeat(seg, length[seg])
-    times = np.zeros(0, dtype=np.intp)
-    if entries.size:
-        held = np.sort(piece_of_row * n_total + piece_rows)
-        key = seg_piece[list_seg] * n_total + X.rows[entries]
-        times = np.searchsorted(held, key, side="right")
-        times -= np.searchsorted(held, key, side="left")
-        del held, key
-    pick = entries[np.repeat(np.arange(times.size), times)]
-    list_seg = np.repeat(list_seg, times)
-    list_row, list_vals = X.rows[pick], X.values[pick]
-    del entries, times, pick
-
-    # Gathered segments: every row of the piece, looked up.
-    seg = np.flatnonzero(~from_list)
-    gather_seg = np.repeat(seg, seg_n[seg])
-    gather_row = piece_rows[ranges((np.cumsum(piece_n) - piece_n)[seg_piece[seg]], seg_n[seg])]
-    gather_vals = X.cells(gather_row, seg_dim[gather_seg])
+    # table[piece, slot] is the times a row is in a piece.  The chunk's
+    # distinct rows take slots 1.., and slot 0, every other row, stays 0.
+    slot[piece_rows] = 1
+    chunk_rows = np.flatnonzero(slot)
+    n_slots = chunk_rows.size + 1
+    slot[chunk_rows] = np.arange(1, n_slots)
+    table = np.bincount(piece_of_row * n_slots + slot[piece_rows], minlength=len(pieces) * n_slots)
     del piece_rows, piece_of_row
-
-    cell_seg = np.concatenate([list_seg, gather_seg])
-    vals = np.concatenate([list_vals, gather_vals])
-    cell_row = np.concatenate([list_row, gather_row])
-    del list_seg, list_row, list_vals, gather_seg, gather_row, gather_vals
-    nonzero = vals != 0  # a column may hold -0.0
-    if not nonzero.all():
-        cell_seg, vals, cell_row = cell_seg[nonzero], vals[nonzero], cell_row[nonzero]
-    del nonzero
+    length = X.length[seg_dim]
+    entries = ranges(X.start[seg_dim], length)
+    times = slot[X.rows[entries]]
+    times += np.repeat(seg_piece * n_slots, length)
+    times = table[times]
+    slot[chunk_rows] = 0
+    del table, chunk_rows
+    times[rank[entries] == zero] = 0  # a column may hold -0.0
+    cell_seg = np.repeat(np.repeat(np.arange(seg_dim.size), length), times)
+    entries = np.repeat(entries, times)
+    del length, times
+    cell_rank, cell_row = rank[entries], X.rows[entries]
+    del entries
     if cell_seg.size == 0:
         return [None] * len(pieces)
     cls = y_codes[cell_row]
@@ -301,16 +296,15 @@ def _search_chunk(X: SparseMatrix, y_codes, n_classes, pieces, min_leaf) -> list
         zero_counts = piece_counts[seg_piece[zero_seg]] - np.bincount(
             cell_seg * k + cls, minlength=seg_n.size * k
         ).reshape(-1, k)[zero_seg]
-    # Each cell's (segment, value, class) packs into one integer key, the
-    # value as its rank among the chunk's distinct values, so that a plain
-    # sort of the keys (no argsort) orders every segment by value.  Class k
-    # marks a zero run's stand-in.  A key is below cells^2 * (classes + 1),
-    # far inside int64 for a chunk that fits in memory.
-    cell_seg = np.concatenate([cell_seg, zero_seg])
-    distinct, rank = np.unique(np.append(vals, np.zeros(zero_seg.size)), return_inverse=True)
+    # Each cell's (segment, rank, class) packs into one integer key, so
+    # that a plain sort of the keys (no argsort) orders every segment by
+    # value.  Class k marks a zero run's stand-in.  A key is below
+    # segments * ranks * (classes + 1), far inside int64.
     width = distinct.size
-    key = (cell_seg * width + rank) * (k + 1) + np.append(cls, np.full(zero_seg.size, k))
-    del vals, cls, cell_seg, rank
+    key = (np.append(cell_seg, zero_seg) * width
+           + np.append(cell_rank, np.full(zero_seg.size, zero))) * (k + 1)
+    key += np.append(cls, np.full(zero_seg.size, k))
+    del cell_rank, cls, cell_seg
     key.sort()
     seg_rank, ys = np.divmod(key, k + 1)
     del key
@@ -318,7 +312,8 @@ def _search_chunk(X: SparseMatrix, y_codes, n_classes, pieces, min_leaf) -> list
     run = np.cumsum(run_head) - 1
     run_start = np.flatnonzero(run_head)
     del run_head
-    run_counts = np.bincount(run * (k + 1) + ys, minlength=run_start.size * (k + 1))
+    n_runs = run_start.size
+    run_counts = np.bincount(run * (k + 1) + ys, minlength=n_runs * (k + 1))
     run_counts = run_counts.reshape(-1, k + 1)[:, :k]
     run_n = np.diff(run_start, append=seg_rank.size)  # rows in each run
     if zero_seg.size:
@@ -326,11 +321,11 @@ def _search_chunk(X: SparseMatrix, y_codes, n_classes, pieces, min_leaf) -> list
         run_counts[zero_run] = zero_counts
         run_n[zero_run] = seg_n[zero_seg] - seg_nonzero[zero_seg]
     del run, ys
-    # cum[r] and cum_n[r] hold the class counts and the rows of runs
+    # cum[:, r] and cum_n[r] hold the class counts and the rows of runs
     # 0..r-1 of the whole chunk
-    cum = np.zeros((run_start.size + 1, k), dtype=np.int64)
+    cum = np.zeros((n_runs + 1, k), dtype=np.int64)
     np.cumsum(run_counts, axis=0, out=cum[1:])
-    cum_n = np.zeros(run_start.size + 1, dtype=np.intp)
+    cum_n = np.zeros(n_runs + 1, dtype=np.intp)
     np.cumsum(run_n, out=cum_n[1:])
     del run_counts, run_n
     run_seg, run_rank = np.divmod(seg_rank[run_start], width)
@@ -353,6 +348,7 @@ def _search_chunk(X: SparseMatrix, y_codes, n_classes, pieces, min_leaf) -> list
     total_sq = (piece_counts * piece_counts).sum(axis=1)[piece]
     left_sq = (left * left).sum(axis=1)
     right_sq = (right * right).sum(axis=1)
+    del left, right
     g_parent = 1.0 - total_sq / (n * n)
     g_left = 1.0 - left_sq / (n_left * n_left)
     g_right = 1.0 - right_sq / (n_right * n_right)
@@ -363,16 +359,20 @@ def _search_chunk(X: SparseMatrix, y_codes, n_classes, pieces, min_leaf) -> list
     found: list = [None] * len(pieces)
     if positive.size == 0:
         return found
-    gain, piece, cut = gain[positive], piece[positive], cut[positive]
+    gain, piece, cut, base = gain[positive], piece[positive], cut[positive], base[positive]
     first = _heads(piece)
     piece_max = np.maximum.reduceat(gain, np.flatnonzero(first))
     hit = np.flatnonzero(gain == piece_max[np.cumsum(first) - 1])
     win = hit[_heads(piece[hit])]
-    cut = cut[win]
-    thresholds = (distinct[run_rank[cut]] + distinct[run_rank[cut + 1]]) / 2.0
-    for p, dim, thr, g in zip(piece[win].tolist(), seg_dim[run_seg[cut]].tolist(),
-                              thresholds.tolist(), gain[win].tolist()):
-        found[p] = (dim, thr, g)
+    cut, base = cut[win], base[win]
+    upper = distinct[run_rank[cut + 1]]
+    thresholds = (distinct[run_rank[cut]] + upper) / 2.0
+    # The midpoint of two adjacent floats may round onto the upper one;
+    # then its run is at most the threshold too, and goes left.
+    left = cum[cut + 1 + (upper <= thresholds)] - cum[base]
+    for p, dim, thr, g, counts in zip(piece[win].tolist(), seg_dim[run_seg[cut]].tolist(),
+                                      thresholds.tolist(), gain[win].tolist(), left):
+        found[p] = (dim, thr, g, counts)
     return found
 
 
@@ -420,34 +420,37 @@ def _grow_trees(X: SparseMatrix, rows, y_codes, n_classes, params: ForestParams)
     Each tree pops nodes off its own preorder stack (left child first) and
     settles leaves at once.  When every unfinished tree has reached a node to
     split, those nodes are scored by one `_best_splits` call and their
-    children pushed.  A tree's rng draws and node order are those of growing
-    it alone.  Returns each tree's (feature, threshold, left, right, counts)
-    node lists in preorder, child indices local to the tree.
+    children pushed.  A root's class counts are counted from its rows, and a
+    child's taken from its parent's winning cut.  A tree's rng draws and node
+    order are those of growing it alone.  Returns each tree's (feature,
+    threshold, left, right, counts) node lists in preorder, child indices
+    local to the tree.
     """
     n, d = rows.size, X.shape[1]
     m = _candidate_count(params.features_per_split, d)
     depth_cap = params.max_depth if params.max_depth is not None else math.inf
     min_leaf = params.min_samples_leaf
+    slot = np.zeros(X.n_rows, dtype=np.intp)  # borrowed by every search and partition
     rngs, stacks, grown = [], [], []
     for index in range(params.n_trees):
         rng = np.random.Generator(np.random.PCG64(mix_seed(params.seed, "tree", index)))
         # the draw picks positions in `rows`, as it would rows of X[rows]
         tree_rows = rows[rng.integers(0, n, size=n)] if params.bootstrap else rows
         rngs.append(rng)
-        stacks.append([(tree_rows, 0, -1, None)])
+        counts = np.bincount(y_codes[tree_rows], minlength=n_classes)
+        stacks.append([(tree_rows, counts, 0, -1, None)])
         grown.append(([], [], [], [], []))
     waiting = list(range(len(rngs)))
     while waiting:
-        pending, nodes = [], []  # (tree, node, depth) and (rows, dims) of each node to split
+        pending, nodes = [], []  # (tree, node, depth, counts) and (rows, dims) of each node to split
         for t in waiting:
             feature, threshold, left, right, node_counts = grown[t]
             stack = stacks[t]
             while stack:
-                idx, depth, parent, links = stack.pop()
+                idx, counts, depth, parent, links = stack.pop()
                 node = len(feature)
                 if links is not None:
                     links[parent] = node
-                counts = np.bincount(y_codes[idx], minlength=n_classes)
                 node_counts.append(counts)
                 feature.append(-1)
                 threshold.append(0.0)
@@ -456,31 +459,68 @@ def _grow_trees(X: SparseMatrix, rows, y_codes, n_classes, params: ForestParams)
                 pure = np.count_nonzero(counts) <= 1
                 if pure or depth >= depth_cap or idx.size < 2 * min_leaf:
                     continue
-                pending.append((t, node, depth))
+                pending.append((t, node, depth, counts))
                 nodes.append((idx, np.sort(rngs[t].choice(d, size=m, replace=False))))
                 break
-        found_all = _best_splits(X, y_codes, n_classes, nodes, min_leaf)
+        found_all = _best_splits(X, y_codes, n_classes, nodes, min_leaf, slot)
         split = [(p, idx, found) for p, (idx, _), found in zip(pending, nodes, found_all)
                  if found is not None]
-        # every split node's rows go left where their value is at most its
-        # threshold, looked up for all nodes at once
-        sizes = [idx.size for _, idx, _ in split]
-        goes_left = X.cells(
-            np.concatenate([np.empty(0, dtype=np.intp), *(idx for _, idx, _ in split)]),
-            np.repeat(np.array([found[0] for _, _, found in split], dtype=np.intp), sizes),
-        ) <= np.repeat(np.array([found[1] for _, _, found in split]), sizes)
+        goes_left = _goes_left(X, slot, [(idx, found[0], found[1]) for _, idx, found in split])
         stop = 0
-        for ((t, node, depth), idx, (dim, thr, _)), size in zip(split, sizes):
-            left_mask = goes_left[stop:stop + size]
-            stop += size
+        for (t, node, depth, counts), idx, (dim, thr, _, left_counts) in split:
+            left_mask = goes_left[stop:stop + idx.size]
+            stop += idx.size
             feature, threshold, left, right, _ = grown[t]
             feature[node] = dim
             threshold[node] = thr
             # push right first so the left branch is grown next
-            stacks[t].append((idx[~left_mask], depth + 1, node, right))
-            stacks[t].append((idx[left_mask], depth + 1, node, left))
-        waiting = [t for t, _, _ in pending]
+            stacks[t].append((idx[~left_mask], counts - left_counts, depth + 1, node, right))
+            stacks[t].append((idx[left_mask], left_counts, depth + 1, node, left))
+        waiting = [p[0] for p in pending]
     return grown
+
+
+def _goes_left(X: SparseMatrix, slot, nodes) -> np.ndarray:
+    """Whether each row of each (rows, dim, threshold) node has its value at
+    most the threshold, for all nodes' rows in order.
+
+    A run of nodes reads its values from one dense scratch of ranks: a slot
+    for each of the run's distinct rows (`slot` is borrowed as
+    `_best_splits` borrows it) by a column for each node.  A run holds at
+    most SCRATCH_CELLS entries and its columns as many cells, unless one
+    node needs more.
+    """
+    distinct, rank = X.ranks
+    zero = np.count_nonzero(distinct < 0)
+    out = np.empty(sum(idx.size for idx, _, _ in nodes), dtype=bool)
+    stop = first = 0
+    while first < len(nodes):
+        last, n_rows, n_cells = first, 0, 0
+        while last < len(nodes):
+            idx, dim, _ = nodes[last]
+            rows = min(X.n_rows, n_rows + idx.size)
+            cells = n_cells + int(X.length[dim])
+            if last > first and max((rows + 1) * (last - first + 1), cells) > SCRATCH_CELLS:
+                break
+            last, n_rows, n_cells = last + 1, rows, cells
+        run = nodes[first:last]
+        node_rows = np.concatenate([idx for idx, _, _ in run])
+        slot[node_rows] = 1
+        run_rows = np.flatnonzero(slot)
+        slot[run_rows] = np.arange(1, run_rows.size + 1)
+        # cells of rows outside the run land in slot 0, which nothing reads
+        dims = np.array([dim for _, dim, _ in run], dtype=np.intp)
+        length = X.length[dims]
+        entries = ranges(X.start[dims], length)
+        scratch = np.full((run_rows.size + 1, len(run)), zero, dtype=rank.dtype)
+        scratch[slot[X.rows[entries]], np.repeat(np.arange(len(run)), length)] = rank[entries]
+        sizes = [idx.size for idx, _, _ in run]
+        values = distinct[scratch[slot[node_rows], np.repeat(np.arange(len(run)), sizes)]]
+        slot[run_rows] = 0
+        out[stop:stop + node_rows.size] = values <= np.repeat([thr for _, _, thr in run], sizes)
+        stop += node_rows.size
+        first = last
+    return out
 
 
 def fit_forest(
@@ -498,8 +538,10 @@ def fit_forest(
     on, in order, so that a caller with one matrix fits on part of it
     without copying that part: the forest equals, node for node, the one
     fitted on `values[rows]`, `labels[rows]`, as each bootstrap draw picks
-    positions in `rows`.  `threads` is accepted for callers that still pass
-    it; it starts nothing and changes nothing.
+    positions in `rows`.  The matrix's values are ranked on its first fit
+    and the ranks kept with it (`SparseMatrix.ranks`).  `threads` is
+    accepted for callers that still pass it; it starts nothing and changes
+    nothing.
     """
     X = as_matrix(values)
     y = np.asarray(labels)
@@ -663,8 +705,9 @@ def cross_validate(
     """Stratified k-fold: shuffle within each class, deal round-robin to folds.
 
     Each fold's forest is fitted on that fold's rows of the one matrix (see
-    `fit_forest`'s `rows`); only the held-out rows are copied, to score
-    them, and nothing is densified.
+    `fit_forest`'s `rows`), whose values are ranked once for every fold;
+    only the held-out rows are copied, to score them, and nothing is
+    densified.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")

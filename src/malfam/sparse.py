@@ -9,16 +9,23 @@ libraries, 4-grams) are 97-98% zeros; the fixed-size ones are mostly
 nonzero, and are held the same way.
 
 `fit_forest`, `cross_validate`, `predict_proba` and the importance selection
-read this type in place.  `cells` looks up single cells by a binary search of
-``keys``, one sorted key per held cell, built once with the matrix.
-`as_matrix` converts a dense ndarray to this type.
+read this type in place.  The fit reads whole columns, and compares cells by
+their `ranks`, worked out once per matrix on first use.  `cells` looks up
+single cells by a binary search of ``keys``, one sorted key per held cell,
+built once with the matrix; only `predict_proba` calls it.  `as_matrix`
+converts a dense ndarray to this type.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+
+# Values that `SparseMatrix.ranks` takes at a time, at least
+RANK_PIECE = 32_768
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +99,29 @@ class SparseMatrix:
         length = np.bincount(cols, minlength=X.shape[1])
         return cls(n_rows=X.shape[0], start=np.cumsum(length) - length, length=length,
                    rows=rows.astype(np.int32), values=X[rows, cols])
+
+    @cached_property
+    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(distinct, rank): the distinct held values and 0.0, ascending, and
+        each held cell's index into them, in the smallest signed integer
+        type that holds it.  -0.0 ranks as 0.0, and the zero in `distinct`
+        is +0.0.  Worked out on first use and kept with the matrix.
+
+        The values are taken a piece at a time, so that no temporary is
+        the size of the matrix; a piece grows with the distinct values
+        found, so that many distinct values cost O(n log n).
+        """
+        values = self.values
+        distinct, at = np.zeros(1), 0
+        while at < values.size:
+            step = max(RANK_PIECE, distinct.size)
+            distinct = np.union1d(distinct, values[at:at + step])
+            at += step
+        distinct[distinct == 0] = 0.0
+        rank = np.empty(values.size, dtype=np.min_scalar_type(-distinct.size))
+        for at in range(0, values.size, RANK_PIECE):
+            rank[at:at + RANK_PIECE] = np.searchsorted(distinct, values[at:at + RANK_PIECE])
+        return distinct, rank
 
     def entry_columns(self) -> np.ndarray:
         """The column of each held cell."""

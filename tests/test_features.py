@@ -348,6 +348,20 @@ def test_vocab_tie_breaks_lexicographically(tmp_path):
     assert vocab.section_names == ("aa",)
 
 
+def test_top_k_equals_ranking_by_count_then_token():
+    """The two-sort ranking equals the (-count, token) key it replaced, on
+    tie-heavy counts of string and tuple tokens, at every cap."""
+    rng = random.Random(26)
+    for trial in range(300):
+        words = [f"t{rng.randrange(40)}" for _ in range(rng.randrange(0, 60))]
+        if trial % 2:
+            words = [tuple(w[i:i + 2] for i in range(0, 4, 2)) for w in words]
+        freq = Counter({w: rng.randrange(1, 4) for w in words})
+        want = [token for token, _ in sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))]
+        for cap in (0, 1, 5, len(freq), len(freq) + 3):
+            assert vocab_module._top_k(freq, cap) == want[:cap]
+
+
 def test_vocab_caps_respected(tmp_path):
     rows = []
     for k in range(6):

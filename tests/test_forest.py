@@ -13,6 +13,7 @@ import pytest
 
 import malfam.features
 from malfam import forest as forest_module
+from malfam import sparse as sparse_module
 from malfam.config import RunConfig, save_config
 from malfam.errors import ModelError, TrainingError
 from malfam.features import Vocabulary, assemble, build_schema, save_vocab
@@ -328,6 +329,21 @@ def shared_matrix_nodes(seed: int, count: int):
     return X, y_codes, k, nodes
 
 
+def checked_left_counts(X, y_codes, n_classes, nodes, found_all) -> list:
+    """The (dim, threshold, gain) of each split `_best_splits` found, once
+    its left counts are checked: the class counts of the node's rows whose
+    value in the dense X is at most the threshold."""
+    splits = []
+    for (rows, _), found in zip(nodes, found_all):
+        if found is not None:
+            dim, threshold, gain, left = found
+            going_left = rows[X[rows, dim] <= threshold]
+            assert left.tolist() == np.bincount(y_codes[going_left], minlength=n_classes).tolist()
+            found = (dim, threshold, gain)
+        splits.append(found)
+    return splits
+
+
 @pytest.mark.parametrize("chunk_cells", [1, 7, 100, 2_000, forest_module.CHUNK_CELLS, 10**9])
 @pytest.mark.parametrize("min_leaf", [1, 3])
 def test_batched_split_search_equals_per_dim_loop_node_by_node(monkeypatch, chunk_cells, min_leaf):
@@ -337,7 +353,7 @@ def test_batched_split_search_equals_per_dim_loop_node_by_node(monkeypatch, chun
     X, y_codes, k, nodes = shared_matrix_nodes(seed=min_leaf, count=150)
     got = forest_module._best_splits(X, y_codes, k, nodes, min_leaf)
     want = [per_dim_best_split(X, rows, y_codes, k, dims, min_leaf) for rows, dims in nodes]
-    assert got == want
+    assert checked_left_counts(X, y_codes, k, nodes, got) == want
     assert sum(w is not None for w in want) > 60
 
 
@@ -415,13 +431,15 @@ def test_batched_sparse_split_search_equals_per_dim_loop(source):
         rows = rng.choice(90, size=int(rng.integers(2, 91)), replace=True)
         nodes.append((rows, np.sort(rng.choice(300, size=int(rng.integers(1, 60)), replace=False))))
     got = forest_module._best_splits(in_layout(X, source), y_codes, 4, nodes, 1)
+    got = checked_left_counts(X, y_codes, 4, nodes, got)
     assert got == [per_dim_best_split(X, rows, y_codes, 4, dims, 1) for rows, dims in nodes]
     assert sum(g is not None for g in got) > 60
 
 
-def test_csc_cell_counts_by_binary_search_equal_per_dim_loop():
-    """A CSC cell's count in its node, found by binary search, gives every
-    node the per-dim loop's split and grows the per-dim loop's forest."""
+def test_csc_cell_counts_from_the_count_table_equal_per_dim_loop():
+    """A CSC cell's count in its node, read from the chunk's (node, row)
+    count table, gives every node the per-dim loop's split and grows the
+    per-dim loop's forest."""
     found = 0
     for X, rows, y_codes, k, dims, min_leaf in sparse_nodes(seed=2027, count=300):
         want = per_dim_best_split(X, rows, y_codes, k, dims, min_leaf)
@@ -435,6 +453,124 @@ def test_csc_cell_counts_by_binary_search_equal_per_dim_loop():
         fit_forest(in_layout(X, "list"), y, params),
         node_by_node_forest(X, y, params, split=per_dim_best_split),
     )
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("scratch_cells", [1, 60, 2_000])
+def test_split_search_flushed_early_for_its_count_table_equals_per_dim_loop(
+    monkeypatch, scratch_cells
+):
+    """Chunks flushed early, as their (node, row) count table would pass
+    the cap, give every node the per-dim loop's split and left counts, and
+    search with neither a binary search nor np.unique."""
+    X, y_codes, k, nodes = shared_matrix_nodes(seed=7, count=150)
+    want = [per_dim_best_split(X, rows, y_codes, k, dims, 1) for rows, dims in nodes]
+    cases = [(X, in_layout(X, "rule"), y_codes, k, nodes, 1, want)]
+    for X, rows, y_codes, k, dims, min_leaf in sparse_nodes(seed=2028, count=150):
+        want = [per_dim_best_split(X, rows, y_codes, k, dims, min_leaf)]
+        cases.append((X, in_layout(X, "list"), y_codes, k, [(rows, dims)], min_leaf, want))
+    for _, matrix, *_ in cases:
+        matrix.ranks  # worked out once per matrix, before the search
+    chunks = []
+    real_search = forest_module._search_chunk
+
+    def search(X, slot, y_codes, n_classes, pieces, min_leaf):
+        chunks.append(len(pieces))
+        return real_search(X, slot, y_codes, n_classes, pieces, min_leaf)
+
+    monkeypatch.setattr(forest_module, "_search_chunk", search)
+    for capped in (False, True):
+        with monkeypatch.context() as patch:
+            if capped:
+                patch.setattr(forest_module, "SCRATCH_CELLS", scratch_cells)
+            patch.setattr(np, "searchsorted", refuse)
+            patch.setattr(np, "unique", refuse)
+            found = [forest_module._best_splits(matrix, y_codes, k, nodes, min_leaf)
+                     for _, matrix, y_codes, k, nodes, min_leaf, _ in cases]
+        for (X, _, y_codes, k, nodes, _, want), got in zip(cases, found):
+            assert checked_left_counts(X, y_codes, k, nodes, got) == want
+        if not capped:
+            uncapped, chunks = len(chunks), []
+    assert len(chunks) > uncapped  # the cap flushed chunks early
+    assert sum(w is not None for w in cases[0][-1]) > 60
+
+
+@pytest.mark.parametrize("scratch_cells", [1, forest_module.SCRATCH_CELLS])
+@pytest.mark.parametrize("source", ["rule", "gather"])
+def test_fit_and_cross_validate_never_look_a_cell_up(monkeypatch, source, scratch_cells):
+    """No fit, a CV fold's included, calls `SparseMatrix.cells`: the search
+    counts cells from a table and the partition reads a dense scratch, at
+    any scratch cap.  The forests are the per-dim loop's, node for node,
+    and the CV is that of fitting each fold on a copy."""
+    X, y = very_sparse_counts()
+    X[:, :5] = np.where(X[:, :5] == 0, 0.5, X[:, :5])  # columns held on every row
+    params = ForestParams(n_trees=5, seed=22)
+    want_forest = node_by_node_forest(X, y, params, split=per_dim_best_split)
+    want_cv = copying_cross_validate(X, y, params, folds=3, seed=4)
+    monkeypatch.setattr(forest_module, "SCRATCH_CELLS", scratch_cells)
+    fitting = []
+    real_cells, real_fit = SparseMatrix.cells, forest_module.fit_forest
+
+    def cells(self, rows, cols):
+        if fitting:
+            raise AssertionError("a fit looked cells up")
+        return real_cells(self, rows, cols)
+
+    def fit(*args, **kwargs):
+        fitting.append(True)
+        try:
+            return real_fit(*args, **kwargs)
+        finally:
+            fitting.pop()
+
+    monkeypatch.setattr(SparseMatrix, "cells", cells)
+    monkeypatch.setattr(forest_module, "fit_forest", fit)
+    matrix = in_layout(X, source)
+    got = fit(matrix, y, params)
+    assert got.feature.size > params.n_trees * 5  # deep enough to compare many splits
+    assert_same_nodes(got, want_forest)
+    assert cross_validate(matrix, y, params, folds=3, seed=4) == want_cv
+
+
+def test_ranks_equal_one_unique_of_the_values_and_zero(monkeypatch):
+    """The piecewise ranking equals one np.unique of the held values and
+    0.0, with -0.0 ranked as 0.0 and held as +0.0, in the smallest signed
+    type; also with more distinct values than a piece."""
+    monkeypatch.setattr(sparse_module, "RANK_PIECE", 3)
+    rng = np.random.default_rng(26)
+    for trial in range(60):
+        n, d = int(rng.integers(0, 12)), int(rng.integers(0, 8))
+        if trial % 3:
+            X = rng.choice([-2.0, -0.0, 0.0, 0.5, 3.0], size=(n, d))
+        else:
+            X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.7)
+        matrix = SparseMatrix.from_dense(X)
+        distinct, rank = matrix.ranks
+        want = np.unique(np.append(matrix.values, 0.0))
+        assert distinct.tolist() == want.tolist()
+        assert not np.signbit(distinct[distinct == 0]).any()
+        assert (distinct[rank] == matrix.values).all()  # -0.0 == 0.0
+        assert rank.dtype == np.min_scalar_type(-want.size)
+    assert SparseMatrix.from_dense(np.arange(300.0).reshape(30, 10)).ranks[1].dtype == np.int16
+
+
+def test_a_midpoint_rounded_onto_the_upper_value_sends_that_value_left():
+    """The midpoint of two adjacent floats can round onto the upper one;
+    the fit then sends that value's rows left, as `value <= threshold`
+    does, and counts them there, as the per-dim loop's tree does.  (Such a
+    split leaves the node as it was, so max_depth bounds the tree.)"""
+    a = 1.0 + 2.0**-52
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    X = np.array([[a, 0.0], [a, 1.0], [b, 0.0], [b, 1.0], [a, 0.0], [b, 1.0]])
+    y = np.array([1, 1, 2, 2, 1, 2])
+    params = ForestParams(n_trees=3, seed=1, max_depth=4, features_per_split=2)
+    got = fit_forest(X, y, params)
+    assert (got.threshold == b).any()
+    assert_same_nodes(got, node_by_node_forest(X, y, params, split=per_dim_best_split))
 
 
 def test_sparse_matrix_holds_the_csc_columns():
