@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 
-# Values that `SparseMatrix.ranks` takes at a time, at least
+# Values that `SparseMatrix.ranks` takes at a time, or more once it has
+# found more distinct values than this
 RANK_PIECE = 32_768
 
 
