@@ -506,7 +506,7 @@ def test_fit_and_cross_validate_never_look_a_cell_up(monkeypatch, source, scratc
     any scratch cap.  The forests are the per-dim loop's, node for node,
     and the CV is that of fitting each fold on a copy."""
     X, y = very_sparse_counts()
-    X[:, :5] = np.where(X[:, :5] == 0, 0.5, X[:, :5])  # columns held on every row
+    X[:, :5] = np.where(X[:, :5] == 0, 0.5, X[:, :5])  # nonzero on every row, as fixed-size groups are
     params = ForestParams(n_trees=5, seed=22)
     want_forest = node_by_node_forest(X, y, params, split=per_dim_best_split)
     want_cv = copying_cross_validate(X, y, params, folds=3, seed=4)
