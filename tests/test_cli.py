@@ -5,6 +5,7 @@ byte stream a user would.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from collections import Counter
@@ -594,3 +595,61 @@ def test_config_version_must_be_an_exact_integer(tmp_path, capsys, version):
     code = main(["gen", "--synthetic", "--config", str(path), "--out", str(tmp_path / "c")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: unsupported config version")
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+# ---------------------------------------------------------------------------
+
+# sha256 of what the CLI prints and writes for one small seeded run: the
+# `extract --build-vocab` files, without and with the trained selection, and
+# the `classify --json` stdout over unseen samples and one listing large
+# enough for the digest's helper threads, and that large sample's row
+# extracted under the frozen vocabulary
+PINNED_CLI_OUTPUTS = {
+    "vocab.json": "fd4d060c7ac4ad23d874ca9b74e7cd0583e1f5c439803f3f4389f58869009bc3",
+    "full.csv": "2e84c403bf5d32cfe6276bf223b97a2d9263f482a397471907dc8665d1137e3a",
+    "selected.csv": "fb9f23d1911770095300a63b3af3b9afdda36b181ee669d44296a1a45624d9ce",
+    "classify.json": "9bc754a690cea10f212d1181ba70882cbcf356989d351021559b657317131a5e",
+    "large.csv": "9973e709bd1e59a1613b6d8506d5a6436b19b33cd7dcfff22d648a2cc8650fa5",
+}
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys):
+    """A change that moves one of these on purpose updates its constant and
+    says why; a failure on another numpy may also mean its random streams
+    moved."""
+    corpus = gen_synthetic(4, 5, tmp_path / "corpus")
+    config = tmp_path / "config.json"
+    save_config(RunConfig(folds=3, forest=ForestParams(n_trees=20)), config)
+    model = tmp_path / "model"
+    assert main(["train", "--quiet", "--config", str(config),
+                 "--corpus", str(corpus.root), "--out", str(model)]) == 0
+    got = {}
+
+    def extract(out: str, root: Path, *vocab_args: str) -> None:
+        assert main(["extract", "--quiet", "--config", str(config), "--corpus", str(root),
+                     *vocab_args, "--out", str(tmp_path / out)]) == 0
+        got[out] = hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+
+    extract("full.csv", corpus.root, "--build-vocab", str(tmp_path / "vocab.json"))
+    got["vocab.json"] = hashlib.sha256((tmp_path / "vocab.json").read_bytes()).hexdigest()
+    extract("selected.csv", corpus.root, "--build-vocab", str(tmp_path / "again.json"),
+            "--selection", str(model / "selection.json"))
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "vocab.json").read_bytes()
+
+    unseen = gen_synthetic(1, 6, tmp_path / "unseen")
+    large = tmp_path / "large"
+    large.mkdir()
+    listings = [s.asm_path.read_bytes() for s in (*unseen.samples, *corpus.samples)]
+    dumps = [s.bytes_path.read_bytes() for s in (*unseen.samples, *corpus.samples)]
+    (large / "large.asm").write_bytes(b"".join(listings * 2))
+    (large / "large.bytes").write_bytes(b"".join(dumps * 2))
+    assert (large / "large.asm").stat().st_size >= extract_module.OVERLAP_MIN_BYTES
+    paths = [str(p) for s in unseen.samples for p in (s.asm_path, s.bytes_path)]
+    paths += [str(large / "large.asm"), str(large / "large.bytes")]
+    capsys.readouterr()
+    assert main(["classify", "--quiet", "--json", "--model-dir", str(model), *paths]) == 0
+    got["classify.json"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    extract("large.csv", large, "--vocab", str(tmp_path / "vocab.json"))
+    assert got == PINNED_CLI_OUTPUTS
