@@ -14,11 +14,15 @@ is an uppercase hex pair or ``??``.  Data directives are printed lowercase
 (``db``, ``dd``), so they always land in the mnemonic slot even though "DB"
 and "DD" would be valid hex pairs.
 
-`scan_listing` is the one reader the feature pipeline uses: a single pass
-over ``text.splitlines()`` that folds each line straight into the aggregates
-the features need (segments, dumped bytes per section, imports, the opcode
-and API streams, the failure count), so no per-line object is built and
-memory stays a small multiple of the text on multi-MB listings.  Listings
+One fold reads a listing for the feature pipeline, in a single pass that
+takes each line straight into the aggregates the features need (segments,
+dumped bytes per section, imports, the opcode and API streams, the failure
+count), so no per-line object is built.  It has two entry points.
+`scan_buffer` takes the listing's bytes, as `digest_sample` holds them, and
+decodes and splits them `SCAN_PIECE` bytes at a time, so the text is never
+held whole and memory stays near the size of the file.  `scan_listing`
+takes the decoded text and splits it at once; the tests and their oracle
+use it, and both give the same `ListingScan` for the same bytes.  Listings
 repeat the same line body (the text after the first space) over and over,
 with only the ``section:address`` head changing, so the scan parses each
 distinct body once: it matches a line against the one line regex, and when
@@ -41,8 +45,9 @@ their own and require it to equal the scanner's.
 """
 from __future__ import annotations
 
+import codecs
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,6 +93,13 @@ _SECTION_NAME_RE = re.compile(_SECTION_NAME)
 _BODY_MEMO_CAP = 4096
 
 _CALL_MNEMONICS = frozenset({"call", "jmp"})
+
+# bytes scan_buffer decodes and splits at a time: a piece of text and its
+# line list are all of the listing held as text during the scan
+SCAN_PIECE = 256 * 1024
+# every character str.splitlines breaks a line at
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK_RE = re.compile(f"[{_LINE_BREAKS}]")
 
 
 class ParseFailure:
@@ -273,6 +285,43 @@ class ListingScan:
     parse_failures: int
 
 
+def _pieces(data: bytes) -> Iterator[list[str]]:
+    """The lines of ``data.decode("utf-8", "replace").splitlines()``, in
+    lists, decoding and splitting `SCAN_PIECE` bytes at a time.
+
+    The text after a piece's last line break is carried into the next
+    piece, and so is a closing ``\\r``, since a ``\\n`` at the start of the
+    next piece makes the pair one break.  A piece with no break is only
+    added to the carry, so a line longer than a piece is copied about once.
+    """
+    decode = codecs.getincrementaldecoder("utf-8")("replace").decode
+    carry: list[str] = []
+    for start in range(0, len(data), SCAN_PIECE):
+        text = decode(data[start:start + SCAN_PIECE])
+        if _LINE_BREAK_RE.search(text) is None:
+            carry.append(text)
+            continue
+        text = "".join(carry) + text
+        lines = text.splitlines()
+        last = text[-1]
+        if last == "\r":
+            carry = [lines.pop(), last]
+        elif last not in _LINE_BREAKS:
+            carry = [lines.pop()]
+        else:
+            carry = []
+        yield lines
+    carry.append(decode(b"", final=True))
+    yield "".join(carry).splitlines()
+
+
+def scan_buffer(data: bytes) -> ListingScan:
+    """`scan_listing` of a listing's bytes, undecodable bytes replaced,
+    decoded and folded `SCAN_PIECE` bytes at a time; `data` is any object
+    that slices to bytes (bytes, an mmap)."""
+    return _fold(_pieces(data))
+
+
 def scan_listing(text: str) -> ListingScan:
     """Read a whole listing in one pass, keeping only the aggregates.
 
@@ -308,6 +357,11 @@ def scan_listing(text: str) -> ListingScan:
       resolved, so calls through local jump stubs are invisible, a known
       blind spot of this kind of static extraction.
     """
+    return _fold((text.splitlines(),))
+
+
+def _fold(pieces: Iterable[list[str]]) -> ListingScan:
+    """The `ListingScan` of the lines in `pieces`, taken in order."""
     segments: list[SegmentInfo] = []
     known_bytes: dict[str, int] = {}
     libraries: set[str] = set()
@@ -335,99 +389,102 @@ def scan_listing(text: str) -> ListingScan:
     run_perms: tuple[bool, bool, bool] | None = None
 
     match = _LINE_RE.match
-    for line in text.splitlines():
-        entry = None
-        if memo is not None:
-            head, _, body = line.partition(" ")
-            entry = memo.get(body)
-            if entry is not None:
-                # a hit stands only if the whole head is _HEAD, so _LINE_RE
-                # would end the address at the first space.  Checked with str
-                # methods, since a regex fullmatch of _HEAD here made the scan
-                # of large listings about 10% slower; raw_section only ever
-                # holds a name that matched _SECTION_NAME.
-                name, _, address = head.partition(":")
-                if (
-                    0 < len(address) <= _MAX_ADDRESS_DIGITS
-                    and not address.strip(_HEX_DIGITS)
-                    and (name == raw_section or _SECTION_NAME_RE.fullmatch(name))
-                ):
-                    hits += 1
-                    span, known, low, operands, perms, library = entry
-                    comment = None
+    for piece in pieces:
+        for line in piece:
+            entry = None
+            if memo is not None:
+                head, _, body = line.partition(" ")
+                entry = memo.get(body)
+                if entry is not None:
+                    # a hit stands only if the whole head is _HEAD, so _LINE_RE
+                    # would end the address at the first space.  Checked with str
+                    # methods, since a regex fullmatch of _HEAD here made the scan
+                    # of large listings about 10% slower; raw_section only ever
+                    # holds a name that matched _SECTION_NAME.
+                    name, _, address = head.partition(":")
+                    if (
+                        0 < len(address) <= _MAX_ADDRESS_DIGITS
+                        and not address.strip(_HEX_DIGITS)
+                        and (name == raw_section or _SECTION_NAME_RE.fullmatch(name))
+                    ):
+                        hits += 1
+                        span, known, low, operands, perms, library = entry
+                        comment = None
+                    else:
+                        entry = None
+            if entry is None:
+                m = match(line)
+                if m is None:
+                    if line and not line.isspace():
+                        failures += 1
+                    continue
+                name, address, byte_run, mnemonic, operands, comment = m.groups()
+                if byte_run:
+                    span = len(byte_run.split())
+                    known = span - byte_run.count("??")
                 else:
-                    entry = None
-        if entry is None:
-            m = match(line)
-            if m is None:
-                if line and not line.isspace():
-                    failures += 1
-                continue
-            name, address, byte_run, mnemonic, operands, comment = m.groups()
-            if byte_run:
-                span = len(byte_run.split())
-                known = span - byte_run.count("??")
-            else:
-                span, known = 1, 0
-            low = None
-            if mnemonic is not None:
-                low = lowered.get(mnemonic)
-                if low is None:
-                    low = lowered[mnemonic] = mnemonic.lower()
-                operands = operands.strip() if low == "extrn" or low in _CALL_MNEMONICS else None
-            if comment is not None:
-                comment = comment.strip() or None
-            perms, library = None, ""
-            # the groups after the prefix depend only on the text after it,
-            # so a body whose prefix ended at the first space parses alike
-            # behind any head that passes the check above
-            if memo is not None and len(memo) < _BODY_MEMO_CAP and m.end(2) == len(head):
-                # a comment feeds the fold only through these two; any
-                # other comment declares nothing, so its text is not kept
+                    span, known = 1, 0
+                low = None
+                if mnemonic is not None:
+                    low = lowered.get(mnemonic)
+                    if low is None:
+                        low = lowered[mnemonic] = mnemonic.lower()
+                    kept = low == "extrn" or low in _CALL_MNEMONICS
+                    operands = operands.strip() if kept else None
                 if comment is not None:
-                    perms, library = _declared_perms(comment), _import_library(comment)
-                    comment = None
-                memo[body] = (span, known, low, operands, perms, library)
-                if len(memo) == _BODY_MEMO_CAP and 4 * hits < _BODY_MEMO_CAP:
-                    memo = None
-        if name != raw_section:
-            raw_section, section = name, canonical_section(name)
-        if not section:
-            failures += 1
-            continue
+                    comment = comment.strip() or None
+                perms, library = None, ""
+                # the groups after the prefix depend only on the text after it,
+                # so a body whose prefix ended at the first space parses alike
+                # behind any head that passes the check above
+                if memo is not None and len(memo) < _BODY_MEMO_CAP and m.end(2) == len(head):
+                    # a comment feeds the fold only through these two; any
+                    # other comment declares nothing, so its text is not kept
+                    if comment is not None:
+                        perms, library = _declared_perms(comment), _import_library(comment)
+                        comment = None
+                    memo[body] = (span, known, low, operands, perms, library)
+                    if len(memo) == _BODY_MEMO_CAP and 4 * hits < _BODY_MEMO_CAP:
+                        memo = None
+            if name != raw_section:
+                raw_section, section = name, canonical_section(name)
+            if not section:
+                failures += 1
+                continue
 
-        address = int(address, 16)
-        end = address + span
-        if section != run_name:
-            if run_name is not None:
-                segments.append(_segment(run_name, run_start, run_end, run_perms))
-                known_bytes[run_name] = known_bytes.get(run_name, 0) + run_known
-            run_name, run_start, run_end, run_known, run_perms = section, address, end, known, None
-        else:
-            if address < run_start:
-                run_start = address
-            if end > run_end:
-                run_end = end
-            run_known += known
+            address = int(address, 16)
+            end = address + span
+            if section != run_name:
+                if run_name is not None:
+                    segments.append(_segment(run_name, run_start, run_end, run_perms))
+                    known_bytes[run_name] = known_bytes.get(run_name, 0) + run_known
+                run_name, run_start, run_end, run_known = section, address, end, known
+                run_perms = None
+            else:
+                if address < run_start:
+                    run_start = address
+                if end > run_end:
+                    run_end = end
+                run_known += known
 
-        if comment is not None:
-            # a line parsed and not remembered: its comment is read here,
-            # and for permissions only while the segment has none
+            if comment is not None:
+                # a line parsed and not remembered: its comment is read here,
+                # and for permissions only while the segment has none
+                if run_perms is None:
+                    perms = _declared_perms(comment)
+                library = _import_library(comment)
             if run_perms is None:
-                perms = _declared_perms(comment)
-            library = _import_library(comment)
-        if run_perms is None:
-            run_perms = perms
-        if library:
-            libraries.add(library)
+                run_perms = perms
+            if library:
+                libraries.add(library)
 
-        if low is not None:
-            opcodes.append(low)
-            if operands:
-                if low == "extrn":
-                    symbols.add(_extern_symbol(operands))
-                else:
-                    call_operands.append(operands)
+            if low is not None:
+                opcodes.append(low)
+                if operands:
+                    if low == "extrn":
+                        symbols.add(_extern_symbol(operands))
+                    else:
+                        call_operands.append(operands)
 
     if run_name is not None:
         segments.append(_segment(run_name, run_start, run_end, run_perms))

@@ -8,17 +8,19 @@ header values) and fall back to the listing, where virtual size is the
 address span and raw size is the count of listed bytes.  The two 4-gram
 groups always come from the listing; a dump alone carries no token stream.
 `digest_sample` is the only place that makes the PE/listing choice, and it
-parses each artifact at most once: a listing is folded by
-`asm.scan_listing` in a single pass, with no per-line objects, and the
-digest carries that pass's parse-failure count.  The compression stats are
-streamed from the files in fixed chunks, so the listing is read twice (once
-whole for the scan, once in chunks for zlib) and the dump is never held
-whole.  For a listing of at least `OVERLAP_MIN_BYTES` the two artifacts
-stream through zlib on two helper threads while the calling thread scans the
-listing: zlib releases the interpreter lock and the scan does not, so the two
-overlap.  The helpers live only for that call, and they are the only threads
-malfam starts: every other step, here and in the callers, runs on the
-calling thread.
+opens and reads each artifact once, on the calling thread.  An artifact of
+at least `OVERLAP_MIN_BYTES` is read into an anonymous map, which is closed
+when the digest returns; a smaller one is read as bytes.  The compression
+stats are one zlib pass over each held buffer.  The listing is folded by
+`asm.scan_buffer` in a single pass, with no per-line objects, decoded
+`asm.SCAN_PIECE` bytes at a time so its text is never held whole, and the
+digest carries that pass's parse-failure count.  For a listing of at least
+`OVERLAP_MIN_BYTES` the two held buffers go through zlib on two helper
+threads while the calling thread scans the listing: zlib releases the
+interpreter lock and the scan does not, so the two overlap, and a helper
+does no file I/O.  The helpers live only for that call, and they are the
+only threads malfam starts: every other step, here and in the callers, runs
+on the calling thread.
 
 A digest is projected into one schema's columns through a `ColumnLookup`,
 which `compile_columns` builds from a (schema, vocabulary) pair: token ->
@@ -45,17 +47,20 @@ same `ListingScan` the scanner returns.
 """
 from __future__ import annotations
 
+import mmap
+import os
 import zlib
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from ..asm import scan_listing
+from ..asm import scan_buffer
 from ..corpus import Sample
 from ..errors import ExtractionError, TruncatedPeError
 from ..pe import PeSummary, parse_pe
@@ -80,15 +85,13 @@ N_GRAM = 4
 # complexity value.
 COMPRESSION_LEVEL = 6
 
-# bytes read and compressed at a time; the chunking never changes the
-# compressed length
-COMPRESS_CHUNK = 256 * 1024
-
 # a listing this large has its complexity stats taken on helper threads
-# during its scan.  Below it the overlap does not pay: each time a helper
-# returns from zlib it waits for the scanning thread to give up the
-# interpreter lock, and on a small listing those waits cost more than the
-# overlap saves (ROADMAP.md records the measurement).
+# during its scan.  Below it the overlap does not pay: a helper returning
+# from zlib waits for the scanning thread to give up the interpreter lock,
+# and on a small listing that wait costs more than the overlap saves
+# (ROADMAP.md records the measurement).  An artifact this large is also read
+# into an anonymous map rather than the heap, which gives its pages back when
+# the digest ends; for a small one the map costs more than it saves.
 OVERLAP_MIN_BYTES = 1 << 20
 
 
@@ -118,6 +121,25 @@ def _read_file(path: Path, sample_id: str) -> bytes:
         return path.read_bytes()
     except OSError as exc:
         raise _unreadable(path, sample_id, exc) from exc
+
+
+def _hold(path: Path, sample_id: str, maps: ExitStack) -> bytes | mmap.mmap:
+    """An artifact's bytes from one open and read: an anonymous map, which
+    `maps` closes, for a file of at least `OVERLAP_MIN_BYTES`, else bytes."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size < OVERLAP_MIN_BYTES or not size:  # a map cannot be empty
+                return fh.readall()
+            held = maps.enter_context(mmap.mmap(-1, size))
+            got = 0
+            with memoryview(held) as view:
+                while got < size and (n := fh.readinto(view[got:])):
+                    got += n
+    except OSError as exc:
+        raise _unreadable(path, sample_id, exc) from exc
+    # a file that shrank after its stat is taken as far as it was read
+    return held if got == size else held[:got]
 
 
 def _file_size(path: Path, sample_id: str) -> int:
@@ -168,22 +190,14 @@ def feat_file_size(sample: Sample) -> np.ndarray:
     return np.array([asm, dump, ratio], dtype=np.float64)
 
 
-def stream_complexity(path: Path | None, sample_id: str) -> tuple[float, float, float]:
-    """Size, zlib size and ratio of one artifact, read from its file in chunks
-    of `COMPRESS_CHUNK`; zeros when `path` is None."""
-    if path is None:
+def buffer_complexity(data: bytes | mmap.mmap | None) -> tuple[float, float, float]:
+    """Size, zlib size and ratio of one artifact's held bytes, compressed in
+    one call; zeros when `data` is None."""
+    if data is None:
         return (0.0, 0.0, 0.0)
     compressor = zlib.compressobj(COMPRESSION_LEVEL)
-    size = comp = 0
-    try:
-        with path.open("rb") as fh:
-            while chunk := fh.read(COMPRESS_CHUNK):
-                size += len(chunk)
-                comp += len(compressor.compress(chunk))
-    except OSError as exc:
-        raise _unreadable(path, sample_id, exc) from exc
-    comp += len(compressor.flush())
-    return (float(size), float(comp), size / comp)
+    comp = len(compressor.compress(data)) + len(compressor.flush())
+    return (float(len(data)), float(comp), len(data) / comp)
 
 
 def section_stats(
@@ -257,7 +271,7 @@ class SampleDigest:
     """
 
     file_size: np.ndarray | None = None   # feat_file_size
-    complexity: np.ndarray | None = None  # stream_complexity of the listing, then the dump
+    complexity: np.ndarray | None = None  # buffer_complexity of the listing, then the dump
     sections: dict[str, SectionStats] = field(default_factory=dict)
     libraries: frozenset[str] = frozenset()
     # gram counts: a Counter, or `vocab.HeldGrams` in a digest `build_vocab` holds
@@ -283,28 +297,25 @@ def digest_sample(
     want_scan = sample.asm_path is not None and (want_api or want_opcodes or from_asm)
 
     found: dict = {}
-    # the listing's bytes are dropped once decoded; zlib streams both files
-    text = None
-    overlap = False
-    if want_scan:
-        listing = _read_file(sample.asm_path, sample.id)
-        overlap = want_complexity and len(listing) >= OVERLAP_MIN_BYTES
-        text = listing.decode("utf-8", errors="replace")
-        del listing
-    artifacts = (sample.asm_path, sample.bytes_path) if want_complexity else ()
-    if overlap:
-        with ThreadPoolExecutor(max_workers=2) as helpers:
-            pending = [helpers.submit(stream_complexity, p, sample.id) for p in artifacts]
-            try:
-                scan = scan_listing(text)
-            finally:
-                # read both results even when the scan fails, so an unreadable
-                # artifact raises first, as on the inline path
-                triples = [job.result() for job in pending]
-    else:
-        triples = [stream_complexity(p, sample.id) for p in artifacts]
-        scan = scan_listing(text) if text is not None else None
-    del text
+    with ExitStack() as maps:
+        listing = dump = None
+        if sample.asm_path is not None and (want_scan or want_complexity):
+            listing = _hold(sample.asm_path, sample.id, maps)
+        if sample.bytes_path is not None and want_complexity:
+            dump = _hold(sample.bytes_path, sample.id, maps)
+        held = (listing, dump) if want_complexity else ()
+        if want_scan and want_complexity and len(listing) >= OVERLAP_MIN_BYTES:
+            with ThreadPoolExecutor(max_workers=2) as helpers:
+                pending = [helpers.submit(buffer_complexity, data) for data in held]
+                try:
+                    scan = scan_buffer(listing)
+                finally:
+                    # wait for both helpers even when the scan fails, so
+                    # neither still reads a map when the maps close
+                    triples = [job.result() for job in pending]
+        else:
+            triples = [buffer_complexity(data) for data in held]
+            scan = scan_buffer(listing) if want_scan else None
     if want_complexity:
         found["complexity"] = np.array(triples[0] + triples[1], dtype=np.float64)
     summary = load_pe_summary(sample) if from_pe else None

@@ -14,10 +14,11 @@ and the train matrix is the final schema's columns of it
 held compressed (CSC), and the fit and every CV fold read the train matrix
 in place; no dense copy of it is made.
 
-Every stage runs on the calling thread.  The only threads a pass starts are
-the two zlib helpers `digest_sample` takes for a listing of at least
-`OVERLAP_MIN_BYTES`, joined before it returns.  `RunConfig.threads` is kept
-in config files and has no effect.
+Every stage runs on the calling thread, which also reads every artifact.
+The only threads a pass starts are the two zlib helpers `digest_sample`
+takes for a listing of at least `OVERLAP_MIN_BYTES`; they compress the
+buffers the digest holds, open no file, and are joined before it returns.
+`RunConfig.threads` is kept in config files and has no effect.
 """
 from __future__ import annotations
 

@@ -7,8 +7,9 @@ whole line list.  Only the comment and operand rules (`_declared_perms`,
 with the scanner; the hand-counted tests in `test_asm.py` pin those.
 
 `feat_complexity` takes the complexity group's values from each artifact's
-whole bytes in one `zlib.compress`, the reference for `stream_complexity`,
-which streams them from the files in chunks.
+whole bytes in one `zlib.compress`, the reference for `buffer_complexity`,
+which compresses a held buffer (bytes or an anonymous map) through a
+compressor object.
 
 `subset_columns` reprojects a full matrix onto a selected schema by copying
 its dense columns, the reference for `FeatureMatrix.columns`;

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from malfam import asm
-from malfam.asm import PARSE_FAILURE, AsmLine, parse_line, parse_listing, scan_listing
+from malfam.asm import (
+    PARSE_FAILURE,
+    AsmLine,
+    parse_line,
+    parse_listing,
+    scan_buffer,
+    scan_listing,
+)
 from oracles import reference_scan
 
 HEX_PAIR = re.compile(r"^[0-9A-F]{2}$")
@@ -504,6 +511,53 @@ def test_scan_listing_body_memo_is_capped(monkeypatch):
     # so a body repeated after that is matched on every line
     rows = [f".text:{i:08X} dd {i:X}h" for i in range(cap)] + [".text:00000000 dd 0h"] * 50
     assert scan_counting_matches(monkeypatch, "\n".join(rows)) == cap + 50
+
+
+# scan_buffer decodes and splits the bytes SCAN_PIECE at a time; these put a
+# piece boundary inside and around every line break str.splitlines honours
+# ("\r\n" split between pieces, a file ending in "\r"), inside multibyte
+# UTF-8 sequences, and in invalid and truncated UTF-8, at the end of the
+# file too
+BREAK_BYTES = [brk.encode() for brk in asm._LINE_BREAKS] + [b"\r\n", b"\n\r", b"\r\r\n"]
+PIECE_EDGES = [
+    b"", b"\r", b"\n", b"\r\n", b"a\r", b"\r\r", b"\xff", b"\xe2\x82", b"\xf0\x9f\x98",
+    b"\xc3\x28", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b"\x80\x80",
+    "\xe9\u20ac\U0001f600".encode(), b"x\xe2\x82\xacy\xe2\x82",
+    *(b"ab" * k + brk + b"cd" + brk for brk in BREAK_BYTES for k in range(4)),
+    *(b".text:00401000 55 push ebp" + brk + b"\xc3\xa9 \xe2\x82" + brk for brk in BREAK_BYTES),
+    # lines longer than several pieces, closed by a "\r\n" and by a "\r"
+    b"x" * 40 + b"\r\n" + b"y" * 40 + b"\r", b"z" * 40 + b"\r" + b"\xe2\x82" * 20,
+]
+
+
+def test_line_breaks_are_every_break_splitlines_honours():
+    breaks = {chr(c) for c in range(0x10000) if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert breaks == set(asm._LINE_BREAKS)
+
+
+def noisy_bytes(text: str, rng: np.random.Generator) -> bytes:
+    """The text's UTF-8, with a few random bytes written in at random offsets."""
+    data = bytearray(text.encode())
+    for _ in range(int(rng.integers(0, 4))):
+        at = int(rng.integers(0, len(data) + 1))
+        data[at:at] = bytes(rng.integers(0x80, 0x100, size=int(rng.integers(1, 4))))
+    return bytes(data)
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, 7, asm.SCAN_PIECE])
+def test_scan_buffer_matches_scan_listing_of_the_decoded_text(monkeypatch, piece):
+    monkeypatch.setattr(asm, "SCAN_PIECE", piece)
+    rng = np.random.default_rng(piece)
+    cases = list(PIECE_EDGES)
+    cases += [fuzz_listing(rng).encode() for _ in range(150)]
+    cases += [noisy_bytes(fuzz_listing(rng), rng) for _ in range(150)]
+    cases += [noisy_bytes(memo_listing(rng), rng) for _ in range(100)]
+    cases += [bytes(rng.integers(0, 256, size=int(rng.integers(0, 100)))) for _ in range(100)]
+    for data in cases:
+        text = data.decode("utf-8", errors="replace")
+        lines = [line for lines in asm._pieces(data) for line in lines]
+        assert lines == text.splitlines(), data
+        assert scan_buffer(data) == scan_listing(text), data
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 vocabulary ranking rules, schema arithmetic, and importance-based selection."""
 from __future__ import annotations
 
+import builtins
 import csv
 import dataclasses
 import hashlib
@@ -9,6 +10,7 @@ import importlib.util
 import io
 import itertools
 import json
+import mmap
 import os
 import random
 import subprocess
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 import malfam
+from malfam import asm
 from malfam.asm import ListingScan, load_listing
 from malfam.corpus import CorpusManifest, Sample, scan_corpus
 from malfam.errors import CorpusError, ExtractionError, TrainingError
@@ -164,23 +167,27 @@ def large_sample(small_corpus, tmp_path_factory) -> Sample:
     return sample
 
 
-CHUNK = extract.COMPRESS_CHUNK
+PIECE = asm.SCAN_PIECE
 
 
-@pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, None])
-def test_stream_complexity_equals_the_one_shot_oracle(tmp_path, large_sample, size):
+@pytest.mark.parametrize("size", [0, 1, PIECE - 1, PIECE, PIECE + 1, None])
+def test_stream_complexity_equals_the_one_shot_oracle(large_sample, size):
+    # buffer_complexity of bytes and of an anonymous map holding them, as
+    # digest_sample holds an artifact on either side of OVERLAP_MIN_BYTES
     data = large_sample.asm_path.read_bytes()[:size]
-    path = tmp_path / "part.asm"
-    path.write_bytes(data)
-    got = np.array(extract.stream_complexity(path, "s"), dtype=np.float64)
-    assert got.tobytes() == feat_complexity(data, None)[:3].tobytes()
+    want = feat_complexity(data, None)[:3].tobytes()
+    assert np.array(extract.buffer_complexity(data)).tobytes() == want
+    if data:
+        with mmap.mmap(-1, len(data)) as held:
+            held[:] = data
+            assert np.array(extract.buffer_complexity(held)).tobytes() == want
 
 
 def test_stream_complexity_of_a_dump_and_of_no_file(large_sample):
-    dump = large_sample.bytes_path
-    got = np.array(extract.stream_complexity(dump, "s"), dtype=np.float64)
-    assert got.tobytes() == feat_complexity(dump.read_bytes(), None)[:3].tobytes()
-    assert extract.stream_complexity(None, "s") == (0.0, 0.0, 0.0)
+    dump = large_sample.bytes_path.read_bytes()
+    got = np.array(extract.buffer_complexity(dump), dtype=np.float64)
+    assert got.tobytes() == feat_complexity(dump, None)[:3].tobytes()
+    assert extract.buffer_complexity(None) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +647,20 @@ def test_digest_counts_listing_parse_failures(tmp_path):
 ALWAYS, NEVER = 0, 2**62
 
 
+@pytest.fixture
+def made_maps(monkeypatch) -> list[mmap.mmap]:
+    """Every anonymous map made while the test runs, in order."""
+    maps = []
+    real = mmap.mmap
+
+    def recorded(*args, **kwargs):
+        maps.append(real(*args, **kwargs))
+        return maps[-1]
+
+    monkeypatch.setattr(mmap, "mmap", recorded)
+    return maps
+
+
 def assert_same_digest(a: SampleDigest, b: SampleDigest) -> None:
     for f in dataclasses.fields(SampleDigest):
         mine, theirs = getattr(a, f.name), getattr(b, f.name)
@@ -649,7 +670,7 @@ def assert_same_digest(a: SampleDigest, b: SampleDigest) -> None:
             assert mine == theirs, f.name
 
 
-def test_overlap_digest_equals_inline(small_corpus, large_sample, monkeypatch):
+def test_overlap_digest_equals_inline(small_corpus, large_sample, monkeypatch, made_maps):
     baseline = threading.active_count()
     for sample in (*small_corpus.samples, large_sample):
         digests = []
@@ -657,8 +678,11 @@ def test_overlap_digest_equals_inline(small_corpus, large_sample, monkeypatch):
             monkeypatch.setattr(extract, "OVERLAP_MIN_BYTES", threshold)
             digests.append(digest_sample(sample, GROUP_ORDER, prefer="asm"))
             assert threading.active_count() == baseline
+            assert all(held.closed for held in made_maps)
         assert_same_digest(*digests)
         assert digests[0].complexity[1] > 0
+    # ALWAYS maps both artifacts of every sample, NEVER none
+    assert len(made_maps) == 2 * (len(small_corpus.samples) + 1)
 
 
 def test_overlap_matrix_equals_inline(small_corpus, large_sample, monkeypatch):
@@ -676,7 +700,9 @@ def test_overlap_matrix_equals_inline(small_corpus, large_sample, monkeypatch):
 
 
 @pytest.mark.parametrize("broken", ["missing", "directory"])
-def test_overlap_unreadable_dump_raises_as_inline(tmp_path, small_corpus, monkeypatch, broken):
+def test_overlap_unreadable_dump_raises_as_inline(
+    tmp_path, small_corpus, monkeypatch, made_maps, broken
+):
     dump = tmp_path / "x.bytes"
     if broken == "directory":
         dump.mkdir()
@@ -689,20 +715,24 @@ def test_overlap_unreadable_dump_raises_as_inline(tmp_path, small_corpus, monkey
             digest_sample(sample, GROUP_ORDER, prefer="asm")
         messages.append(str(info.value))
         assert threading.active_count() == baseline
+        assert all(held.closed for held in made_maps)
     assert messages[0] == messages[1]
+    assert len(made_maps) == 1  # the listing's, read before the dump failed
 
 
-def test_overlap_scan_error_propagates(small_corpus, monkeypatch):
-    def failing_scan(text):
+def test_overlap_scan_error_propagates(small_corpus, monkeypatch, made_maps):
+    def failing_scan(data):
         raise RuntimeError("scan failed")
 
-    monkeypatch.setattr(extract, "scan_listing", failing_scan)
+    monkeypatch.setattr(extract, "scan_buffer", failing_scan)
     baseline = threading.active_count()
     for threshold in (ALWAYS, NEVER):
         monkeypatch.setattr(extract, "OVERLAP_MIN_BYTES", threshold)
         with pytest.raises(RuntimeError, match="scan failed"):
             digest_sample(small_corpus.samples[0], GROUP_ORDER, prefer="asm")
         assert threading.active_count() == baseline
+        assert all(held.closed for held in made_maps)
+    assert len(made_maps) == 2
 
 
 def test_only_a_large_listing_is_compressed_on_helpers(small_corpus, large_sample, monkeypatch):
@@ -710,16 +740,79 @@ def test_only_a_large_listing_is_compressed_on_helpers(small_corpus, large_sampl
     assert small.asm_path.stat().st_size < extract.OVERLAP_MIN_BYTES
     assert large_sample.asm_path.stat().st_size >= extract.OVERLAP_MIN_BYTES
     calls = []
-    real_stream = extract.stream_complexity
+    real_complexity = extract.buffer_complexity
 
-    def recorded(path, sample_id):
-        calls.append((sample_id, threading.current_thread() is threading.main_thread()))
-        return real_stream(path, sample_id)
+    def recorded(data):
+        calls.append((len(data), threading.current_thread() is threading.main_thread()))
+        return real_complexity(data)
 
-    monkeypatch.setattr(extract, "stream_complexity", recorded)
+    monkeypatch.setattr(extract, "buffer_complexity", recorded)
     digest_sample(small, GROUP_ORDER, prefer="asm")
     digest_sample(large_sample, GROUP_ORDER, prefer="asm")
-    assert calls == [(small.id, True), (small.id, True), ("large", False), ("large", False)]
+    sizes = [p.stat().st_size for s in (small, large_sample) for p in (s.asm_path, s.bytes_path)]
+    assert calls == list(zip(sizes, (True, True, False, False)))
+
+
+@pytest.fixture
+def opened(monkeypatch) -> list[tuple[str, bool]]:
+    """(path, opened on the main thread) for every file opened while the test runs."""
+    calls = []
+    real = io.open
+
+    def recorded(file, *args, **kwargs):
+        calls.append((str(file), threading.current_thread() is threading.main_thread()))
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recorded)
+    monkeypatch.setattr(io, "open", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("threshold", [None, NEVER])
+def test_digest_opens_each_artifact_once_on_the_calling_thread(
+    small_corpus, large_sample, monkeypatch, threshold, opened, made_maps
+):
+    # the default threshold maps the large sample's artifacts and compresses
+    # them on helpers; NEVER reads them as bytes and compresses inline
+    if threshold is not None:
+        monkeypatch.setattr(extract, "OVERLAP_MIN_BYTES", threshold)
+    for sample in (small_corpus.samples[0], large_sample):
+        opened.clear()
+        digest_sample(sample, GROUP_ORDER, prefer="asm")
+        assert opened == [(str(sample.asm_path), True), (str(sample.bytes_path), True)]
+    assert len(made_maps) == (0 if threshold else 2)
+    assert all(held.closed for held in made_maps)
+
+
+def test_a_file_that_shrinks_after_its_stat_is_read_as_far_as_it_goes(
+    tmp_path, monkeypatch, made_maps
+):
+    # fstat reports more bytes than the file holds, as when it is cut short
+    # between the stat and the read: the map's unread tail is not taken
+    data = b".text:00401000 55 push ebp\n" * 64
+    sample = sample_with(tmp_path, asm=data, dump=data[:100])
+    real_fstat = os.fstat
+    monkeypatch.setattr(extract, "OVERLAP_MIN_BYTES", ALWAYS)
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 7))
+    got = digest_sample(sample, (GROUP_COMPLEXITY, GROUP_OPCODE_4GRAM), prefer="asm")
+    assert got.complexity.tobytes() == feat_complexity(data, data[:100]).tobytes()
+    assert got.opcode_grams == Counter({("push",) * 4: 61})
+    assert len(made_maps) == 2
+    assert all(held.closed for held in made_maps)
+
+
+def test_digest_peak_memory_is_bounded_by_the_listing(large_sample, made_maps):
+    size = large_sample.asm_path.stat().st_size
+    tracemalloc.start()
+    try:
+        digest_sample(large_sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole decoded text and its line list alone would be near 4x
+    assert peak <= 2 * size
+    assert len(made_maps) == 2
+    assert all(held.closed for held in made_maps)
 
 
 # ---------------------------------------------------------------------------
