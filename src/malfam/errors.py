@@ -43,3 +43,7 @@ class TrainingError(MalfamError):
 
 class ModelError(MalfamError):
     """Model file unreadable or bound to a different feature schema."""
+
+
+class WorkerError(MalfamError):
+    """A worker process of `fork_map` ended before it sent all of its results."""

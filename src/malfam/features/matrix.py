@@ -3,11 +3,11 @@
 A `FeatureMatrix` holds its values as one `SparseMatrix`, every column
 compressed by column (CSC).  `extract_matrix` builds it from each sample's
 (column, value) pairs, so no dense row of the matrix is ever built.  Its
-digests come from the caller or are taken one sample at a time, and every
-row is projected as it comes, all on the calling thread: the listing scan
-and the projection are Python under the interpreter lock, so a pool of
-digest threads measured no faster.  `values` densifies the matrix for a
-caller that asks.
+digests come from the caller or from a `fork_map` over the samples, whose
+workers are processes: the listing scan is Python under the interpreter
+lock, so a pool of digest threads measured no faster.  Every row is
+projected as its digest comes, on the calling thread.  `values` densifies
+the matrix for a caller that asks.
 
 The CSV layout is `id,label,<dim...>` with one row per sample.  Floats are
 written with repr so a save/load round trip is bit-exact (zeros, most cells of
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Sequence
+from collections.abc import Iterable
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from ..corpus import CorpusManifest
 from ..errors import CorpusError
+from ..forkmap import fork_map
 from ..sparse import SparseMatrix, as_matrix, held
 from .extract import SampleDigest, digest_sample
 from .schema import FeatureSchema, group_of_dim
@@ -87,28 +89,33 @@ def extract_matrix(
     prefer: str = "pe",
     binary_ngrams: bool = False,
     threads: int = 1,
-    digests: Sequence[SampleDigest] | None = None,
+    digests: Iterable[SampleDigest] | None = None,
 ) -> FeatureMatrix:
-    """Extract every sample in manifest order, on the calling thread.
+    """Extract every sample, projecting each row in manifest order on the
+    calling thread.
 
-    `digests`, when given, is parallel to the manifest's samples and holds
-    every group of the schema, and no sample is read.  Otherwise each sample
-    is digested just before its row is projected, as `assemble` projects
-    it.  `threads` is accepted for callers that still pass it; it starts
-    nothing and changes nothing.
+    `digests`, when given, yields one digest per manifest sample, in order,
+    holding every group of the schema, and no sample is read.  Otherwise the
+    samples are digested through `fork_map`.  Either way each row is
+    projected as its digest arrives, as `assemble` projects it.  `threads`
+    is accepted for callers that still pass it; it starts nothing and
+    changes nothing.
     """
     samples = manifest.samples
     lookup = vocab.lookup(schema)
-    if digests is None:
-        digests = (digest_sample(sample, lookup.groups, prefer) for sample in samples)
-    elif len(digests) != len(samples):
-        raise ValueError("digests must be parallel to the manifest's samples")
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    for sample, digest in zip(samples, digests):
-        row_cols, row_vals = lookup.project(digest, sample.id, binary_ngrams)
-        cols.append(row_cols)
-        vals.append(row_vals)
+    with ExitStack() as stack:
+        if digests is None:
+            digests = stack.enter_context(closing(fork_map(
+                lambda sample: digest_sample(sample, lookup.groups, prefer), samples)))
+        digests = iter(digests)
+        for sample, digest in zip(samples, digests):
+            row_cols, row_vals = lookup.project(digest, sample.id, binary_ngrams)
+            cols.append(row_cols)
+            vals.append(row_vals)
+        if len(cols) != len(samples) or next(digests, None) is not None:
+            raise ValueError("digests must be parallel to the manifest's samples")
     return FeatureMatrix(
         schema,
         tuple(s.id for s in samples),

@@ -5,8 +5,9 @@ document frequency (how many samples mention the token at least once) and
 capped.  Ties break lexicographically so the cut is reproducible.
 
 `build_vocab` is the one place a corpus is digested for a vocabulary: it
-digests each sample once, for every group asked, in manifest order on the
-calling thread, and returns the digests with the vocabulary, so the caller
+digests each sample once, for every group asked, through `fork_map` (or
+takes a caller's stream of those digests), folds them in manifest order on
+the calling thread, and returns them with the vocabulary, so the caller
 projects them without reading a sample again.  It holds each digest's gram
 counts as `HeldGrams`: one shared tuple per distinct gram and one int32
 count per entry, where a fresh `Counter` entry keeps a tuple of its own.
@@ -14,6 +15,7 @@ count per entry, where a fresh `Counter` entry keeps a tuple of its own.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -22,6 +24,7 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..errors import CorpusError
+from ..forkmap import fork_map
 from ..util import read_json, write_json
 from .extract import N_GRAM, ColumnLookup, SampleDigest, compile_columns, digest_sample
 from .schema import GROUP_ORDER, GROUP_SECTION_SIZE, FeatureSchema, group_dims
@@ -130,14 +133,16 @@ def build_vocab(
     caps: VocabCaps = VocabCaps(),
     groups: Sequence[str] = GROUP_ORDER,
     prefer: str = "pe",
+    digests: Iterable[SampleDigest] | None = None,
 ) -> tuple[Vocabulary, list[SampleDigest]]:
     """Digest a manifest (the train split) and rank tokens by document frequency.
 
-    Each sample is digested once, for every group in `groups`, in manifest
-    order on the calling thread; each digest is held with `hold_digest` and
-    folded as it comes.  Section names are counted only when `groups` asks
-    for section sizes.  Returns the vocabulary and the held digests, in
-    manifest order.
+    Each sample is digested once, for every group in `groups`, through
+    `fork_map`; `digests`, when given, yields those digests in manifest
+    order instead, and no sample is read here.  Each digest is held with
+    `hold_digest` and folded as it comes, in manifest order.  Section names
+    are counted only when `groups` asks for section sizes.  Returns the
+    vocabulary and the held digests, in manifest order.
     """
     want_sections = GROUP_SECTION_SIZE in groups
     shared: dict = {}  # one tuple per distinct gram, for every held digest
@@ -146,14 +151,18 @@ def build_vocab(
     library_freq: Counter = Counter()
     api_freq: Counter = Counter()
     opcode_freq: Counter = Counter()
-    for sample in manifest.samples:
-        digest = hold_digest(digest_sample(sample, groups, prefer), shared)
-        held.append(digest)
-        if want_sections:
-            section_freq.update(digest.sections.keys())
-        library_freq.update(digest.libraries)
-        api_freq.update(digest.api_grams.keys())
-        opcode_freq.update(digest.opcode_grams.keys())
+    with ExitStack() as stack:
+        if digests is None:
+            digests = stack.enter_context(closing(fork_map(
+                lambda sample: digest_sample(sample, groups, prefer), manifest.samples)))
+        for digest in digests:
+            digest = hold_digest(digest, shared)
+            held.append(digest)
+            if want_sections:
+                section_freq.update(digest.sections.keys())
+            library_freq.update(digest.libraries)
+            api_freq.update(digest.api_grams.keys())
+            opcode_freq.update(digest.opcode_grams.keys())
     vocab = Vocabulary(
         section_names=tuple(_top_k(section_freq, caps.sections)),
         libraries=tuple(_top_k(library_freq, caps.libraries)),

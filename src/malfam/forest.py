@@ -38,7 +38,10 @@ serves predict), and nothing densifies the matrix.
 The whole forest is one lockstep on the calling thread.  A step's search is
 numpy, but the preorder stacks and the step's bookkeeping are Python under
 the interpreter lock, so a pool of threads, each growing a slice of the
-trees, measured slower than one lockstep.
+trees, measured slower than one lockstep.  Whole fits are independent, so
+the folds of a cross-validation, the grid's (cell, fold) fits and a train
+pass's final fit run as the items of one `fork_map`, each fit in one worker
+process.
 
 Determinism contract: every tree draws from its own PCG64 generator seeded by
 mix_seed(seed, "tree", index), so refitting with the same seed reproduces the
@@ -50,6 +53,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Mapping, Sequence
+from contextlib import closing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -57,6 +61,7 @@ import numpy as np
 
 from .errors import ModelError, TrainingError
 from .families import family_name
+from .forkmap import fork_map
 from .sparse import SparseMatrix, as_matrix, ranges
 from .util import json_int, mix_seed, read_json, write_json
 
@@ -707,8 +712,29 @@ def cross_validate(
     Each fold's forest is fitted on that fold's rows of the one matrix (see
     `fit_forest`'s `rows`), whose values are ranked once for every fold;
     only the held-out rows are copied, to score them, and nothing is
-    densified.
+    densified.  The folds are one `fork_map`.
     """
+    return _cross_validations(values, labels, [params], folds, seed)[0][0]
+
+
+def fit_and_cross_validate(
+    values,
+    labels,
+    params: ForestParams = ForestParams(),
+    folds: int = 5,
+    seed: int = 0,
+) -> tuple[RandomForest, Metrics]:
+    """`fit_forest(values, labels, params)` and `cross_validate` with the
+    same arguments, the fit and the folds in one `fork_map`."""
+    cvs, forest = _cross_validations(values, labels, [params], folds, seed, fit=True)
+    return forest, cvs[0]
+
+
+def _cross_validations(values, labels, cells: Sequence[ForestParams], folds: int, seed: int,
+                       *, fit: bool = False) -> tuple[list[Metrics], RandomForest | None]:
+    """The cross-validation of each cell and, with `fit`, the last cell's
+    forest on every row: each (cell, fold) fit and that one are the items
+    of one `fork_map`, whose workers read the matrix their caller ranked."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
     X = as_matrix(values)
@@ -731,23 +757,39 @@ def cross_validate(
         rng = np.random.Generator(np.random.PCG64(mix_seed(seed, "cv", int(cls))))
         perm = rng.permutation(idx.size)
         fold_of[idx[perm]] = np.arange(idx.size) % folds
+    _require_finite(X)
+    X.ranks  # worked out here, once, and not again in every worker
 
-    accuracies: list[float] = []
-    k = classes.size
-    conf_total = np.zeros((k, k), dtype=np.int64)
-    for fold in range(folds):
+    def run(task: tuple[ForestParams, int | None]):
+        params, fold = task
+        if fold is None:
+            return fit_forest(X, y, params)
         held = fold_of == fold
         fold_params = replace(params, seed=mix_seed(seed, "fold", fold))
         forest = fit_forest(X, y, fold_params, rows=np.flatnonzero(~held))
-        metrics = evaluate(forest, X.take(np.flatnonzero(held)), y[held])
-        accuracies.append(metrics.accuracy)
-        conf_total += np.asarray(metrics.confusion, dtype=np.int64)
-    return Metrics(
-        accuracy=float(np.mean(accuracies)),
-        classes=tuple(int(c) for c in classes),
-        confusion=tuple(tuple(int(v) for v in row) for row in conf_total),
-        per_fold=tuple(accuracies),
-    )
+        return evaluate(forest, X.take(np.flatnonzero(held)), y[held])
+
+    tasks: list[tuple[ForestParams, int | None]] = [
+        (params, fold) for params in cells for fold in range(folds)
+    ]
+    if fit:
+        tasks.append((cells[-1], None))
+    with closing(fork_map(run, tasks)) as results:
+        done = list(results)
+    k = classes.size
+    cvs = []
+    for at in range(0, len(cells) * folds, folds):
+        accuracies = [metrics.accuracy for metrics in done[at:at + folds]]
+        conf_total = np.zeros((k, k), dtype=np.int64)
+        for metrics in done[at:at + folds]:
+            conf_total += np.asarray(metrics.confusion, dtype=np.int64)
+        cvs.append(Metrics(
+            accuracy=float(np.mean(accuracies)),
+            classes=tuple(int(c) for c in classes),
+            confusion=tuple(tuple(int(v) for v in row) for row in conf_total),
+            per_fold=tuple(accuracies),
+        ))
+    return cvs, (done[-1] if fit else None)
 
 
 def grid_search(
@@ -762,21 +804,16 @@ def grid_search(
 ) -> tuple[ForestParams, Metrics, list[tuple[ForestParams, float]]]:
     """Cross-validate every (n_trees, features_per_split) cell; best mean wins.
 
-    Returns the winner's params and cross-validation, and every cell's mean
-    accuracy in grid order.  Ties keep the earlier cell, so smaller forests
-    are preferred.
+    Every (cell, fold) fit is an item of one `fork_map`.  Returns the
+    winner's params and cross-validation, and every cell's mean accuracy in
+    grid order.  Ties keep the earlier cell, so smaller forests are
+    preferred.
     """
-    results: list[tuple[ForestParams, float]] = []
-    best: tuple[ForestParams, Metrics] | None = None
-    for n_trees in tree_counts:
-        for rule in feature_rules:
-            params = replace(base, n_trees=n_trees, features_per_split=rule)
-            metrics = cross_validate(values, labels, params, folds=folds, seed=seed)
-            results.append((params, metrics.accuracy))
-            if best is None or metrics.accuracy > best[1].accuracy:
-                best = (params, metrics)
-    assert best is not None
-    return best[0], best[1], results
+    cells = [replace(base, n_trees=n_trees, features_per_split=rule)
+             for n_trees in tree_counts for rule in feature_rules]
+    cvs, _ = _cross_validations(values, labels, cells, folds, seed)
+    best = max(range(len(cells)), key=lambda at: cvs[at].accuracy)  # the first of equals
+    return cells[best], cvs[best], [(p, m.accuracy) for p, m in zip(cells, cvs)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,27 +4,38 @@ The CLI is a thin argv wrapper over these functions; tests drive them
 directly.  Every artifact written here is byte-stable for a fixed
 (config, seed, corpus) triple.
 
-A train pass digests each train sample once, in `build_vocab`, which holds
-every digest, its gram counts held compactly, and returns them with the
-vocabulary; `extract --build-vocab` takes the same path.  The pass projects
-the held digests once, into every dimension of the enabled groups, and drops
-them before selection.  Selection reads its groups' columns of that matrix,
-and the train matrix is the final schema's columns of it
+A train pass digests each sample once, train and test samples alike, in one
+`fork_map`.  `build_vocab` folds the train digests in manifest order as they
+arrive and holds each one, its gram counts held compactly; `extract
+--build-vocab` takes the same path.  The pass projects the held train
+digests once, into every dimension of the enabled groups, and drops them
+before selection.  Selection reads its groups' columns of that matrix, and
+the train matrix is the final schema's columns of it
 (`FeatureMatrix.columns`).  Both are `SparseMatrix` values, every column
 held compressed (CSC), and the fit and every CV fold read the train matrix
-in place; no dense copy of it is made.
+in place; no dense copy of it is made.  The held test digests are projected
+into the final schema.  The CV folds and the final fit are a second
+`fork_map` (a grid's (cell, fold) fits are one, and its final fit follows).
 
-Every stage runs on the calling thread, which also reads every artifact.
-The only threads a pass starts are the two zlib helpers `digest_sample`
-takes for a listing of at least `OVERLAP_MIN_BYTES`; they compress the
-buffers the digest holds, open no file, and are joined before it returns.
-`RunConfig.threads` is kept in config files and has no effect.
+Those two maps are the only work off the calling thread.  Each runs on
+forked worker processes, one per CPU this process may use and no more than
+it has items; the parent starts no thread, and reads the results in item
+order, so every output is what the serial loop gives.  A map runs inline,
+as that loop, on one CPU, off Linux, from Python 3.12, or when the process
+has a thread besides the calling one (see `forkmap`).  Selection, every
+projection and every saved file stay on the calling thread.  Inside a
+digest, a listing of at least `OVERLAP_MIN_BYTES` takes two zlib helper
+threads, joined before the digest returns.  `RunConfig.threads` is kept in
+config files and has no effect.
 """
 from __future__ import annotations
 
 import logging
+from contextlib import closing
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
+from time import perf_counter
 
 from .config import RunConfig, save_config, load_config
 from .corpus import CorpusManifest, save_manifest, stratified_split
@@ -32,19 +43,21 @@ from .errors import ModelError, TrainingError
 from .features.matrix import FeatureMatrix, extract_matrix, save_matrix_csv
 from .features.schema import GROUP_ORDER, FeatureSchema, build_schema
 from .features.select import load_selection, save_selection, select_by_importance
+from .features.extract import digest_sample
 from .features.vocab import Vocabulary, build_vocab, load_vocab, save_vocab
 from .forest import (
     ForestParams,
     Metrics,
     RandomForest,
-    cross_validate,
     evaluate,
+    fit_and_cross_validate,
     fit_forest,
     grid_search,
     load_model,
     params_to_dict,
     save_model,
 )
+from .forkmap import fork_map, workers
 from .util import mix_seed, write_json
 
 log = logging.getLogger(__name__)
@@ -113,34 +126,48 @@ def fit_pipeline(
 ) -> TrainResult:
     """Vocabulary, selection, and model all come from the train manifest only.
 
-    Each train sample is digested once, by `build_vocab`, and its digest is
-    projected once, into every dimension of the enabled groups; the digests
-    are dropped before selection.  Selection reads its groups' columns of
-    that matrix, and the train matrix, which the fit and every CV fold read
-    in place, is the final schema's columns of it.  A grid search's
-    cross-validation of its winner is the run's.
+    Each sample is digested once, in one `fork_map` over the train and then
+    the test samples, whose train digests `build_vocab` folds.  Each train
+    digest is projected once, into every dimension of the enabled groups;
+    the digests are dropped before selection.  Selection reads its groups'
+    columns of that matrix, and the train matrix, which the fit and every CV
+    fold read in place, is the final schema's columns of it.  The CV folds
+    and the final fit are one more `fork_map`.  A grid search's
+    cross-validation of its winner is the run's.  The worker count and the
+    wall time of each map are logged at INFO.
     """
     overlap = train_man.ids() & test_man.ids()
     if overlap:
         raise TrainingError(f"train/test manifests overlap: {sorted(overlap)[:3]}")
-    vocab, held = build_vocab(train_man, config.caps, config.groups, config.prefer)
-    log.info("vocabulary built: %s",
-             {g: len(vocab.dims(g)) for g in GROUP_ORDER if g in config.groups and vocab.dims(g)})
+    samples = train_man.samples + test_man.samples
     options = dict(prefer=config.prefer, binary_ngrams=config.binary_ngrams)
-    full = extract_matrix(train_man, build_schema(vocab, config.groups), vocab,
-                          digests=held, **options)
-    del held  # nothing after the projection reads the digests
-    selection = compute_selection(full, config)
-    schema = build_schema(vocab, config.groups, selection or None)
-    train_matrix = full.columns(schema)
-    del full
-    test_matrix = extract_matrix(test_man, schema, vocab, **options)
+    t0 = perf_counter()
+    with closing(fork_map(
+        lambda sample: digest_sample(sample, config.groups, config.prefer), samples
+    )) as digests:
+        vocab, held = build_vocab(train_man, config.caps, config.groups, config.prefer,
+                                  digests=islice(digests, len(train_man)))
+        log.info("vocabulary built: %s",
+                 {g: len(vocab.dims(g)) for g in GROUP_ORDER if g in config.groups and vocab.dims(g)})
+        full = extract_matrix(train_man, build_schema(vocab, config.groups), vocab,
+                              digests=held, **options)
+        del held  # nothing after the projection reads the train digests
+        selection = compute_selection(full, config)
+        schema = build_schema(vocab, config.groups, selection or None)
+        train_matrix = full.columns(schema)
+        del full
+        # the test digests wait in the workers until now, and are projected
+        # one at a time as they arrive
+        test_matrix = extract_matrix(test_man, schema, vocab, digests=digests, **options)
+    log.info("digests: %d samples, %d workers, the last in at %.3f s",
+             len(samples), workers(len(samples)), perf_counter() - t0)
     train_values, train_labels = train_matrix.labeled()
     if len(train_labels) != len(train_matrix):
         raise TrainingError("every training sample must carry a label")
 
     params = config.forest
     grid_results = None
+    t0 = perf_counter()
     if grid:
         params, cv, grid_results = grid_search(
             train_values,
@@ -151,15 +178,19 @@ def fit_pipeline(
         )
         log.info("grid winner: n_trees=%d features_per_split=%s",
                  params.n_trees, params.features_per_split)
+        forest = fit_forest(train_values, train_labels, params)
+        fits = len(grid_results) * config.folds + 1
     else:
-        cv = cross_validate(
+        forest, cv = fit_and_cross_validate(
             train_values,
             train_labels,
             params,
             folds=config.folds,
             seed=config.seed,
         )
-    forest = fit_forest(train_values, train_labels, params)
+        fits = config.folds + 1
+    log.info("cross-validation and fit: %d fits, %d workers, %.3f s",
+             fits, workers(fits), perf_counter() - t0)
 
     test_values, test_labels = test_matrix.labeled()
     if len(test_labels) != len(test_matrix):

@@ -1,14 +1,20 @@
-"""Shared fixtures: small synthetic corpora and a pre-trained model directory.
+"""Shared fixtures: small synthetic corpora, a pre-trained model directory,
+and the seams a test of `fork_map`'s callers needs: its worker count, and a
+call log that counts the calls its forked workers make as well.
 
 Session scope keeps the expensive pieces (corpus generation, forest
 training) to one run each; tests that mutate state get their own tmp dirs.
+Every test must leave no child process behind.
 """
 from __future__ import annotations
 
+import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from malfam import forkmap
 from malfam.config import RunConfig
 from malfam.features.schema import (
     GROUP_COMPLEXITY,
@@ -49,3 +55,45 @@ def trained_dir(tmp_path_factory: pytest.TempPathFactory, fast_config: RunConfig
     out = tmp_path_factory.mktemp("model") / "run"
     save_train_dir(out, result, train_man, test_man)
     return out
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """`workers(n)` makes `fork_map` see n CPUs; at 1 every map runs inline."""
+    return lambda n: monkeypatch.setattr(forkmap, "cpu_count", lambda: n)
+
+
+class CallLog:
+    """Calls recorded in a file, one line each, so that a call made in a
+    forked worker is counted with the parent's.  Lines of concurrent writers
+    interleave whole: each is one append of a few bytes."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        path.touch()
+
+    def record(self, *fields) -> None:
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write("\t".join(map(str, fields)) + "\n")
+
+    def lines(self) -> list[tuple[str, ...]]:
+        """Every recorded call's fields, as strings, in no fixed order."""
+        text = self.path.read_text(encoding="utf-8")
+        return [tuple(line.split("\t")) for line in text.splitlines()]
+
+    def counts(self) -> Counter:
+        """How often each call was recorded: by its one field, or by the tuple of them."""
+        return Counter(fields[0] if len(fields) == 1 else fields for fields in self.lines())
+
+
+@pytest.fixture
+def call_log(tmp_path) -> CallLog:
+    return CallLog(tmp_path / "calls.log")

@@ -157,13 +157,12 @@ def test_extract_builds_vocab_and_prints_group_sizes(cli_env, tmp_path, capsys):
     assert (tmp_path / "vocab.json").is_file()
 
 
-def test_extract_build_vocab_digests_each_sample_once(tmp_path, monkeypatch):
+def test_extract_build_vocab_digests_each_sample_once(tmp_path, monkeypatch, call_log):
     corpus = gen_synthetic(4, 5, tmp_path / "corpus")
-    calls: Counter = Counter()
     original = extract_module.digest_sample
 
     def counted(sample, *args, **kwargs):
-        calls[sample.id] += 1
+        call_log.record(sample.id)  # in whichever worker digests it
         return original(sample, *args, **kwargs)
 
     for module in (vocab_module, matrix_module, extract_module):
@@ -176,13 +175,13 @@ def test_extract_build_vocab_digests_each_sample_once(tmp_path, monkeypatch):
 
     built = extract("built.csv", "--build-vocab", str(tmp_path / "vocab.json"))
     assert len(corpus) == 36
-    assert calls == Counter({s.id: 1 for s in corpus.samples})
+    assert call_log.counts() == Counter({s.id: 1 for s in corpus.samples})
     # the digests build_vocab held project to the matrix that reading every
     # sample again under the saved vocabulary gives
     assert extract("again.csv", "--build-vocab", str(tmp_path / "v2.json")) == built
     assert (tmp_path / "v2.json").read_bytes() == (tmp_path / "vocab.json").read_bytes()
     assert extract("reread.csv", "--vocab", str(tmp_path / "vocab.json")) == built
-    assert calls == Counter({s.id: 3 for s in corpus.samples})
+    assert call_log.counts() == Counter({s.id: 3 for s in corpus.samples})
 
 
 def test_extract_config_controls_groups(cli_env, tmp_path, capsys):

@@ -1154,7 +1154,8 @@ def test_lookup_slot_never_pairs_a_schema_with_another_schemas_lookup(oracle_voc
     assert not wrong
 
 
-def test_extract_matrix_projects_on_the_calling_thread(small_corpus, oracle_vocab, monkeypatch):
+def test_extract_matrix_projects_on_the_calling_thread(small_corpus, oracle_vocab, monkeypatch, workers):
+    workers(1)  # the map runs inline: every digest is on the calling thread too
     projected, digested = [], []
     project, digest = extract.ColumnLookup.project, matrix_module.digest_sample
 
@@ -1185,6 +1186,39 @@ def test_extract_matrix_projects_on_the_calling_thread(small_corpus, oracle_voca
             for s in small_corpus.samples
         ])
         assert got.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_extract_matrix_digests_on_workers_and_projects_on_the_calling_thread(
+    small_corpus, oracle_vocab, monkeypatch, workers, call_log, n_workers
+):
+    workers(n_workers)
+    projected = []
+    project, digest = extract.ColumnLookup.project, matrix_module.digest_sample
+
+    def spy_project(self, *args, **kwargs):
+        projected.append(threading.get_ident())
+        return project(self, *args, **kwargs)
+
+    def spy_digest(sample, *args, **kwargs):
+        call_log.record(sample.id, os.getpid())
+        return digest(sample, *args, **kwargs)
+
+    monkeypatch.setattr(extract.ColumnLookup, "project", spy_project)
+    monkeypatch.setattr(matrix_module, "digest_sample", spy_digest)
+    schema = build_schema(oracle_vocab)
+    got = extract_matrix(small_corpus, schema, oracle_vocab, prefer="asm")
+    assert projected == [threading.get_ident()] * len(small_corpus)
+    # each sample digested once, by one of n_workers processes other than this one
+    digested = call_log.lines()
+    assert Counter(sample_id for sample_id, _ in digested) == Counter(s.id for s in small_corpus.samples)
+    pids = {int(pid) for _, pid in digested}
+    assert len(pids) == n_workers and os.getpid() not in pids
+    want = np.vstack([
+        reference_assemble(s, schema, oracle_vocab, prefer="asm").values
+        for s in small_corpus.samples
+    ])
+    assert got.values.tobytes() == want.tobytes()
 
 
 def test_matrix_csv_round_trip(tmp_path, small_corpus):
@@ -1482,17 +1516,16 @@ def test_projection_refuses_a_non_finite_value(small_corpus):
 
 @pytest.mark.parametrize("binary", [False, True])
 def test_extract_matrix_projects_held_digests_without_reading_a_sample(
-    small_corpus, monkeypatch, binary
+    small_corpus, monkeypatch, call_log, binary
 ):
     vocab, _ = build_vocab(small_corpus, VocabCaps(6, 6, 12, 12), prefer="asm")
     full = extract_matrix(small_corpus, build_schema(vocab), vocab, prefer="asm", binary_ngrams=binary)
     shared: dict = {}
     held = [hold_digest(digest_sample(s, prefer="asm"), shared) for s in small_corpus.samples]
-    calls = Counter()
     real_digest = extract.digest_sample
 
     def counted(sample, *args, **kwargs):
-        calls[sample.id] += 1
+        call_log.record(sample.id)  # in whichever worker digests it
         return real_digest(sample, *args, **kwargs)
 
     monkeypatch.setattr(extract, "digest_sample", counted)
@@ -1506,7 +1539,7 @@ def test_extract_matrix_projects_held_digests_without_reading_a_sample(
         )
         cols = [full.schema.names.index(name) for name in schema.names]
         assert np.array_equal(got.values, full.values[:, cols])
-    assert not calls
+    assert not call_log.lines()
     with pytest.raises(ValueError, match="digests must be parallel"):
         extract_matrix(small_corpus, narrow, vocab, digests=held[:2])
 

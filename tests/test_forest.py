@@ -3,6 +3,7 @@ oracle, fitting, probabilities, MDI importances, CV protocol, persistence."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -724,16 +725,16 @@ def test_fit_and_cross_validate_on_the_sparse_matrix_equal_the_dense_array(sourc
         assert got == copying_cross_validate(X, y, params, folds=3, seed=2)
 
 
-def test_fit_and_cross_validate_read_the_sparse_matrix_in_place(monkeypatch):
+def test_fit_and_cross_validate_read_the_sparse_matrix_in_place(monkeypatch, call_log):
     """No fit copies or densifies the matrix, and cross-validation copies
-    each fold's held-out rows alone, to score them without densifying."""
+    each fold's held-out rows alone, to score them without densifying, in
+    whichever worker fits the fold."""
     X, y = very_sparse_counts()
     matrix = in_layout(X, "rule")
-    taken = []
     real_take, real_toarray = SparseMatrix.take, SparseMatrix.toarray
 
     def take(self, rows):
-        taken.append(np.asarray(rows).tolist())
+        call_log.record(*np.asarray(rows).tolist())
         return real_take(self, rows)
 
     def toarray(self):
@@ -742,8 +743,9 @@ def test_fit_and_cross_validate_read_the_sparse_matrix_in_place(monkeypatch):
     monkeypatch.setattr(SparseMatrix, "take", take)
     monkeypatch.setattr(SparseMatrix, "toarray", toarray)
     forest = fit_forest(matrix, y, ForestParams(n_trees=4, seed=0))
-    assert taken == []
+    assert call_log.lines() == []
     cross_validate(matrix, y, ForestParams(n_trees=4, seed=0), folds=4, seed=0)
+    taken = [[int(row) for row in rows] for rows in call_log.lines()]
     # every row is held out once
     assert len(taken) == 4 and sorted(row for rows in taken for row in rows) == list(range(80))
     monkeypatch.setattr(SparseMatrix, "toarray", real_toarray)
@@ -1157,7 +1159,8 @@ def test_cross_validate_partitions_every_row_once():
     assert metrics.accuracy == pytest.approx(float(np.mean(metrics.per_fold)), abs=1e-12)
 
 
-def test_cross_validate_folds_match_round_robin_dealing(monkeypatch):
+def test_cross_validate_folds_match_round_robin_dealing(monkeypatch, workers):
+    workers(1)  # the folds run inline, in fold order, so the spy sees that order
     rng = np.random.default_rng(15)
     X, y = separable_data(rng, n_per_class=13, classes=(2, 5, 7))
     X[:, 0] = np.arange(y.size)  # row ids survive the fold split
@@ -1185,7 +1188,8 @@ def test_cross_validate_folds_match_round_robin_dealing(monkeypatch):
     (3, ForestParams(n_trees=6, seed=4)),
     (4, ForestParams(n_trees=5, seed=8, bootstrap=False, max_depth=3, min_samples_leaf=2)),
 ], ids=["bootstrap", "no-bootstrap-depth3-leaf2"])
-def test_cross_validate_equals_fitting_each_fold_on_a_copy(monkeypatch, folds, params):
+def test_cross_validate_equals_fitting_each_fold_on_a_copy(monkeypatch, workers, folds, params):
+    workers(1)  # the folds run inline, so the spy sees each fold's matrix object
     X, y = small_dense_counts()
     fitted_on = []
     real_fit = forest_module.fit_forest
@@ -1202,6 +1206,40 @@ def test_cross_validate_equals_fitting_each_fold_on_a_copy(monkeypatch, folds, p
     assert got.per_fold == want.per_fold
     assert got.confusion == want.confusion
     assert (got.accuracy, got.classes) == (want.accuracy, want.classes)
+
+
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_pooled_fits_equal_the_inline_ones(monkeypatch, workers, call_log, n_workers):
+    """Cross-validation, the fit beside it and the grid give, on n workers,
+    exactly what they give inline, with each (cell, fold) fitted once and
+    no worker ranking the matrix again."""
+    X, y = small_dense_counts()
+    matrix = as_matrix(X)
+    params = ForestParams(n_trees=6, seed=4)
+    grid = dict(tree_counts=(3, 5), folds=3, seed=2)
+    workers(1)
+    want_cv = cross_validate(matrix, y, params, folds=3, seed=21)
+    want_forest = fit_forest(matrix, y, params)
+    want_grid = grid_search(matrix, y, params, **grid)
+    real_fit = forest_module.fit_forest
+
+    def fit(values, labels, params, rows=None, **kwargs):
+        assert "ranks" in vars(values)  # ranked once, before the fork
+        call_log.record(params.n_trees, params.features_per_split, params.seed, rows is None)
+        return real_fit(values, labels, params, rows, **kwargs)
+
+    monkeypatch.setattr(forest_module, "fit_forest", fit)
+    workers(n_workers)
+    fresh = as_matrix(X)
+    forest, cv = forest_module.fit_and_cross_validate(fresh, y, params, folds=3, seed=21)
+    assert (cv, cross_validate(fresh, y, params, folds=3, seed=21)) == (want_cv, want_cv)
+    assert_same_nodes(forest, want_forest)
+    assert grid_search(fresh, y, params, **grid) == want_grid
+    fits = call_log.counts()
+    folds = [(str(params.n_trees), "sqrt", str(mix_seed(21, "fold", f)), "False") for f in range(3)]
+    cells = [(str(n), rule, str(mix_seed(2, "fold", f)), "False")
+             for n in (3, 5) for rule in ("sqrt", "third") for f in range(3)]
+    assert fits == Counter(folds * 2 + cells + [(str(params.n_trees), "sqrt", str(params.seed), "True")])
 
 
 def test_cross_validate_refuses_a_non_finite_matrix():

@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 import weakref
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import replace
 
 import numpy as np
@@ -288,23 +289,31 @@ def test_train_pipeline_end_to_end(small_corpus, fast_config):
     assert result.grid is None
 
 
-def test_grid_train_cross_validates_each_cell_once(tmp_path, monkeypatch, small_corpus, fast_config):
-    """The grid's cross-validation of its winner is the run's: six cells, six
-    cross-validations, and the saved run is the one a seventh would give."""
-    cells = []
-    real = forest_module.cross_validate
+def test_grid_train_cross_validates_each_cell_once(
+    tmp_path, monkeypatch, call_log, small_corpus, fast_config
+):
+    """The grid's cross-validation of its winner is the run's: six cells,
+    each (cell, fold) fitted once, in whichever worker, and no seventh
+    cross-validation; the saved run is the one a seventh would give."""
+    real_fit = forest_module.fit_forest
 
-    def spy(values, labels, params, **kwargs):
-        cells.append((params.n_trees, params.features_per_split))
-        return real(values, labels, params, **kwargs)
+    def spy(values, labels, params, rows=None, **kwargs):
+        # every fit of the grid's map is a fold's, on part of the rows
+        call_log.record(params.n_trees, params.features_per_split, "fold" if rows is not None else "all")
+        return real_fit(values, labels, params, rows, **kwargs)
 
-    monkeypatch.setattr(forest_module, "cross_validate", spy)
-    monkeypatch.setattr(pipeline_module, "cross_validate", spy)
+    monkeypatch.setattr(forest_module, "fit_forest", spy)
     result, train_man, test_man = train_pipeline(small_corpus, fast_config, grid=True)
-    assert cells == [(n, rule) for n in (100, 200, 400) for rule in ("sqrt", "third")]
+    cells = [(n, rule) for n in (100, 200, 400) for rule in ("sqrt", "third")]
+    assert call_log.counts() == Counter(
+        {(str(n), rule, "fold"): fast_config.folds for n, rule in cells}
+    )
     assert [(p.n_trees, p.features_per_split) for p, _ in result.grid] == cells
+    monkeypatch.setattr(forest_module, "fit_forest", real_fit)
     values, labels = result.train_matrix.labeled()
-    again = real(values, labels, result.params, folds=fast_config.folds, seed=fast_config.seed)
+    again = forest_module.cross_validate(
+        values, labels, result.params, folds=fast_config.folds, seed=fast_config.seed
+    )
     assert result.cv == again
     save_train_dir(tmp_path / "grid", result, train_man, test_man)
     save_train_dir(tmp_path / "again", replace(result, cv=again), train_man, test_man)
@@ -357,22 +366,29 @@ def saved_train_files(tmp_path, corpus, config) -> dict[str, bytes]:
     return {name: (out / name).read_bytes() for name in TRAIN_DIR_FILES}
 
 
-def count_digests(monkeypatch) -> tuple[Counter, Counter]:
-    """Count digest_sample calls by sample id, at every binding that calls it,
-    and the 4-gram entries (api and opcode together) of each call's digest."""
-    calls: Counter = Counter()
-    grams: Counter = Counter()
+def count_digests(monkeypatch, call_log) -> Callable[[], tuple[Counter, Counter]]:
+    """Count digest_sample calls by sample id, at every binding that calls it
+    and in whichever process, and the 4-gram entries (api and opcode
+    together) of each call's digest; the returned function reads both."""
     original = extract_module.digest_sample
 
     def counted(sample, *args, **kwargs):
-        calls[sample.id] += 1
         digest = original(sample, *args, **kwargs)
-        grams[sample.id] += len(digest.api_grams) + len(digest.opcode_grams)
+        call_log.record(sample.id, len(digest.api_grams) + len(digest.opcode_grams))
         return digest
 
-    for module in (vocab_module, matrix_module, extract_module):
+    for module in (pipeline_module, vocab_module, matrix_module, extract_module):
         monkeypatch.setattr(module, "digest_sample", counted)
-    return calls, grams
+
+    def read() -> tuple[Counter, Counter]:
+        calls: Counter = Counter()
+        grams: Counter = Counter()
+        for sample_id, entries in call_log.lines():
+            calls[sample_id] += 1
+            grams[sample_id] += int(entries)
+        return calls, grams
+
+    return read
 
 
 @pytest.fixture(scope="module")
@@ -383,10 +399,11 @@ def wide_corpus(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", sorted(DIGEST_ONCE_CONFIGS))
-def test_train_pipeline_digests_each_sample_once(monkeypatch, wide_corpus, name):
+def test_train_pipeline_digests_each_sample_once(monkeypatch, call_log, wide_corpus, name):
     config = DIGEST_ONCE_CONFIGS[name]
-    calls, grams = count_digests(monkeypatch)
+    read_counts = count_digests(monkeypatch, call_log)
     _, train_man, test_man = train_pipeline(wide_corpus, config)
+    calls, grams = read_counts()
     assert calls == Counter({s.id: 1 for s in wide_corpus.samples})
     assert len(train_man) > len(test_man) > 0
     if {GROUP_API_4GRAM, GROUP_OPCODE_4GRAM} & set(config.groups):
@@ -502,14 +519,16 @@ def test_a_dropped_train_result_frees_its_vocabulary(small_corpus, fast_config):
 def test_train_dir_equals_the_two_pass_build(tmp_path, monkeypatch, small_corpus, name):
     config = DIGEST_ONCE_CONFIGS[name]
     open_groups = (GROUP_SECTION_SIZE, GROUP_IMPORT_LIB, GROUP_API_4GRAM, GROUP_OPCODE_4GRAM)
+
+    def two_pass_vocab(manifest, caps, groups, prefer, digests):
+        for _ in digests:  # the pass's own train digests are taken and dropped
+            pass
+        return build_vocab(manifest, caps, [g for g in groups if g in open_groups], prefer)[0], None
+
     with monkeypatch.context() as two_pass:
-        # the vocabulary digests only the groups it ranks, and every matrix
-        # reads its samples again, as before the digests were shared
-        two_pass.setattr(
-            pipeline_module, "build_vocab",
-            lambda manifest, caps, groups, prefer: (build_vocab(
-                manifest, caps, [g for g in groups if g in open_groups], prefer)[0], None),
-        )
+        # the vocabulary digests only the groups it ranks, and the train
+        # matrix reads its samples again, as before the digests were shared
+        two_pass.setattr(pipeline_module, "build_vocab", two_pass_vocab)
         want = saved_train_files(tmp_path, small_corpus, config)
     assert saved_train_files(tmp_path, small_corpus, config) == want
 
@@ -600,6 +619,46 @@ def test_saved_train_files_are_pinned(tmp_path):
         got[name] = hashlib.sha256(data).hexdigest()
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(SAVED_TRAIN_FILES)
     assert got == SAVED_TRAIN_FILES
+
+
+def hashed_train_dir(out, root) -> dict[str, str]:
+    """sha256 of each saved file, the manifests with the corpus root as "<corpus>"."""
+    got = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name.endswith("_manifest.json"):
+            data = data.replace(str(root).encode(), b"<corpus>")
+        got[path.name] = hashlib.sha256(data).hexdigest()
+    return got
+
+
+# the same for `gen_synthetic(3, 5)` trained with `--grid` (2 folds, the
+# 20-tree config's other fields): its six cells score 0.906, 0.718, 1.0,
+# 0.718, 1.0 and 0.756, so the pick of the first best cell is pinned too
+SAVED_GRID_FILES = {
+    "config.json": "18f4b240b9885e42d53f01c281e69a193284397836dc169e5f9d60befdaeb8cc",
+    "vocab.json": "cddaad56eeb78e97db18308da45a62e3eb69a0f87955b40b27988dcf2bca86dc",
+    "selection.json": "7f53f11463fcc0ec882b14e421ba7148aaefd2abe86ce4737585a92f3c5eaec7",
+    "model.json": "b4f00c5ef8e47bce607f52d61ecafeb284045a52f55526d20092c20ef7d48909",
+    "metrics.json": "8b071fa2a5216a5bfc3f352d2828956b91ddfa16762746e104a62d44ad0c6206",
+    "train_matrix.csv": "23339e523c099361db19e983297d9c7c0497cd8d0e35b7b0d15ab556baa796b6",
+    "test_matrix.csv": "2381c8d03221906974f4bab29fce1cc5ed678547683fec4a6fd9b27a6999fb83",
+    "train_manifest.json": "3ca5c67df7fbaf26b5a6bf192cfa681dc9367d4f502293cf0f5060daf95f19f7",
+    "test_manifest.json": "c74005308cc119c4b9768e0608ba87a0076f7c5af9f23057afb50b8e2e476504",
+}
+
+
+def test_saved_grid_files_are_pinned(tmp_path):
+    """Every saved file of a small seeded grid run, byte for byte: the
+    grid's (cell, fold) fits, however many workers run them, give the
+    bytes the one-cell-at-a-time search gave."""
+    root = tmp_path / "corpus"
+    manifest = gen_synthetic(3, 5, out_root=root)
+    config = RunConfig(folds=2, forest=ForestParams(n_trees=20))
+    result, train_man, test_man = train_pipeline(manifest, config, grid=True)
+    save_train_dir(tmp_path / "run", result, train_man, test_man)
+    assert (result.params.n_trees, result.params.features_per_split) == (200, "sqrt")
+    assert hashed_train_dir(tmp_path / "run", root) == SAVED_GRID_FILES
 
 
 def test_load_model_dir_requires_artifacts(tmp_path):
