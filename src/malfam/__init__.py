@@ -12,6 +12,7 @@ from .errors import (
     NotAPeError,
     TrainingError,
     TruncatedPeError,
+    WorkerError,
 )
 from .families import FAMILY_IDS, FAMILY_NAMES, family_name
 from .corpus import (
@@ -71,6 +72,7 @@ __all__ = [
     "TrainResult",
     "TrainingError",
     "TruncatedPeError",
+    "WorkerError",
     "best_split",
     "cross_validate",
     "evaluate",

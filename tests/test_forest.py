@@ -3,9 +3,9 @@ oracle, fitting, probabilities, MDI importances, CV protocol, persistence."""
 from __future__ import annotations
 
 import json
-from collections import Counter
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
