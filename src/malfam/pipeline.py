@@ -13,8 +13,9 @@ before selection.  Selection reads its groups' columns of that matrix, and
 the train matrix is the final schema's columns of it
 (`FeatureMatrix.columns`).  Both are `SparseMatrix` values, every column
 held compressed (CSC), and the fit and every CV fold read the train matrix
-in place; no dense copy of it is made.  The held test digests are projected
-into the final schema.  The CV folds and the final fit are a second
+in place; no dense copy of it is made.  The test digests wait in the
+workers until selection is done, and are projected into the final schema
+as they arrive.  The CV folds and the final fit are a second
 `fork_map` (a grid's (cell, fold) fits are one, and its final fit follows).
 
 Those two maps are the only work off the calling thread.  Each runs on
